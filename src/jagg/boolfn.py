@@ -16,18 +16,24 @@ from typing import Iterable, Sequence
 from .config import DEFAULT, BudgetError, Config
 from .formula import And, Atom, Formula, Not, Or, Xor
 
-Point = "int | Sequence[bool]"
+def repeat_bits(pattern: int, period: int, width: int) -> int:
+    """The ``width``-bit int that repeats the ``period``-bit ``pattern`` from bit 0.
+
+    Built by doubling (``x |= x << period``), so the cost is linear in
+    ``width``.  This is the one way periodic masks are made.
+    """
+    while period < width:
+        pattern |= pattern << period
+        period <<= 1
+    return pattern if period == width else pattern & ((1 << width) - 1)
 
 
 def variable_mask(i: int, n: int) -> int:
     """Truth table (as an int over 2**n points) of the i-th input itself."""
     if not 0 <= i < n:
         raise ValueError(f"variable index {i} out of range for arity {n}")
-    npts = 1 << n
     block = 1 << i
-    period = block << 1
-    ones_at_periods = ((1 << npts) - 1) // ((1 << period) - 1)
-    return (ones_at_periods * ((1 << block) - 1)) << block
+    return repeat_bits(((1 << block) - 1) << block, block << 1, 1 << n)
 
 
 def compose(f: "BoolFn", arg_tables: Sequence[int], width: int) -> int:

@@ -2,19 +2,24 @@
 
 Truth values are encoded T -> +1, F -> -1.  The coefficient of a subset R of
 inputs is the average of f(x) * prod_{i in R} x_i over all points, always an
-integer multiple of 2**-n; everything here is computed in exact dyadic
-arithmetic, never floats.
+integer multiple of 2**-n.  Spectra are computed by a packed-lane integer
+Walsh-Hadamard transform and kept as integer numerators over 2**n;
+``Dyadic`` values are made only at the API and JSON boundary.  Nothing here
+uses floats.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, Sequence
 
-from .boolfn import BoolFn
+from .boolfn import BoolFn, repeat_bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dyadic:
     """Exact rational num / 2**exp with num odd or zero (then exp == 0)."""
 
@@ -35,10 +40,8 @@ class Dyadic:
         """Canonicalise num / 2**exp."""
         if num == 0:
             return cls(0, 0)
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
-        return cls(num, exp)
+        shift = min((num & -num).bit_length() - 1, max(exp, 0))
+        return cls(num >> shift, exp - shift)
 
     @staticmethod
     def _coerce(value: "Dyadic | int") -> "Dyadic":
@@ -91,11 +94,15 @@ class Dyadic:
 
     def __lt__(self, other: "Dyadic | int") -> bool:
         o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
         exp = max(self.exp, o.exp)
         return self._scaled(exp) < o._scaled(exp)
 
     def __le__(self, other: "Dyadic | int") -> bool:
         o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
         exp = max(self.exp, o.exp)
         return self._scaled(exp) <= o._scaled(exp)
 
@@ -121,20 +128,132 @@ ZERO = Dyadic(0, 0)
 ONE = Dyadic(1, 0)
 
 
+# --- packed-lane Walsh-Hadamard kernel ----------------------------------------
+#
+# A vector of 2**n integers is held in one int as 2**n lanes of ``width``
+# bits, lane k at bits [k*width, (k+1)*width).  Inside the transform each lane
+# stores its value plus the bias 2**(width-1), so it is never negative and a
+# butterfly stage is a few big-int operations on the whole vector.  Every
+# value a stage makes is a signed sum of input values, so no lane can wrap
+# while the sum of the inputs' absolute values stays below the bias.
+
+_ARRAY_CODES = {array(code).itemsize * 8: code for code in "hilq"}
+_SMALL_BITS = 1 << 12   # vectors up to this many bits keep their masks cached
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")   # 0/1 bytes -> binary digits
+
+
+def _lane_width(bound: int) -> int:
+    """Narrowest lane (16 bits times a power of two) that holds -bound..bound."""
+    width = 16
+    while bound >= 1 << (width - 1):
+        width <<= 1
+    return width
+
+
+def _stage_masks(total: int, width: int, lane_bias: int) -> Iterator[tuple[int, int, int]]:
+    """(shift, keep, bias) for each butterfly stage, one stage at a time.
+
+    ``keep`` covers the lanes whose index has the stage's bit clear, and
+    ``bias`` is ``lane_bias`` (2**(width-1) in every lane) on those lanes.
+    """
+    shift = width
+    while shift < total:
+        keep = repeat_bits((1 << shift) - 1, shift << 1, total)
+        yield shift, keep, keep & lane_bias
+        shift <<= 1
+
+
+@lru_cache(maxsize=None)   # keys are bounded: total <= _SMALL_BITS
+def _small_masks(total: int, width: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    lane_bias = repeat_bits(1 << (width - 1), width, total)
+    return lane_bias, tuple(_stage_masks(total, width, lane_bias))
+
+
+def _transform(x: int, npts: int, width: int, inverse: bool) -> int:
+    """Walsh-Hadamard butterflies over two's-complement lanes.
+
+    Forward, a stage maps the lane pair (without, with) the stage's input
+    to (with + without, with - without); inverse, to (without - with,
+    without + with).
+    """
+    total = npts * width
+    if total <= _SMALL_BITS:
+        lane_bias, stages = _small_masks(total, width)
+    else:
+        # a mask is as large as the vector here, so none outlives its stage
+        lane_bias = repeat_bits(1 << (width - 1), width, total)
+        stages = _stage_masks(total, width, lane_bias)
+    x ^= lane_bias   # two's complement -> biased
+    for shift, keep, bias in stages:
+        lo = x & keep
+        hi = (x >> shift) & keep
+        if inverse:
+            x = (lo - hi + bias) | ((lo + hi - bias) << shift)
+        else:
+            x = (hi + lo - bias) | ((hi - lo + bias) << shift)
+    return x ^ lane_bias
+
+
+@lru_cache(maxsize=None)
+def _sign_lanes(width: int) -> tuple[bytes, ...]:
+    """For each byte of a truth table, its 8 points as +/-1 lanes."""
+    lane = [v.to_bytes(width // 8, "little", signed=True) for v in (-1, 1)]
+    return tuple(b"".join(lane[byte >> k & 1] for k in range(8)) for byte in range(256))
+
+
+def _pack(values: Sequence[int], width: int) -> int:
+    """Values as two's-complement lanes of one int."""
+    code = _ARRAY_CODES.get(width)
+    if code is None:
+        size = width // 8
+        raw = b"".join(v.to_bytes(size, "little", signed=True) for v in values)
+    else:
+        lanes = array(code, values)
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        raw = lanes.tobytes()
+    return int.from_bytes(raw, "little")
+
+
+def _unpack(x: int, npts: int, width: int) -> Sequence[int]:
+    """The ``npts`` two's-complement lanes of ``x`` as ints."""
+    raw = x.to_bytes(npts * width // 8, "little")
+    code = _ARRAY_CODES.get(width)
+    if code is None:
+        size = width // 8
+        return [int.from_bytes(raw[i:i + size], "little", signed=True)
+                for i in range(0, len(raw), size)]
+    lanes = array(code, raw)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes
+
+
+# --- spectra ------------------------------------------------------------------
+
 @dataclass(frozen=True)
 class FourierSpectrum:
-    """All 2**n coefficients of an arity-n function, indexed by subset bitmask."""
+    """All 2**n coefficients of an arity-n function, indexed by subset bitmask.
+
+    ``nums[R]`` is the numerator of the coefficient of R over the fixed
+    denominator 2**n; the ``Dyadic`` views are made on request.
+    """
 
     n: int
-    coeffs: tuple[Dyadic, ...]
+    nums: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) != 1 << self.n:
-            raise ValueError(f"expected {1 << self.n} coefficients, got {len(self.coeffs)}")
+        if len(self.nums) != 1 << self.n:
+            raise ValueError(f"expected {1 << self.n} coefficients, got {len(self.nums)}")
+
+    @cached_property
+    def coeffs(self) -> tuple[Dyadic, ...]:
+        """All coefficients as canonical ``Dyadic`` values."""
+        return tuple(Dyadic.make(v, self.n) for v in self.nums)
 
     def __getitem__(self, subset: int) -> Dyadic:
         """Coefficient of the subset given as an n-bit index mask."""
-        return self.coeffs[subset]
+        return Dyadic.make(self.nums[subset], self.n)
 
     def coefficient(self, subset: Iterable[int]) -> Dyadic:
         """Coefficient of the subset given as an iterable of input indices."""
@@ -143,56 +262,55 @@ class FourierSpectrum:
             if not 0 <= i < self.n:
                 raise ValueError(f"index {i} out of range for arity {self.n}")
             mask |= 1 << i
-        return self.coeffs[mask]
+        return self[mask]
 
     def parseval_sum(self) -> Dyadic:
         """Sum of squared coefficients; exactly 1 for any Boolean function."""
-        total = ZERO
-        for c in self.coeffs:
-            total = total + c * c
-        return total
+        return Dyadic.make(sum(v * v for v in self.nums), 2 * self.n)
 
     def support(self) -> tuple[int, ...]:
         """Subset masks with non-zero coefficient, ascending."""
-        return tuple(s for s, c in enumerate(self.coeffs) if c)
+        return tuple(s for s, v in enumerate(self.nums) if v)
 
 
 def spectrum(f: BoolFn) -> FourierSpectrum:
-    """Exact spectrum via an in-place integer transform, O(n * 2**n)."""
-    vals = [1 if f.table >> p & 1 else -1 for p in range(f.points)]
-    step = 1
-    while step < f.points:
-        for base in range(0, f.points, step << 1):
-            for k in range(base, base + step):
-                lo, hi = vals[k], vals[k + step]   # input bit clear / set
-                vals[k] = hi + lo                  # subset without this input
-                vals[k + step] = hi - lo           # subset with this input
-        step <<= 1
-    return FourierSpectrum(f.n, tuple(Dyadic.make(v, f.n) for v in vals))
+    """Exact spectrum by the packed-lane integer transform, O(n * 2**n) bit work.
+
+    The table's +/-1 values are packed into one int of 16- or 32-bit lanes,
+    each of the n butterfly stages is a few big-int operations on it, and the
+    result is unpacked as numerators over 2**n.
+    """
+    npts = f.points
+    width = _lane_width(npts)
+    signs = _sign_lanes(width)
+    raw = b"".join(map(signs.__getitem__, f.table.to_bytes((npts + 7) // 8, "little")))
+    x = int.from_bytes(raw[:npts * width // 8], "little")
+    return FourierSpectrum(f.n, tuple(_unpack(_transform(x, npts, width, False), npts, width)))
 
 
 def reconstruct(spec: FourierSpectrum) -> BoolFn:
-    """Inverse transform; errors if the coefficients are not a Boolean function."""
-    exp = max((c.exp for c in spec.coeffs), default=0)
-    vals = [c._scaled(exp) for c in spec.coeffs]
-    npts = 1 << spec.n
-    step = 1
-    while step < npts:
-        for base in range(0, npts, step << 1):
-            for k in range(base, base + step):
-                without, with_ = vals[k], vals[k + step]
-                vals[k] = without - with_          # input bit clear -> x_i = -1
-                vals[k + step] = without + with_   # input bit set   -> x_i = +1
-        step <<= 1
-    table = 0
-    unit = 1 << exp
-    for p, v in enumerate(vals):
-        if v == unit:
-            table |= 1 << p
-        elif v != -unit:
-            raise ValueError(f"coefficients do not describe a Boolean function "
-                             f"(value {v}/2**{exp} at point {p})")
-    return BoolFn(spec.n, table)
+    """Inverse transform; errors if the coefficients are not a Boolean function.
+
+    A Boolean function has every value +/-1, so every lane of the inverse
+    transform holds +/-2**n; the test and the table both come from the
+    lanes' sign bits.
+    """
+    npts, nums = 1 << spec.n, spec.nums
+    width = _lane_width(sum(map(abs, nums)))
+    total = npts * width
+    x = _transform(_pack(nums, width), npts, width, True)
+    ones = repeat_bits(1, width, total)
+    neg = (x >> (width - 1)) & ones   # 1 in each lane whose sign bit is set
+    # each lane must hold 2**n, or -2**n (2**width - 2**n) where negative
+    if x != ones * npts + neg * ((1 << width) - 2 * npts):
+        p, v = next((p, v) for p, v in enumerate(_unpack(x, npts, width))
+                    if v != npts and v != -npts)
+        exp = max(c.exp for c in spec.coeffs)
+        raise ValueError(f"coefficients do not describe a Boolean function "
+                         f"(value {v >> (spec.n - exp)}/2**{exp} at point {p})")
+    # one byte per lane, 1 where the value is +2**n, read as binary digits
+    digits = (neg ^ ones).to_bytes(total // 8, "little")[::width // 8].translate(_DIGITS)
+    return BoolFn(spec.n, int(digits[::-1], 2))
 
 
 # --- composition-coefficient identities -------------------------------------
@@ -257,19 +375,25 @@ def cell_subset_identity(g: BoolFn, f: BoolFn,
             r_mask |= 1 << i
 
     def side(outer: FourierSpectrum, inner: FourierSpectrum, touched: int,
-             used_masks: list[int], arity: int) -> Dyadic:
-        total = ZERO
-        for sup in _supersets(touched, (1 << arity) - 1):
+             used_masks: list[int]) -> Dyadic:
+        # outer[S] is outer.nums[S] / 2**a and inner[S] is inner.nums[S] / 2**b;
+        # every superset term is brought over 2**(a + b * spare) before the sum
+        a, b = outer.n, inner.n
+        spare = a - touched.bit_count()
+        empty = inner.nums[0]
+        total = 0
+        for sup in _supersets(touched, (1 << a) - 1):
             extra = (sup & ~touched).bit_count()
-            total = total + outer[sup] * (inner[0] ** extra)
-        prod = ONE
+            total += (outer.nums[sup] * empty ** extra) << (b * (spare - extra))
+        exp = a + b * spare
         for mask in used_masks:
             if mask:
-                prod = prod * inner[mask]
-        return total * prod
+                total *= inner.nums[mask]
+                exp += b
+        return Dyadic.make(total, exp)
 
-    lhs = side(fhat, ghat, s_mask, col_rows, n)
-    rhs = side(ghat, fhat, r_mask, row_cols, m)
+    lhs = side(fhat, ghat, s_mask, col_rows)
+    rhs = side(ghat, fhat, r_mask, row_cols)
     return lhs, rhs
 
 

@@ -29,6 +29,15 @@ def test_variable_mask():
                 assert bool(mask >> p & 1) == bool(p >> i & 1)
 
 
+def test_variable_mask_equals_division_formula():
+    for n in range(1, 15):
+        npts = 1 << n
+        for i in range(n):
+            block = 1 << i
+            ones_at_periods = ((1 << npts) - 1) // ((1 << (block << 1)) - 1)
+            assert variable_mask(i, n) == (ones_at_periods * ((1 << block) - 1)) << block
+
+
 def test_table_bit_convention():
     f = BoolFn.and_(2)
     assert f.table == 0b1000

@@ -198,6 +198,13 @@ def test_verify_single_suite(capsys):
     assert all(c["passed"] for c in doc["checks"])
 
 
+def test_verify_json_is_byte_stable(capsys):
+    first = run(capsys, "verify", "--suite", "forceful", "--json")
+    second = run(capsys, "verify", "--suite", "forceful", "--json")
+    assert first[0] == 0
+    assert first == second
+
+
 def test_env_output_format(capsys, monkeypatch):
     monkeypatch.setenv("JAGG_OUTPUT_FORMAT", "json")
     _, out = run(capsys, "classify", "and:2")

@@ -6,13 +6,15 @@ slower second implementation rather than against itself.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from jagg.boolfn import BoolFn, all_tables, compose
-from jagg.fourier import (Dyadic, ONE, ZERO, cell_subset_identity,
-                          rectangle_identity, reconstruct, spectrum)
+from jagg.fourier import (Dyadic, FourierSpectrum, ONE, ZERO,
+                          cell_subset_identity, rectangle_identity,
+                          reconstruct, spectrum)
 
 
 def oracle_coeff(f: BoolFn, subset: int) -> Fraction:
@@ -31,6 +33,28 @@ def oracle_coeff(f: BoolFn, subset: int) -> Fraction:
 
 def as_fraction(d: Dyadic) -> Fraction:
     return Fraction(d.num, 1 << d.exp)
+
+
+def loop_spectrum(f: BoolFn) -> list[int]:
+    """Coefficient numerators over 2**n from one Python-level butterfly per
+    pair of points: the reference the packed kernel must equal."""
+    vals = [1 if f.table >> p & 1 else -1 for p in range(f.points)]
+    step = 1
+    while step < f.points:
+        for base in range(0, f.points, step << 1):
+            for k in range(base, base + step):
+                lo, hi = vals[k], vals[k + step]
+                vals[k], vals[k + step] = hi + lo, hi - lo
+        step <<= 1
+    return vals
+
+
+def spectrum_of(n: int, coeffs: list[Fraction]) -> FourierSpectrum:
+    """A spectrum with arbitrary dyadic coefficients, Boolean or not."""
+    return FourierSpectrum(n, tuple(int(c * (1 << n)) for c in coeffs))
+
+
+RANDOM_ARITIES = (5, 8, 12, 16)
 
 
 # --- Dyadic -----------------------------------------------------------------
@@ -70,6 +94,17 @@ def test_dyadic_comparisons_and_hash():
     assert sorted([ONE, b, a, ZERO]) == [b, ZERO, a, ONE]
 
 
+def test_dyadic_order_rejects_other_types():
+    for op in ("__lt__", "__le__"):
+        assert getattr(ONE, op)("x") is NotImplemented
+    with pytest.raises(TypeError):
+        Dyadic(1, 0) < "x"
+    with pytest.raises(TypeError):
+        Dyadic(1, 0) <= "x"
+    with pytest.raises(TypeError):
+        Dyadic(1, 0) > 0.5
+
+
 def test_dyadic_str():
     assert str(ONE) == "1"
     assert str(Dyadic.make(-3, 2)) == "-3/2^2"
@@ -85,6 +120,22 @@ def test_spectrum_matches_definition_exhaustive():
             sp = spectrum(f)
             for subset in range(1 << n):
                 assert as_fraction(sp[subset]) == oracle_coeff(f, subset)
+
+
+def test_spectrum_matches_definition_at_random_arities():
+    # every coefficient against the loop transform; against the definition,
+    # every coefficient at arity <= 8 and a seeded sample of subsets above
+    rng = random.Random(20181027)
+    for n in RANDOM_ARITIES:
+        f = BoolFn(n, rng.getrandbits(1 << n))
+        sp = spectrum(f)
+        assert sp.coeffs == tuple(Dyadic.make(v, n) for v in loop_spectrum(f))
+        full = (1 << n) - 1
+        subsets = (range(1 << n) if n <= 8 else
+                   [0, full, 1 << rng.randrange(n)]
+                   + [rng.getrandbits(n) for _ in range(5)])
+        for subset in subsets:
+            assert as_fraction(sp[subset]) == oracle_coeff(f, subset)
 
 
 def test_closed_forms():
@@ -137,6 +188,32 @@ def test_reconstruct_roundtrip():
     for n in (1, 2, 3):
         for f in all_tables(n):
             assert reconstruct(spectrum(f)) == f
+    rng = random.Random(1810)
+    for n in RANDOM_ARITIES:
+        for table in (rng.getrandbits(1 << n), 0, (1 << (1 << n)) - 1):
+            f = BoolFn(n, table)
+            assert reconstruct(spectrum(f)) == f
+
+
+@pytest.mark.parametrize("n, coeffs, message", [
+    # the first bad point is named, with the value over 2**e where e is the
+    # largest exponent among the coefficients, not the arity
+    (2, [Fraction(1, 2), Fraction(1, 2), 0, 0], "value 0/2**1 at point 0"),
+    (2, [Fraction(1, 2), 0, 0, Fraction(1, 2)], "value 0/2**1 at point 1"),
+    (3, [Fraction(1, 4), Fraction(3, 4)] + [0] * 6, "value -2/2**2 at point 0"),
+    (3, [0, 1, 1] + [0] * 5, "value -2/2**0 at point 0"),
+    (2, [0] * 4, "value 0/2**0 at point 0"),
+    # numerators whose partial sums overflow 16-, 32- and 64-bit lanes
+    (4, [1000, 1001] + [0] * 14, "value 2001/2**0 at point 1"),
+    (1, [2 ** 40, 2 ** 40 + 1], f"value {2 ** 41 + 1}/2**0 at point 1"),
+    (3, [2 ** 70, 2 ** 70 + 1] + [0] * 6, f"value {2 ** 71 + 1}/2**0 at point 1"),
+    (2, [-(2 ** 62), 0, 2 ** 62 - 1, 0], f"value {-(2 ** 63) + 1}/2**0 at point 0"),
+])
+def test_reconstruct_rejects_non_boolean(n, coeffs, message):
+    with pytest.raises(ValueError) as err:
+        reconstruct(spectrum_of(n, coeffs))
+    assert str(err.value) == ("coefficients do not describe a Boolean function "
+                              f"({message})")
 
 
 # --- composition identities -------------------------------------------------
