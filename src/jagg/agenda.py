@@ -35,6 +35,11 @@ class DegenerateProposition(AgendaError):
 Judgment = tuple[bool, ...]
 
 
+def _is_literal(phi: Formula) -> bool:
+    """True iff ``phi`` is an atom or a negated atom."""
+    return isinstance(phi, Atom) or (isinstance(phi, Not) and isinstance(phi.child, Atom))
+
+
 @dataclass(frozen=True)
 class Agenda:
     """A validated ordered basis with its symbol universe.
@@ -53,19 +58,17 @@ class Agenda:
 
     def is_atomic(self, k: int) -> bool:
         """True iff basis entry k is an atom or a negated atom."""
-        phi = self.basis[k]
-        return isinstance(phi, Atom) or (isinstance(phi, Not)
-                                         and isinstance(phi.child, Atom))
+        return _is_literal(self.basis[k])
 
     def has_compound(self) -> bool:
         return any(not self.is_atomic(k) for k in range(len(self.basis)))
 
     def is_symbol_complete(self) -> bool:
         """True iff every symbol occurs as an atom or negated atom entry."""
-        atomic = {entry.child.name if isinstance(entry, Not) else entry.name
-                  for entry in self.basis if isinstance(entry, (Atom, Not))
-                  and (isinstance(entry, Atom) or isinstance(entry.child, Atom))}
-        return set(self.symbols) <= atomic
+        return set(self.symbols) <= self._literal_symbols()
+
+    def _literal_symbols(self) -> set[str]:
+        return {s for phi in self.basis if _is_literal(phi) for s in phi.symbols()}
 
     def symbol_edges(self) -> tuple[tuple[int, int], ...]:
         """Pairs of basis positions sharing at least one symbol, ascending."""
@@ -138,7 +141,7 @@ def build_agenda(basis: Sequence[Formula | str], *, config: Config = DEFAULT) ->
 def closure(g: Formula | str, *, config: Config = DEFAULT) -> Agenda:
     """Agenda listing each symbol of a compound (sorted) and then the compound."""
     phi = parse(g) if isinstance(g, str) else g
-    if isinstance(phi, Atom) or (isinstance(phi, Not) and isinstance(phi.child, Atom)):
+    if _is_literal(phi):
         raise AgendaError("closure needs a compound formula")
     entries: list[Formula] = [Atom(s) for s in sorted(phi.symbols())]
     entries.append(phi)
@@ -149,12 +152,9 @@ def is_symbol_closed(g: Formula | str, agenda: Agenda) -> bool:
     """True iff every symbol of the compound ``g`` has an atomic entry in the
     agenda's basis (possibly negated)."""
     phi = parse(g) if isinstance(g, str) else g
-    if isinstance(phi, Atom) or (isinstance(phi, Not) and isinstance(phi.child, Atom)):
+    if _is_literal(phi):
         raise AgendaError("symbol-closedness is asked of compound formulas")
-    atomic = {entry.child.name if isinstance(entry, Not) else entry.name
-              for entry in agenda.basis if isinstance(entry, (Atom, Not))
-              and (isinstance(entry, Atom) or isinstance(entry.child, Atom))}
-    return set(phi.symbols()) <= atomic
+    return set(phi.symbols()) <= agenda._literal_symbols()
 
 
 @dataclass(frozen=True)
@@ -179,13 +179,15 @@ class RationalSet:
 def rational_judgments(agenda: Agenda) -> RationalSet:
     """Enumerate all 2**k symbol assignments and collect distinct judgments."""
     k = len(agenda.symbols)
-    seen: dict[Judgment, tuple[bool, ...]] = {}
-    for mask in range(1 << k):
-        judgment = tuple(t.value(mask) for t in agenda.tables)
-        if judgment not in seen:
-            seen[judgment] = tuple(bool(mask >> i & 1) for i in range(k))
-    ordered = sorted(seen)
-    return RationalSet(agenda, tuple(ordered), tuple(seen[j] for j in ordered))
+    # one bit string per table, read in assignment order; '0' < '1' sorts as F < T
+    columns = [format(t.table, f"0{1 << k}b")[::-1] for t in agenda.tables]
+    first: dict[tuple[str, ...], int] = {}
+    for mask, bits in enumerate(zip(*columns)):
+        first.setdefault(bits, mask)
+    ordered = sorted(first)
+    return RationalSet(agenda, tuple(tuple(b == "1" for b in bits) for bits in ordered),
+                       tuple(tuple(bool(first[bits] >> i & 1) for i in range(k))
+                             for bits in ordered))
 
 
 def cons(agenda: Agenda, positions: Iterable[int]) -> tuple[tuple[bool, ...], ...]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .config import DEFAULT, BudgetError, Config
-from .formula import And, Atom, Formula, Not, Or, Xor
+from .formula import And, Atom, Formula, Not, Or
 
 def repeat_bits(pattern: int, period: int, width: int) -> int:
     """The ``width``-bit int that repeats the ``period``-bit ``pattern`` from bit 0.
@@ -41,14 +41,17 @@ def compose(f: "BoolFn", arg_tables: Sequence[int], width: int) -> int:
 
     Each entry of ``arg_tables`` is a table over the same point set; the
     result has bit ``p`` set iff ``f`` maps the argument bits at ``p`` to T.
+    Only the T points of ``f`` are visited, one term each.
     """
     if len(arg_tables) != f.n:
         raise ValueError(f"expected {f.n} argument tables, got {len(arg_tables)}")
     full = (1 << width) - 1
     out = 0
-    for minterm in range(1 << f.n):
-        if not f.table >> minterm & 1:
-            continue
+    rest = f.table
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        minterm = low.bit_length() - 1
         acc = full
         for i, arg in enumerate(arg_tables):
             acc &= arg if minterm >> i & 1 else full ^ arg

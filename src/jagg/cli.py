@@ -18,10 +18,10 @@ from typing import Any, Sequence
 from . import __version__
 from .agenda import Agenda, AgendaError, load_agenda, rational_judgments
 from .boolfn import BoolFn, classify, classify_on_relevant, format_fn_spec, parse_fn_spec
-from .config import Config, BudgetError, OUTPUT_FORMATS
+from .config import Config, BudgetError
 from .formula import ParseError
 from .jar import (PiJar, check_jar, enumerate_independent_rules,
-                  enumerate_uniform_rules, filter_axioms, uniform_jar)
+                  enumerate_uniform_rules, filter_axioms)
 from .fourier import spectrum
 from .normalpair import check_normal_pair, classify_pair, enumerate_normal_pairs
 from .verify import SUITES, run_suites

@@ -31,8 +31,6 @@ class Config:
                         default of 2**25 admits the 3x3 pair enumeration and
                         aggregation sweeps up to 3 judges on small agendas
     profile_cap         largest profile count |U|**n for one aggregation check
-    worker_count        accepted scheduling hint; evaluation is sequential and
-                        deterministic regardless of its value
     output_format       default CLI rendering, "text" or "json"
     """
 
@@ -40,12 +38,10 @@ class Config:
     matrix_cap: int = 25
     enumeration_budget: int = 1 << 25
     profile_cap: int = 10**7
-    worker_count: int = 1
     output_format: str = "text"
 
     def __post_init__(self) -> None:
-        for field in ("arity_cap", "matrix_cap", "enumeration_budget",
-                      "profile_cap", "worker_count"):
+        for field in ("arity_cap", "matrix_cap", "enumeration_budget", "profile_cap"):
             value = getattr(self, field)
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{field} must be a positive integer, got {value!r}")
@@ -61,8 +57,7 @@ class Config:
         """
         env = os.environ if environ is None else environ
         overrides: dict[str, object] = {}
-        for field in ("arity_cap", "matrix_cap", "enumeration_budget",
-                      "profile_cap", "worker_count"):
+        for field in ("arity_cap", "matrix_cap", "enumeration_budget", "profile_cap"):
             raw = env.get(ENV_PREFIX + field.upper())
             if raw is not None:
                 try:

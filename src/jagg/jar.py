@@ -6,16 +6,22 @@ fully rational judgments aggregates to a fully rational judgment; the other
 axioms checked here are unanimity preservation (constant inputs pass
 through), anonymity (judge order never matters), and systematicity (one
 function serves every proposition and its negation alike).
+
+Consistency is decided for all profiles at once, as pairs are over all
+matrices: each judge's vote at each position becomes a column over the
+profile space, every function is applied through ``boolfn.compose``, and the
+rational set is itself a Boolean function of the basis positions, composed
+onto the aggregate columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .agenda import Agenda, Judgment, RationalSet, build_agenda, rational_judgments
-from .boolfn import BoolFn, FnClass, classify
+from .boolfn import BoolFn, FnClass, all_tables, classify, compose, repeat_bits
 from .config import DEFAULT, BudgetError, Config, charge
 
 
@@ -70,8 +76,49 @@ def uniform_jar(agenda: Agenda, fn: BoolFn) -> PiJar:
     return PiJar(agenda, fn.n, (fn,) * len(agenda))
 
 
-def check_jar(jar: PiJar, *, config: Config = DEFAULT,
-              rationals: RationalSet | None = None) -> JarVerdict:
+def _profile_columns(rs: RationalSet, judges: int, config: Config,
+                     ) -> tuple[int, list[list[int]], BoolFn]:
+    """The profile count, ``cols[k][i]`` (judge i says T at position k) as a
+    column over all profiles, and the rational set as a Boolean function.
+
+    Profiles run in ``product`` order over the sorted rational judgments,
+    first judge most significant, so the lowest set bit of a set of profiles
+    is its first profile in that order.  The rational set is a function of
+    arity |basis|, so the basis is held to the arity cap.
+    """
+    size = len(rs.judgments)
+    width = size ** judges
+    if width > config.profile_cap:
+        raise BudgetError(f"{width} profiles exceed the cap of {config.profile_cap}")
+    if len(rs.agenda) > config.arity_cap:
+        raise BudgetError(f"{len(rs.agenda)} basis entries exceed the cap of "
+                          f"{config.arity_cap}")
+    cols: list[list[int]] = []
+    for k in range(len(rs.agenda)):
+        cols.append([])
+        for i in range(judges):
+            block = size ** (judges - 1 - i)
+            pattern = sum(((1 << block) - 1) << (u * block)
+                          for u, j in enumerate(rs.judgments) if j[k])
+            cols[k].append(repeat_bits(pattern, size * block, width))
+    points = (sum(b << k for k, b in enumerate(j)) for j in rs.judgments)
+    return width, cols, BoolFn(len(rs.agenda), sum(1 << p for p in points))
+
+
+def _irrational(rational: BoolFn, aggregates: Sequence[int], width: int) -> int:
+    """The profiles, as a bit set, whose aggregate judgment is not rational."""
+    return ((1 << width) - 1) ^ compose(rational, aggregates, width)
+
+
+def _axioms(functions: Sequence[BoolFn]) -> tuple[bool, bool, bool]:
+    """Unanimity preservation, anonymity and systematicity of a rule."""
+    up = all(f(*(c,) * f.n) == c for f in functions for c in (False, True))
+    anonymous = all(f.is_symmetric() for f in functions)
+    shared = all(f == functions[0] for f in functions)
+    return up, anonymous, shared and functions[0] == functions[0].flip()
+
+
+def check_jar(jar: PiJar, *, config: Config = DEFAULT) -> JarVerdict:
     """Sweep all |U|**n profiles for consistency and evaluate the axioms.
 
     Unanimity preservation reduces to f_k(c, ..., c) = c because every basis
@@ -80,25 +127,17 @@ def check_jar(jar: PiJar, *, config: Config = DEFAULT,
     one shared function that also equals its own flip (the flip is what the
     function becomes on a negated proposition).
     """
-    rs = rationals if rationals is not None else rational_judgments(jar.agenda)
-    count = len(rs.judgments) ** jar.judges
-    if count > config.profile_cap:
-        raise BudgetError(f"{count} profiles exceed the cap of {config.profile_cap}")
-    valid = set(rs.judgments)
-    consistent = True
+    rs = rational_judgments(jar.agenda)
+    width, cols, rational = _profile_columns(rs, jar.judges, config)
+    bad = _irrational(rational, [compose(f, cols[k], width)
+                                 for k, f in enumerate(jar.functions)], width)
     counterexample = None
-    for profile in product(rs.judgments, repeat=jar.judges):
-        out = jar.aggregate(profile)
-        if out not in valid:
-            consistent = False
-            counterexample = (profile, out)
-            break
-    up = all(f(*(c,) * jar.judges) == c
-             for f in jar.functions for c in (False, True))
-    anonymous = all(f.is_symmetric() for f in jar.functions)
-    shared = all(f == jar.functions[0] for f in jar.functions)
-    systematic = shared and jar.functions[0] == jar.functions[0].flip()
-    return JarVerdict(consistent, up, anonymous, systematic, counterexample)
+    if bad:
+        first, size = (bad & -bad).bit_length() - 1, len(rs.judgments)
+        profile = tuple(rs.judgments[first // size ** (jar.judges - 1 - i) % size]
+                        for i in range(jar.judges))
+        counterexample = (profile, jar.aggregate(profile))
+    return JarVerdict(not bad, *_axioms(jar.functions), counterexample)
 
 
 RELATION_EQUAL = "equal"
@@ -234,21 +273,10 @@ def enumerate_uniform_rules(agenda: Agenda, judges: int, *,
     charge(config, work, f"uniform-rule sweep for {judges} judges",
            "2**(2**judges) * |U|**judges * |basis| within budget, "
            "e.g. 3 judges on a two-symbol agenda")
+    width, cols, rational = _profile_columns(rs, judges, config)
     has_compound = agenda.has_compound()
-    out = []
-    for table in range(candidates):
-        fn = BoolFn(judges, table)
-        top = fn.value(fn.points - 1)
-        bottom = fn.value(0)
-        if require_up:
-            if not (top and not bottom):
-                continue
-        elif top == bottom:
-            continue
-        verdict = check_jar(uniform_jar(agenda, fn), config=config, rationals=rs)
-        if verdict.consistent:
-            out.append(_solution_case(fn, has_compound))
-    return out
+    return [_solution_case(fn, has_compound) for fn in _candidates(judges, require_up)
+            if not _irrational(rational, [compose(fn, c, width) for c in cols], width)]
 
 
 def enumerate_independent_rules(agenda: Agenda, judges: int, *,
@@ -257,26 +285,25 @@ def enumerate_independent_rules(agenda: Agenda, judges: int, *,
     independently, in ascending order of the per-position table tuple."""
     rs = rational_judgments(agenda)
     size = len(agenda)
-    per_position = [f for f in _up_functions(judges)]
-    work = len(per_position) ** size * len(rs.judgments) ** judges * size
+    work = (1 << ((1 << judges) - 2)) ** size * len(rs.judgments) ** judges * size
     charge(config, work, f"independent-rule sweep for {judges} judges",
            "|UP functions|**|basis| * |U|**judges * |basis| within budget, "
            "e.g. 2 judges on a three-entry basis")
-    out = []
-    for combo in product(per_position, repeat=size):
-        jar = PiJar(agenda, judges, combo)
-        if check_jar(jar, config=config, rationals=rs).consistent:
-            out.append(jar)
-    return out
+    width, cols, rational = _profile_columns(rs, judges, config)
+    # each (position, function) pair is composed once, not once per rule
+    columns = [[(fn, compose(fn, c, width)) for fn in _candidates(judges)] for c in cols]
+    return [PiJar(agenda, judges, tuple(fn for fn, _ in combo))
+            for combo in product(*columns)
+            if not _irrational(rational, [agg for _, agg in combo], width)]
 
 
-def _up_functions(judges: int) -> list[BoolFn]:
-    out = []
-    for table in range(1 << (1 << judges)):
-        fn = BoolFn(judges, table)
-        if fn.value(fn.points - 1) and not fn.value(0):
-            out.append(fn)
-    return out
+def _candidates(judges: int, require_up: bool = True) -> Iterator[BoolFn]:
+    """Functions answering opposite unanimities oppositely, in ascending
+    table order; with ``require_up``, only those preserving unanimity."""
+    for fn in all_tables(judges):
+        top, bottom = fn.value(fn.points - 1), fn.value(0)
+        if top != bottom and (top or not require_up):
+            yield fn
 
 
 def filter_axioms(solutions: Iterable[UniformSolution | PiJar], *,
@@ -288,8 +315,7 @@ def filter_axioms(solutions: Iterable[UniformSolution | PiJar], *,
         if isinstance(sol, UniformSolution):
             ok_anon, ok_sys = sol.anonymous, sol.systematic
         else:
-            verdict = check_jar(sol, config=config)
-            ok_anon, ok_sys = verdict.anonymous, verdict.systematic
+            _, ok_anon, ok_sys = _axioms(sol.functions)
         if anonymous and not ok_anon:
             continue
         if systematic and not ok_sys:

@@ -14,10 +14,8 @@ applied through their minterm expansion (``boolfn.compose``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable
 
-from .boolfn import BoolFn, FnClass, classify, compose, variable_mask
+from .boolfn import BoolFn, classify, compose, variable_mask
 from .config import DEFAULT, BudgetError, Config, charge
 
 
@@ -53,12 +51,16 @@ def _matrix_rows(mask: int, m: int, n: int) -> tuple[tuple[bool, ...], ...]:
                  for i in range(m))
 
 
+def _cells(m: int, n: int) -> list[list[int]]:
+    """``cell[i][j]``: the matrices with the cell in row i, column j set."""
+    return [[variable_mask(i * n + j, m * n) for j in range(n)] for i in range(m)]
+
+
 def _composites(g: BoolFn, f: BoolFn) -> tuple[int, int]:
     """Truth tables over all matrices of the two composite evaluations."""
     m, n = g.n, f.n
-    bits = m * n
-    cell = [[variable_mask(i * n + j, bits) for j in range(n)] for i in range(m)]
-    width = 1 << bits
+    cell = _cells(m, n)
+    width = 1 << (m * n)
     col_then_row = compose(
         f, [compose(g, [cell[i][j] for i in range(m)], width) for j in range(n)], width)
     row_then_col = compose(
@@ -122,9 +124,8 @@ def enumerate_normal_pairs(m: int, n: int, *, config: Config = DEFAULT,
     work = (1 << (1 << m)) * (1 << (1 << n)) * (1 << (m * n))
     charge(config, work, f"enumerating {m}x{n} pairs",
            "(m, n) with 2**(2**m + 2**n + m*n) within budget, e.g. up to (3, 3)")
-    bits = m * n
-    width = 1 << bits
-    cell = [[variable_mask(i * n + j, bits) for j in range(n)] for i in range(m)]
+    width = 1 << (m * n)
+    cell = _cells(m, n)
     gs = _all_relevant_candidates(m)
     fs = _all_relevant_candidates(n)
     # column compositions depend only on g, row compositions only on f

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
-from .agenda import build_agenda, closure, is_determined_by, rational_judgments
+from .agenda import build_agenda, is_determined_by, rational_judgments
 from .boolfn import BoolFn, all_tables, classify, format_fn_spec
 from .config import DEFAULT, Config
 from .formula import parse
@@ -165,13 +166,19 @@ def suite_forceful(config: Config = DEFAULT) -> VerifyReport:
 
 # --- suite: coefficient identities ------------------------------------------
 
+def _normal_pairs(config: Config):
+    """Enumerates the EXPECTED_PAIRS arities on its first call, inside the
+    check that makes it, and hands every later call the same lists."""
+    return cache(lambda: {(m, n): enumerate_normal_pairs(m, n, config=config)
+                          for m, n in EXPECTED_PAIRS})
+
+
 def suite_identities(config: Config = DEFAULT) -> VerifyReport:
     report = VerifyReport()
+    normal_pairs = _normal_pairs(config)
 
     def all_normal_pairs():
-        pairs = []
-        for m, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-            pairs.extend(enumerate_normal_pairs(m, n, config=config))
+        pairs = [p for arity_pairs in normal_pairs().values() for p in arity_pairs]
         cells = 0
         for g, f in pairs:
             for U in range(1 << (g.n * f.n)):
@@ -184,9 +191,7 @@ def suite_identities(config: Config = DEFAULT) -> VerifyReport:
                       f"on all {cells} cell subsets")
 
     def rectangles():
-        pairs = []
-        for m, n in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-            pairs.extend(enumerate_normal_pairs(m, n, config=config))
+        pairs = [p for arity_pairs in normal_pairs().values() for p in arity_pairs]
         count = 0
         for g, f in pairs:
             for rsize in range(1, g.n + 1):
@@ -234,10 +239,11 @@ EXPECTED_PAIRS = {
 def suite_pairs(config: Config = DEFAULT) -> VerifyReport:
     report = VerifyReport()
     from .boolfn import parse_fn_spec
+    normal_pairs = _normal_pairs(config)
 
     def enumerations():
         for (m, n), expected in EXPECTED_PAIRS.items():
-            got = enumerate_normal_pairs(m, n, config=config)
+            got = normal_pairs()[m, n]
             want = [(parse_fn_spec(gs), parse_fn_spec(fs)) for gs, fs in expected]
             if got != sorted(want, key=lambda p: (p[0].table, p[1].table)):
                 names = [(str(classify(g)), str(classify(f))) for g, f in got]
@@ -246,8 +252,8 @@ def suite_pairs(config: Config = DEFAULT) -> VerifyReport:
                       "(2,2)/(2,3)/(3,2), 6 at (3,3)")
 
     def cases():
-        for m, n in EXPECTED_PAIRS:
-            for g, f in enumerate_normal_pairs(m, n, config=config):
+        for (m, n), pairs in normal_pairs().items():
+            for g, f in pairs:
                 case = classify_pair(g, f)
                 if case not in ("both-and", "both-or", "xor-family"):
                     return False, (f"({format_fn_spec(g)}, {format_fn_spec(f)}) "
@@ -260,8 +266,8 @@ def suite_pairs(config: Config = DEFAULT) -> VerifyReport:
         return True, "every enumerated pair is both-and, both-or, or xor-family"
 
     def forceful_slice():
-        for m, n in EXPECTED_PAIRS:
-            for g, f in enumerate_normal_pairs(m, n, config=config):
+        for pairs in normal_pairs().values():
+            for g, f in pairs:
                 if classify_pair(g, f) == "xor-family":
                     continue
                 if not (g.is_forceful() and f.is_forceful()):

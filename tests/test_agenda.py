@@ -1,14 +1,16 @@
 """Agendas, rational judgments, and structural relations."""
 
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 
 from jagg.agenda import (AgendaError, DegenerateProposition,
-                         DuplicateProposition, NegationDuplicate,
+                         DuplicateProposition, NegationDuplicate, RationalSet,
                          build_agenda, closure, cons, is_determined_by,
                          is_symbol_closed, load_agenda, rational_judgments)
-from jagg.formula import And, Atom, Not, Or, parse
+from jagg.formula import And, Atom, Not, Or, Xor, parse
 
 AND_CLOSURE = build_agenda(["P", "Q", "P & Q"])
 
@@ -116,6 +118,47 @@ def test_rational_judgments_no_atoms():
 def test_rational_judgments_atomic_agenda_is_free():
     a = build_agenda(["P", "Q"])
     assert len(rational_judgments(a).judgments) == 4
+
+
+def loop_rational_judgments(agenda):
+    """Reference: evaluate every table at every assignment, one at a time."""
+    k = len(agenda.symbols)
+    seen = {}
+    for mask in range(1 << k):
+        judgment = tuple(t.value(mask) for t in agenda.tables)
+        if judgment not in seen:
+            seen[judgment] = tuple(bool(mask >> i & 1) for i in range(k))
+    ordered = sorted(seen)
+    return RationalSet(agenda, tuple(ordered), tuple(seen[j] for j in ordered))
+
+
+def random_formula(rng, names, depth):
+    if depth == 0 or rng.random() < 0.25:
+        atom = Atom(rng.choice(names))
+        return Not(atom) if rng.random() < 0.3 else atom
+    op = rng.choice([And, Or, Xor, Not])
+    if op is Not:
+        return Not(random_formula(rng, names, depth - 1))
+    return op(*(random_formula(rng, names, depth - 1) for _ in range(rng.randint(2, 3))))
+
+
+def test_rational_judgments_match_loop():
+    agendas = [load_agenda(path.read_text(encoding="utf-8"))
+               for path in sorted((Path(__file__).parent / "data").glob("*.agenda"))]
+    rng = random.Random(20261018)
+    for k in range(2, 13):
+        names = [f"S{i}" for i in range(k)]
+        for _ in range(4):
+            # one entry over every symbol, so the agenda has exactly k of them
+            basis = [Or(*(Atom(n) if rng.random() < 0.5 else Not(Atom(n)) for n in names))]
+            basis += [random_formula(rng, names, 3) for _ in range(rng.randint(0, 6))]
+            try:
+                agendas.append(build_agenda(basis))
+            except AgendaError:
+                continue
+    assert max(len(a.symbols) for a in agendas) == 12
+    for agenda in agendas:
+        assert rational_judgments(agenda) == loop_rational_judgments(agenda)
 
 
 def test_cons():

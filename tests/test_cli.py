@@ -140,6 +140,7 @@ def test_jars_check_verdict_and_exit(capsys):
                     agenda("and_closure.agenda"), "-n", "3",
                     "--all-fn", "tt:3:e8", "--json")
     assert code == 1
+    assert out == golden("jars_check_majority3_and_closure.json")
     doc = json.loads(out)
     assert doc["consistent"] is False
     assert len(doc["counterexample"]["profile"]) == 3

@@ -10,7 +10,7 @@ def test_defaults():
     assert DEFAULT.matrix_cap == 25
     assert DEFAULT.enumeration_budget == 1 << 25
     assert DEFAULT.profile_cap == 10 ** 7
-    assert DEFAULT.worker_count == 1
+    assert not hasattr(DEFAULT, "worker_count")
     assert DEFAULT.output_format == "text"
 
 
@@ -19,8 +19,8 @@ def test_validation():
         Config(arity_cap=0)
     with pytest.raises(ValueError):
         Config(matrix_cap=-1)
-    with pytest.raises(ValueError):
-        Config(worker_count=0)
+    with pytest.raises(TypeError):
+        Config(worker_count=1)
     with pytest.raises(ValueError):
         Config(output_format="yaml")
 

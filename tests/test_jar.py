@@ -5,11 +5,12 @@ import itertools
 import pytest
 
 from jagg.agenda import build_agenda, rational_judgments
-from jagg.boolfn import BoolFn, format_fn_spec, parse_fn_spec
+from jagg.boolfn import BoolFn, all_tables, format_fn_spec, parse_fn_spec
 from jagg.config import BudgetError, Config
-from jagg.jar import (PiJar, check_jar, dependent_pair_relation,
+from jagg.jar import (PiJar, _solution_case, check_jar, dependent_pair_relation,
                       enumerate_independent_rules, enumerate_uniform_rules,
                       filter_axioms, restrict_jar, to_normal_form, uniform_jar)
+from jagg.verify import SCENARIO_AGENDAS
 
 OR_CLOSURE = build_agenda(["P", "Q", "P | Q"])
 AND_CLOSURE = build_agenda(["P", "Q", "P & Q"])
@@ -90,6 +91,9 @@ def test_profile_cap():
     tight = Config(profile_cap=10)
     with pytest.raises(BudgetError):
         check_jar(uniform_jar(OR_CLOSURE, BoolFn.or_(3)), config=tight)
+    # the rational set is a function of the three basis positions
+    with pytest.raises(BudgetError):
+        check_jar(uniform_jar(OR_CLOSURE, BoolFn.or_(1)), config=Config(arity_cap=2))
 
 
 def test_dependent_pair_relation():
@@ -231,3 +235,74 @@ def test_require_up_scope():
     assert all(BoolFn(2, t)(False, False) != BoolFn(2, t)(True, True)
                for t in tables)
     assert {s.fn.table for s in enumerate_uniform_rules(OR_CLOSURE, 2)} <= tables
+
+
+# --- the column sweep against the per-profile loop it replaced --------------
+
+def loop_check_jar(jar, rs=None):
+    """Reference: aggregate every profile in product order, one at a time;
+    returns (consistent, counterexample) as ``check_jar`` does."""
+    rs = rs or rational_judgments(jar.agenda)
+    valid = set(rs.judgments)
+    for profile in itertools.product(rs.judgments, repeat=jar.judges):
+        out = jar.aggregate(profile)
+        if out not in valid:
+            return False, (profile, out)
+    return True, None
+
+
+def loop_uniform_rules(agenda, judges, require_up=True):
+    rs = rational_judgments(agenda)
+    out = []
+    for fn in all_tables(judges):
+        top, bottom = fn.value(fn.points - 1), fn.value(0)
+        if (top and not bottom) if require_up else top != bottom:
+            if loop_check_jar(uniform_jar(agenda, fn), rs)[0]:
+                out.append(_solution_case(fn, agenda.has_compound()))
+    return out
+
+
+def loop_independent_rules(agenda, judges):
+    rs = rational_judgments(agenda)
+    up = [fn for fn in all_tables(judges)
+          if fn.value(fn.points - 1) and not fn.value(0)]
+    return [PiJar(agenda, judges, combo)
+            for combo in itertools.product(up, repeat=len(agenda))
+            if loop_check_jar(PiJar(agenda, judges, combo), rs)[0]]
+
+
+SCENARIOS = [build_agenda(basis) for basis in SCENARIO_AGENDAS.values()]
+
+
+def test_check_jar_matches_loop_on_every_small_rule():
+    checked = 0
+    for agenda in SCENARIOS:
+        for judges in (1, 2, 3):
+            for fn in all_tables(judges):
+                jar = uniform_jar(agenda, fn)
+                verdict = check_jar(jar)
+                assert (verdict.consistent, verdict.counterexample) == loop_check_jar(jar)
+                checked += 1
+    for agenda in (AND_CLOSURE, OR_CLOSURE):
+        for combo in itertools.product(list(all_tables(2)), repeat=len(agenda)):
+            jar = PiJar(agenda, 2, combo)
+            verdict = check_jar(jar)
+            assert (verdict.consistent, verdict.counterexample) == loop_check_jar(jar)
+            checked += 1
+    assert checked == 9572
+
+
+def test_uniform_sweep_matches_loop():
+    for agenda in SCENARIOS:
+        for judges in (2, 3):
+            for require_up in (True, False):
+                assert (enumerate_uniform_rules(agenda, judges, require_up=require_up)
+                        == loop_uniform_rules(agenda, judges, require_up))
+
+
+def test_independent_sweep_matches_loop():
+    for agenda in SCENARIOS:
+        assert enumerate_independent_rules(agenda, 2) == loop_independent_rules(agenda, 2)
+    for basis in (["P | Q", "!P | Q"], ["P", "P & Q"]):
+        agenda = build_agenda(basis)
+        assert enumerate_independent_rules(agenda, 3) == loop_independent_rules(agenda, 3)
