@@ -98,9 +98,9 @@ class Agenda:
     def is_symbol_connected(self) -> bool:
         return len(self.component_positions()) <= 1
 
-    def components(self) -> tuple["Agenda", ...]:
+    def components(self, *, config: Config = DEFAULT) -> tuple["Agenda", ...]:
         """Sub-agendas for each connected component, original order kept."""
-        return tuple(build_agenda([self.basis[k] for k in members])
+        return tuple(build_agenda([self.basis[k] for k in members], config=config)
                      for members in self.component_positions())
 
 

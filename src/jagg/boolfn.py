@@ -41,11 +41,14 @@ def compose(f: "BoolFn", arg_tables: Sequence[int], width: int) -> int:
 
     Each entry of ``arg_tables`` is a table over the same point set; the
     result has bit ``p`` set iff ``f`` maps the argument bits at ``p`` to T.
-    Only the T points of ``f`` are visited, one term each.
+    Only the T points of ``f`` are visited, one term each, and each argument
+    is negated at most once, when a term first needs it.
     """
     if len(arg_tables) != f.n:
         raise ValueError(f"expected {f.n} argument tables, got {len(arg_tables)}")
     full = (1 << width) - 1
+    # literals[i][b]: the points where argument i reads b; [0] made on first use
+    literals: list[list[int | None]] = [[None, arg] for arg in arg_tables]
     out = 0
     rest = f.table
     while rest:
@@ -53,12 +56,26 @@ def compose(f: "BoolFn", arg_tables: Sequence[int], width: int) -> int:
         rest ^= low
         minterm = low.bit_length() - 1
         acc = full
-        for i, arg in enumerate(arg_tables):
-            acc &= arg if minterm >> i & 1 else full ^ arg
+        for literal in literals:
+            table = literal[minterm & 1]
+            if table is None:
+                table = literal[0] = full ^ literal[1]  # type: ignore[operator]
+            acc &= table
             if not acc:
                 break
+            minterm >>= 1
         out |= acc
     return out
+
+
+def _parity_table(n: int) -> int:
+    """Table of odd parity over ``n`` inputs, built by doubling: the upper
+    half (last input T) is the negated lower half."""
+    table, points = 0, 1
+    for _ in range(n):
+        table |= (table ^ ((1 << points) - 1)) << points
+        points <<= 1
+    return table
 
 
 @dataclass(frozen=True)
@@ -115,11 +132,7 @@ class BoolFn:
         if n < 1:
             raise ValueError("xor needs arity >= 1")
         cls._check_arity(n, config)
-        table = 0
-        for p in range(1 << n):
-            if p.bit_count() % 2 == 1:
-                table |= 1 << p
-        return cls(n, table)
+        return cls(n, _parity_table(n))
 
     @classmethod
     def nxor(cls, n: int, *, config: Config = DEFAULT) -> "BoolFn":
@@ -241,10 +254,8 @@ class BoolFn:
 
     def flip(self) -> "BoolFn":
         """The function s -> not f(not s_0, ..., not s_{n-1}); an involution."""
-        rev = 0
-        for p in range(self.points):
-            if self.table >> p & 1:
-                rev |= 1 << (self.points - 1 - p)
+        # point p goes to its complement, the mirror position in the table
+        rev = int(format(self.table, f"0{self.points}b")[::-1], 2)
         return BoolFn(self.n, rev ^ self.full)
 
     def negate(self) -> "BoolFn":
@@ -312,16 +323,12 @@ class BoolFn:
             raise ValueError("indices must be strictly increasing")
         if idx and not 0 <= idx[0] <= idx[-1] < self.n:
             raise ValueError(f"indices {idx} out of range for arity {self.n}")
-        k = len(idx)
-        table = 0
-        for q in range(1 << k):
-            point = 0
-            for j, i in enumerate(idx):
-                if q >> j & 1:
-                    point |= 1 << i
-            if self.value(point):
-                table |= 1 << q
-        return BoolFn(k, table)
+        # kept[q] is the point of f that sub-point q reads, in q order
+        kept = [0]
+        for i in idx:
+            kept += [p | 1 << i for p in kept]
+        bits = format(self.table, f"0{self.points}b")[::-1]
+        return BoolFn(len(idx), int("".join(bits[p] for p in reversed(kept)), 2))
 
     def on_relevant(self) -> tuple["BoolFn", tuple[int, ...]]:
         """The function induced on its relevant inputs, with those indices."""
@@ -329,14 +336,15 @@ class BoolFn:
         return self.restrict_to(rel), rel
 
     def is_symmetric(self) -> bool:
-        """True iff the output depends only on how many inputs are T."""
-        by_count: dict[int, bool] = {}
-        for p in range(self.points):
-            c = p.bit_count()
-            v = bool(self.table >> p & 1)
-            if by_count.setdefault(c, v) != v:
-                return False
-        return True
+        """True iff the output depends only on how many inputs are T.
+
+        Adjacent transpositions generate every permutation, so it suffices
+        that swapping inputs i and i+1 fixes the table: the points with
+        (x_i, x_i+1) = (T, F) shift up by 2**i onto those with (F, T).
+        """
+        masks = [variable_mask(i, self.n) for i in range(self.n)]
+        return all((self.table & lo & ~hi) << (1 << i) == self.table & hi & ~lo
+                   for i, (lo, hi) in enumerate(zip(masks, masks[1:])))
 
 
 @dataclass(frozen=True)
@@ -417,14 +425,12 @@ def classify(f: BoolFn) -> FnClass:
         if f.table == variable_mask(i, f.n) ^ f.full:
             return FnClass("anti_dictator", index=i)
     if f.n >= 1:
-        if f.table == BoolFn.and_(f.n).table:
-            return FnClass("and")
-        if f.table == BoolFn.or_(f.n).table:
-            return FnClass("or")
-        if f.table == BoolFn.xor(f.n).table:
-            return FnClass("xor")
-        if f.table == BoolFn.nxor(f.n).table:
-            return FnClass("nxor")
+        # references built directly, so any arity the caller built is judged
+        parity = _parity_table(f.n)
+        for kind, table in (("and", 1 << (f.points - 1)), ("or", f.full ^ 1),
+                            ("xor", parity), ("nxor", parity ^ f.full)):
+            if f.table == table:
+                return FnClass(kind)
     return FnClass("other")
 
 

@@ -27,9 +27,12 @@ class Config:
     arity_cap           largest Boolean-function arity (and agenda symbol count)
     matrix_cap          largest m*n for a single commutation check
     enumeration_budget  work-unit cap for exhaustive enumerations, where work
-                        is candidate count times per-candidate sweep size; the
-                        default of 2**25 admits the 3x3 pair enumeration and
-                        aggregation sweeps up to 3 judges on small agendas
+                        is candidate count times per-candidate sweep size
+                        (for the shared-function rule sweep, big-int
+                        operations on 1024 bits); the default of 2**25 admits
+                        the 3x3 pair enumeration, shared-function rule sweeps
+                        up to 4 judges and independent-rule sweeps up to 3
+                        judges on small agendas
     profile_cap         largest profile count |U|**n for one aggregation check
     output_format       default CLI rendering, "text" or "json"
     """

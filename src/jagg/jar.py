@@ -11,7 +11,10 @@ Consistency is decided for all profiles at once, as pairs are over all
 matrices: each judge's vote at each position becomes a column over the
 profile space, every function is applied through ``boolfn.compose``, and the
 rational set is itself a Boolean function of the basis positions, composed
-onto the aggregate columns.
+onto the aggregate columns.  The shared-function sweep turns this around:
+its columns run over every candidate table at once, one per input point of
+the candidate, and each profile composes the rational set onto the columns
+of the points the judges vote, which leaves the candidates still consistent.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .agenda import Agenda, Judgment, RationalSet, build_agenda, rational_judgments
-from .boolfn import BoolFn, FnClass, all_tables, classify, compose, repeat_bits
+from .boolfn import (BoolFn, FnClass, all_tables, classify, compose, repeat_bits,
+                     variable_mask)
 from .config import DEFAULT, BudgetError, Config, charge
 
 
@@ -76,6 +80,20 @@ def uniform_jar(agenda: Agenda, fn: BoolFn) -> PiJar:
     return PiJar(agenda, fn.n, (fn,) * len(agenda))
 
 
+def _rational_fn(rs: RationalSet, judges: int, config: Config) -> BoolFn:
+    """The rational set as a Boolean function of the basis positions, after
+    checking the profile count and, as that function has arity |basis|, the
+    basis size against their caps."""
+    profiles = len(rs.judgments) ** judges
+    if profiles > config.profile_cap:
+        raise BudgetError(f"{profiles} profiles exceed the cap of {config.profile_cap}")
+    if len(rs.agenda) > config.arity_cap:
+        raise BudgetError(f"{len(rs.agenda)} basis entries exceed the cap of "
+                          f"{config.arity_cap}")
+    points = (sum(b << k for k, b in enumerate(j)) for j in rs.judgments)
+    return BoolFn(len(rs.agenda), sum(1 << p for p in points))
+
+
 def _profile_columns(rs: RationalSet, judges: int, config: Config,
                      ) -> tuple[int, list[list[int]], BoolFn]:
     """The profile count, ``cols[k][i]`` (judge i says T at position k) as a
@@ -83,16 +101,11 @@ def _profile_columns(rs: RationalSet, judges: int, config: Config,
 
     Profiles run in ``product`` order over the sorted rational judgments,
     first judge most significant, so the lowest set bit of a set of profiles
-    is its first profile in that order.  The rational set is a function of
-    arity |basis|, so the basis is held to the arity cap.
+    is its first profile in that order.
     """
+    rational = _rational_fn(rs, judges, config)
     size = len(rs.judgments)
     width = size ** judges
-    if width > config.profile_cap:
-        raise BudgetError(f"{width} profiles exceed the cap of {config.profile_cap}")
-    if len(rs.agenda) > config.arity_cap:
-        raise BudgetError(f"{len(rs.agenda)} basis entries exceed the cap of "
-                          f"{config.arity_cap}")
     cols: list[list[int]] = []
     for k in range(len(rs.agenda)):
         cols.append([])
@@ -101,8 +114,7 @@ def _profile_columns(rs: RationalSet, judges: int, config: Config,
             pattern = sum(((1 << block) - 1) << (u * block)
                           for u, j in enumerate(rs.judgments) if j[k])
             cols[k].append(repeat_bits(pattern, size * block, width))
-    points = (sum(b << k for k, b in enumerate(j)) for j in rs.judgments)
-    return width, cols, BoolFn(len(rs.agenda), sum(1 << p for p in points))
+    return width, cols, rational
 
 
 def _irrational(rational: BoolFn, aggregates: Sequence[int], width: int) -> int:
@@ -266,17 +278,46 @@ def enumerate_uniform_rules(agenda: Agenda, judges: int, *,
     Without it, candidates must still answer opposite unanimities oppositely
     (f(T..T) != f(F..F)); that keeps negations of unanimity-preserving rules
     and drops degenerate constant rules.
+
+    The sweep runs over the candidates, not the profiles: candidate t is the
+    function with table t, so "f is T at input point x" is the column
+    ``variable_mask(x, 2**judges)`` over all 2**(2**judges) tables.  A profile
+    makes the judges vote point x_k at position k, and the candidates whose
+    aggregate is rational there are ``compose(rational, [col[x_k] ...])``;
+    the consistent ones are the AND of that over every profile.
     """
     rs = rational_judgments(agenda)
-    candidates = 1 << (1 << judges)
-    work = candidates * len(rs.judgments) ** judges * len(agenda)
+    rational = _rational_fn(rs, judges, config)
+    points = 1 << judges
+    if points > config.arity_cap:
+        raise BudgetError(f"{judges} judges give 2**{points} candidate tables, "
+                          f"beyond 2**{config.arity_cap}")
+    # big-int work in operations on 1024 bits: per profile, compose ANDs the
+    # |basis| columns into each of the |U| rational points and ORs the term
+    # in, negates each column at most once, and the result is ANDed into the
+    # survivors, each operation spanning the 2**points candidate bits
+    size = len(rs.judgments)
+    work = size ** judges * (size + 1) * (len(agenda) + 1) * max(1, (1 << points) >> 10)
     charge(config, work, f"uniform-rule sweep for {judges} judges",
-           "2**(2**judges) * |U|**judges * |basis| within budget, "
-           "e.g. 3 judges on a two-symbol agenda")
-    width, cols, rational = _profile_columns(rs, judges, config)
+           "|U|**judges * (|U| + 1) * (|basis| + 1) * 2**(2**judges) / 2**10 "
+           "within budget, e.g. 4 judges on a three-symbol agenda")
+    width = 1 << points
+    cols = [variable_mask(x, points) for x in range(points)]
+    top, bottom = cols[-1], cols[0]
+    alive = top & ~bottom if require_up else top ^ bottom
+    # votes[i][u][k]: what judge i voting judgment u adds to the point at k
+    votes = [[tuple(b << i for b in u) for u in rs.judgments] for i in range(judges)]
+    for profile in product(*votes):
+        alive &= compose(rational, [cols[sum(p)] for p in zip(*profile)], width)
+        if not alive:
+            break
     has_compound = agenda.has_compound()
-    return [_solution_case(fn, has_compound) for fn in _candidates(judges, require_up)
-            if not _irrational(rational, [compose(fn, c, width) for c in cols], width)]
+    bits = format(alive, "b")[::-1]
+    tables, t = [], bits.find("1")
+    while t >= 0:
+        tables.append(t)
+        t = bits.find("1", t + 1)
+    return [_solution_case(BoolFn(judges, t), has_compound) for t in tables]
 
 
 def enumerate_independent_rules(agenda: Agenda, judges: int, *,
@@ -297,12 +338,10 @@ def enumerate_independent_rules(agenda: Agenda, judges: int, *,
             if not _irrational(rational, [agg for _, agg in combo], width)]
 
 
-def _candidates(judges: int, require_up: bool = True) -> Iterator[BoolFn]:
-    """Functions answering opposite unanimities oppositely, in ascending
-    table order; with ``require_up``, only those preserving unanimity."""
+def _candidates(judges: int) -> Iterator[BoolFn]:
+    """Unanimity-preserving functions, in ascending table order."""
     for fn in all_tables(judges):
-        top, bottom = fn.value(fn.points - 1), fn.value(0)
-        if top != bottom and (top or not require_up):
+        if fn.value(fn.points - 1) and not fn.value(0):
             yield fn
 
 

@@ -548,7 +548,7 @@ def suite_structure(config: Config = DEFAULT) -> VerifyReport:
         groups = agenda.component_positions()
         if groups != ((0, 1, 2), (3, 4, 5)):
             return False, f"components came out as {groups}"
-        parts = agenda.components()
+        parts = agenda.components(config=config)
         u_whole = rational_judgments(agenda).judgments
         u_parts = [rational_judgments(p).judgments for p in parts]
         rebuilt = {tuple(list(a) + list(b)) for a in u_parts[0] for b in u_parts[1]}

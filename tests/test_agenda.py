@@ -10,6 +10,7 @@ from jagg.agenda import (AgendaError, DegenerateProposition,
                          DuplicateProposition, NegationDuplicate, RationalSet,
                          build_agenda, closure, cons, is_determined_by,
                          is_symbol_closed, load_agenda, rational_judgments)
+from jagg.config import BudgetError, Config
 from jagg.formula import And, Atom, Not, Or, Xor, parse
 
 AND_CLOSURE = build_agenda(["P", "Q", "P & Q"])
@@ -81,6 +82,17 @@ def test_connectivity_and_components():
     # isolated atoms are their own components
     b = build_agenda(["P", "Q"])
     assert b.component_positions() == ((0,), (1,))
+
+
+def test_components_keep_the_callers_config():
+    # a 21-symbol component is over the default arity cap of 20
+    wide = Config(arity_cap=22)
+    big = " | ".join(f"s{i:02d}" for i in range(21))
+    a = build_agenda([big, "z"], config=wide)
+    left, right = a.components(config=wide)
+    assert len(left.symbols) == 21 and right.symbols == ("z",)
+    with pytest.raises(BudgetError):
+        a.components()
 
 
 def test_closure():

@@ -1,6 +1,7 @@
 """Bit-packed Boolean functions."""
 
 import itertools
+import random
 
 import pytest
 
@@ -270,3 +271,81 @@ def test_compose():
     for p in points(3):
         a, b, c = (bool(p >> i & 1) for i in range(3))
         assert h.value(p) == ((a and b) != (b and c))
+
+
+# --- the linear-time table walks against the per-point loops they replaced --
+
+def loop_flip(f):
+    rev = 0
+    for p in range(f.points):
+        if f.table >> p & 1:
+            rev |= 1 << (f.points - 1 - p)
+    return BoolFn(f.n, rev ^ f.full)
+
+
+def loop_restrict_to(f, idx):
+    table = 0
+    for q in range(1 << len(idx)):
+        point = 0
+        for j, i in enumerate(idx):
+            if q >> j & 1:
+                point |= 1 << i
+        if f.value(point):
+            table |= 1 << q
+    return BoolFn(len(idx), table)
+
+
+def loop_is_symmetric(f):
+    by_count = {}
+    for p in range(f.points):
+        v = bool(f.table >> p & 1)
+        if by_count.setdefault(p.bit_count(), v) != v:
+            return False
+    return True
+
+
+def loop_xor(n):
+    return BoolFn(n, sum(1 << p for p in range(1 << n) if p.bit_count() % 2))
+
+
+def subsets(n):
+    return [idx for k in range(n + 1) for idx in itertools.combinations(range(n), k)]
+
+
+def seeded_tables(n, seed, count=6):
+    """Random tables, and symmetric ones built from random per-count values,
+    so both answers of ``is_symmetric`` occur."""
+    rng = random.Random(seed)
+    out = [BoolFn(n, rng.getrandbits(1 << n)) for _ in range(count)]
+    for _ in range(count):
+        by_count = [rng.random() < 0.5 for _ in range(n + 1)]
+        out.append(BoolFn(n, sum(1 << p for p in range(1 << n)
+                                 if by_count[p.bit_count()])))
+    return out
+
+
+def test_table_walks_match_loops():
+    cases = [(f, subsets(f.n)) for n in range(4) for f in all_tables(n)]
+    for n, seed in ((8, 80), (12, 120)):
+        rng = random.Random(seed)
+        idx = [tuple(sorted(rng.sample(range(n), k))) for k in (0, 1, n // 2, n - 1, n)]
+        cases += [(f, idx) for f in seeded_tables(n, seed)]
+    symmetric = 0
+    for f, idx in cases:
+        assert f.flip() == loop_flip(f)
+        assert f.is_symmetric() == loop_is_symmetric(f)
+        symmetric += f.is_symmetric()
+        for sub in idx:
+            assert f.restrict_to(sub) == loop_restrict_to(f, sub)
+    assert 0 < symmetric < len(cases)
+    for n in range(1, 13):
+        assert BoolFn.xor(n) == loop_xor(n)
+
+
+def test_classify_at_raised_arity_cap():
+    # the and/or/xor references are not held to the default cap of 20
+    wide = Config(arity_cap=21)
+    for kind in ("and", "or", "xor"):
+        f = parse_fn_spec(f"{kind}:21", config=wide)
+        assert classify(f) == FnClass(kind)
+    assert classify(BoolFn.nxor(21, config=wide)) == FnClass("nxor")

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import jagg.jar as jar_module
 from jagg.agenda import build_agenda, rational_judgments
 from jagg.boolfn import BoolFn, all_tables, format_fn_spec, parse_fn_spec
 from jagg.config import BudgetError, Config
@@ -91,9 +92,13 @@ def test_profile_cap():
     tight = Config(profile_cap=10)
     with pytest.raises(BudgetError):
         check_jar(uniform_jar(OR_CLOSURE, BoolFn.or_(3)), config=tight)
+    with pytest.raises(BudgetError):
+        enumerate_uniform_rules(OR_CLOSURE, 2, config=tight)
     # the rational set is a function of the three basis positions
     with pytest.raises(BudgetError):
         check_jar(uniform_jar(OR_CLOSURE, BoolFn.or_(1)), config=Config(arity_cap=2))
+    with pytest.raises(BudgetError):
+        enumerate_uniform_rules(OR_CLOSURE, 1, config=Config(arity_cap=2))
 
 
 def test_dependent_pair_relation():
@@ -294,7 +299,7 @@ def test_check_jar_matches_loop_on_every_small_rule():
 
 def test_uniform_sweep_matches_loop():
     for agenda in SCENARIOS:
-        for judges in (2, 3):
+        for judges in (1, 2, 3):
             for require_up in (True, False):
                 assert (enumerate_uniform_rules(agenda, judges, require_up=require_up)
                         == loop_uniform_rules(agenda, judges, require_up))
@@ -306,3 +311,38 @@ def test_independent_sweep_matches_loop():
     for basis in (["P | Q", "!P | Q"], ["P", "P & Q"]):
         agenda = build_agenda(basis)
         assert enumerate_independent_rules(agenda, 3) == loop_independent_rules(agenda, 3)
+
+
+# --- four judges: the candidate sweep under the default config ---------------
+
+UNIFORM_4_COUNTS = {"or-closure": 15, "three-atom-conjunction": 4,
+                    "parity-closure": 8, "and-closure": 15, "mixed-compounds": 4}
+
+
+def test_uniform_sweep_four_judges_default_config():
+    for name, count in UNIFORM_4_COUNTS.items():
+        sols = enumerate_uniform_rules(build_agenda(SCENARIO_AGENDAS[name]), 4)
+        assert len(sols) == count, name
+        assert {s.case for s in sols} <= {"dictator", "oligarchy"}
+        assert [s.fn.table for s in sols] == sorted(s.fn.table for s in sols)
+
+
+def test_uniform_sweep_four_judges_matches_check_jar():
+    raised = Config(enumeration_budget=1 << 31)
+    for name in ("or-closure", "mixed-compounds"):
+        agenda = build_agenda(SCENARIO_AGENDAS[name])
+        want = [fn for fn in all_tables(4) if fn.value(15) and not fn.value(0)
+                and check_jar(uniform_jar(agenda, fn), config=raised).consistent]
+        got = enumerate_uniform_rules(agenda, 4, config=raised)
+        assert got == [_solution_case(fn, True) for fn in want]
+
+
+def test_uniform_sweep_refuses_five_judges_before_building_columns(monkeypatch):
+    def no_columns(*args):
+        raise AssertionError("a candidate column was built")
+
+    monkeypatch.setattr(jar_module, "variable_mask", no_columns)
+    with pytest.raises(BudgetError, match="2\\*\\*32 candidate tables"):
+        enumerate_uniform_rules(OR_CLOSURE, 5, config=Config(enumeration_budget=1 << 62))
+    with pytest.raises(BudgetError, match="work units"):
+        enumerate_uniform_rules(SCENARIOS[1], 4, config=Config(enumeration_budget=1 << 20))
