@@ -9,7 +9,6 @@ integer arithmetic.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -66,6 +65,9 @@ def compose(f: "BoolFn", arg_tables: Sequence[int], width: int) -> int:
             minterm >>= 1
         out |= acc
     return out
+
+
+_INCREMENT = bytes(range(1, 256)) + b"\0"
 
 
 def _parity_table(n: int) -> int:
@@ -160,12 +162,13 @@ class BoolFn:
         if n < 1:
             raise ValueError("majority needs arity >= 1")
         cls._check_arity(n, config)
-        table = 0
-        for p in range(1 << n):
-            double = 2 * p.bit_count()
-            if double > n or (double == n and ties):
-                table |= 1 << p
-        return cls(n, table)
+        # popcount of every point, by doubling: points with input i set come
+        # after the others with one more T
+        counts = b"\0"
+        for _ in range(n):
+            counts += counts.translate(_INCREMENT)
+        wins = bytes(b"01"[2 * c > n or (2 * c == n and ties)] for c in range(256))
+        return cls(n, int(counts.translate(wins)[::-1], 2))
 
     @classmethod
     def from_formula(cls, phi: Formula, symbol_order: Sequence[str], *,
@@ -445,9 +448,6 @@ def classify_on_relevant(f: BoolFn) -> tuple[FnClass, tuple[int, ...]]:
 
 
 # --- textual function specs -------------------------------------------------
-
-_SPEC_RE = re.compile(r"(?P<kind>[a-z_]+):(?P<rest>.*)")
-
 
 def parse_fn_spec(text: str, *, config: Config = DEFAULT) -> BoolFn:
     """Parse a function spec such as ``and:3``, ``const:2:T``, ``dictator:3:1``

@@ -17,7 +17,8 @@ from typing import Any, Sequence
 
 from . import __version__
 from .agenda import Agenda, AgendaError, load_agenda, rational_judgments
-from .boolfn import BoolFn, classify, classify_on_relevant, format_fn_spec, parse_fn_spec
+from .boolfn import (FnClass, classify, classify_on_relevant, format_fn_spec,
+                     parse_fn_spec)
 from .config import Config, BudgetError
 from .formula import ParseError
 from .jar import (PiJar, check_jar, enumerate_independent_rules,
@@ -34,8 +35,7 @@ def _dump(payload: dict[str, Any]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _class_json(f: BoolFn) -> dict[str, Any]:
-    label = classify(f)
+def _class_json(label: FnClass) -> dict[str, Any]:
     out: dict[str, Any] = {"kind": label.kind}
     if label.index is not None:
         out["index"] = label.index
@@ -73,11 +73,9 @@ def cmd_classify(args, config: Config) -> int:
     if args.json:
         sys.stdout.write(_dump({
             "spec": format_fn_spec(f),
-            "class": _class_json(f),
+            "class": _class_json(classify(f)),
             "relevant": list(relevant),
-            "on_relevant": {"kind": label.kind,
-                            **({"index": label.index} if label.index is not None else {}),
-                            **({"value": label.value} if label.value is not None else {})},
+            "on_relevant": _class_json(label),
         }))
     else:
         print(f"{format_fn_spec(f)}: {classify(f)}; relevant {list(relevant)}; "
@@ -124,7 +122,8 @@ def cmd_enumerate_pairs(args, config: Config) -> int:
     pairs = enumerate_normal_pairs(args.m, args.n, config=config)
     if args.json:
         entries = [{"g": format_fn_spec(g), "f": format_fn_spec(f),
-                    "g_class": _class_json(g), "f_class": _class_json(f),
+                    "g_class": _class_json(classify(g)),
+                    "f_class": _class_json(classify(f)),
                     "case": classify_pair(g, f)} for g, f in pairs]
         sys.stdout.write(_dump({"m": args.m, "n": args.n, "pairs": entries}))
     else:
@@ -188,12 +187,12 @@ def cmd_agenda_rationals(args, config: Config) -> int:
 def cmd_jars_enumerate(args, config: Config) -> int:
     agenda = _read_agenda(args.agenda, config)
     if args.normal_form:
-        require_up = not (args.anonymous or args.systematic) if args.no_up is None \
-            else not args.no_up
+        require_up = not (args.anonymous or args.systematic) if args.up is None \
+            else args.up
         sols = enumerate_uniform_rules(agenda, args.judges,
                                        require_up=require_up, config=config)
         sols = filter_axioms(sols, anonymous=args.anonymous,
-                             systematic=args.systematic, config=config)
+                             systematic=args.systematic)
         if args.json:
             entries = [{"fn": format_fn_spec(s.fn), "relevant": list(s.relevant),
                         "on_relevant": s.restriction_class.kind, "case": s.case,
@@ -211,7 +210,7 @@ def cmd_jars_enumerate(args, config: Config) -> int:
     else:
         jars = enumerate_independent_rules(agenda, args.judges, config=config)
         jars = filter_axioms(jars, anonymous=args.anonymous,
-                             systematic=args.systematic, config=config)
+                             systematic=args.systematic)
         if args.json:
             entries = [{"functions": [format_fn_spec(f) for f in j.functions]}
                        for j in jars]
@@ -361,8 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--systematic", action="store_true",
                    help="keep only rules sharing one self-flip function (also "
                    "drops the unanimity requirement)")
-    q.add_argument("--no-up", action=argparse.BooleanOptionalAction, default=None,
-                   help="override the unanimity requirement explicitly")
+    q.add_argument("--up", action=argparse.BooleanOptionalAction, default=None,
+                   help="require unanimity preservation in the sweep (--up) or "
+                   "not (--no-up), overriding what the axiom flags imply")
     q = leaf(jars_sub, "check", cmd_jars_check, "check one rule")
     q.add_argument("--agenda", required=True)
     q.add_argument("-n", "--judges", type=int, required=True)

@@ -1,9 +1,11 @@
 """Resource limits and output settings shared by the library and the CLI.
 
-Every exhaustive sweep in this package is bounded up front: the cost of a
-request is computed before any work starts, and requests over budget fail
-with a message naming what would fit.  Limits can be overridden per call,
-via CLI flags, or via ``JAGG_*`` environment variables.
+Two limits bound the work of a request, both checked before any work starts:
+``arity_cap`` bounds the size of a single truth table, and
+``enumeration_budget`` bounds every exhaustive sweep through ``charge``.  A
+request over either fails with a ``BudgetError``; a charge refusal names
+what would fit.  Limits can be overridden per call or via ``JAGG_*``
+environment variables.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ ENV_PREFIX = "JAGG_"
 
 OUTPUT_FORMATS = ("text", "json")
 
+LIMITS = ("arity_cap", "enumeration_budget")
+
 
 class BudgetError(RuntimeError):
     """A requested sweep or object exceeds a configured limit."""
@@ -24,27 +28,28 @@ class BudgetError(RuntimeError):
 class Config:
     """Caps for truth-table work.
 
-    arity_cap           largest Boolean-function arity (and agenda symbol count)
-    matrix_cap          largest m*n for a single commutation check
-    enumeration_budget  work-unit cap for exhaustive enumerations, where work
-                        is candidate count times per-candidate sweep size
-                        (for the shared-function rule sweep, big-int
-                        operations on 1024 bits); the default of 2**25 admits
-                        the 3x3 pair enumeration, shared-function rule sweeps
-                        up to 4 judges and independent-rule sweeps up to 3
-                        judges on small agendas
-    profile_cap         largest profile count |U|**n for one aggregation check
+    arity_cap           largest truth-table arity: Boolean functions, agenda
+                        symbols, the basis of a rational set, and 2**judges
+                        for the shared-function rule sweep
+    enumeration_budget  work-unit cap for every exhaustive sweep, where work
+                        is candidate count times per-candidate sweep size (a
+                        single pair or rule check is one candidate times its
+                        2**(m*n) matrices or |U|**judges profiles; for the
+                        shared-function rule sweep, big-int operations on
+                        1024 bits); the default of 2**25 admits pair checks
+                        up to m*n = 25, the 3x3 pair enumeration,
+                        shared-function rule sweeps up to 4 judges and
+                        independent-rule sweeps up to 3 judges on small
+                        agendas
     output_format       default CLI rendering, "text" or "json"
     """
 
     arity_cap: int = 20
-    matrix_cap: int = 25
     enumeration_budget: int = 1 << 25
-    profile_cap: int = 10**7
     output_format: str = "text"
 
     def __post_init__(self) -> None:
-        for field in ("arity_cap", "matrix_cap", "enumeration_budget", "profile_cap"):
+        for field in LIMITS:
             value = getattr(self, field)
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{field} must be a positive integer, got {value!r}")
@@ -60,7 +65,7 @@ class Config:
         """
         env = os.environ if environ is None else environ
         overrides: dict[str, object] = {}
-        for field in ("arity_cap", "matrix_cap", "enumeration_budget", "profile_cap"):
+        for field in LIMITS:
             raw = env.get(ENV_PREFIX + field.upper())
             if raw is not None:
                 try:

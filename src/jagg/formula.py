@@ -10,7 +10,7 @@ and ``parse(str(f)) == f`` holds structurally.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -73,14 +73,15 @@ class Not(Formula):
         self.child._collect(into)
 
 
+@dataclass(frozen=True, init=False)
 class _Nary(Formula):
     """Shared behaviour of AND/OR/XOR: at least two children, auto-flattened."""
 
     args: tuple[Formula, ...]
 
-    def _flatten(self) -> None:
+    def __init__(self, *args: Formula):
         flat: list[Formula] = []
-        for a in self.args:
+        for a in args:
             if type(a) is type(self):
                 flat.extend(a.args)  # type: ignore[attr-defined]
             else:
@@ -89,53 +90,27 @@ class _Nary(Formula):
             raise ValueError(f"{type(self).__name__} needs at least two arguments")
         object.__setattr__(self, "args", tuple(flat))
 
+    def _collect(self, into: set[str]) -> None:
+        for a in self.args:
+            a._collect(into)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class And(_Nary):
-    args: tuple[Formula, ...] = field(default=())
-
-    def __init__(self, *args: Formula):
-        object.__setattr__(self, "args", tuple(args))
-        self._flatten()
-
     def evaluate(self, assignment: Assignment) -> bool:
         return all(a.evaluate(assignment) for a in self.args)
 
-    def _collect(self, into: set[str]) -> None:
-        for a in self.args:
-            a._collect(into)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Or(_Nary):
-    args: tuple[Formula, ...] = field(default=())
-
-    def __init__(self, *args: Formula):
-        object.__setattr__(self, "args", tuple(args))
-        self._flatten()
-
     def evaluate(self, assignment: Assignment) -> bool:
         return any(a.evaluate(assignment) for a in self.args)
 
-    def _collect(self, into: set[str]) -> None:
-        for a in self.args:
-            a._collect(into)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Xor(_Nary):
-    args: tuple[Formula, ...] = field(default=())
-
-    def __init__(self, *args: Formula):
-        object.__setattr__(self, "args", tuple(args))
-        self._flatten()
-
     def evaluate(self, assignment: Assignment) -> bool:
         return sum(a.evaluate(assignment) for a in self.args) % 2 == 1
-
-    def _collect(self, into: set[str]) -> None:
-        for a in self.args:
-            a._collect(into)
 
 
 def negate(f: Formula) -> Formula:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .agenda import Agenda, Judgment, RationalSet, build_agenda, rational_judgments
+from .agenda import (Agenda, Judgment, RationalSet, build_agenda, is_determined_by,
+                     rational_judgments)
 from .boolfn import (BoolFn, FnClass, all_tables, classify, compose, repeat_bits,
                      variable_mask)
 from .config import DEFAULT, BudgetError, Config, charge
@@ -80,18 +81,18 @@ def uniform_jar(agenda: Agenda, fn: BoolFn) -> PiJar:
     return PiJar(agenda, fn.n, (fn,) * len(agenda))
 
 
-def _rational_fn(rs: RationalSet, judges: int, config: Config) -> BoolFn:
+def _points(rs: RationalSet) -> list[int]:
+    """Each rational judgment j as the point sum(j[k] << k) over the basis."""
+    return [sum(b << k for k, b in enumerate(j)) for j in rs.judgments]
+
+
+def _rational_fn(rs: RationalSet, config: Config) -> BoolFn:
     """The rational set as a Boolean function of the basis positions, after
-    checking the profile count and, as that function has arity |basis|, the
-    basis size against their caps."""
-    profiles = len(rs.judgments) ** judges
-    if profiles > config.profile_cap:
-        raise BudgetError(f"{profiles} profiles exceed the cap of {config.profile_cap}")
+    checking the basis size, that function's arity, against the arity cap."""
     if len(rs.agenda) > config.arity_cap:
         raise BudgetError(f"{len(rs.agenda)} basis entries exceed the cap of "
                           f"{config.arity_cap}")
-    points = (sum(b << k for k, b in enumerate(j)) for j in rs.judgments)
-    return BoolFn(len(rs.agenda), sum(1 << p for p in points))
+    return BoolFn(len(rs.agenda), sum(1 << p for p in _points(rs)))
 
 
 def _profile_columns(rs: RationalSet, judges: int, config: Config,
@@ -103,7 +104,7 @@ def _profile_columns(rs: RationalSet, judges: int, config: Config,
     first judge most significant, so the lowest set bit of a set of profiles
     is its first profile in that order.
     """
-    rational = _rational_fn(rs, judges, config)
+    rational = _rational_fn(rs, config)
     size = len(rs.judgments)
     width = size ** judges
     cols: list[list[int]] = []
@@ -133,6 +134,8 @@ def _axioms(functions: Sequence[BoolFn]) -> tuple[bool, bool, bool]:
 def check_jar(jar: PiJar, *, config: Config = DEFAULT) -> JarVerdict:
     """Sweep all |U|**n profiles for consistency and evaluate the axioms.
 
+    The sweep is charged |U|**n work units, one per profile, up front.
+
     Unanimity preservation reduces to f_k(c, ..., c) = c because every basis
     entry is non-degenerate, so both unanimous columns occur in profiles.
     Anonymity is symmetry of every per-position function; systematicity is
@@ -140,6 +143,8 @@ def check_jar(jar: PiJar, *, config: Config = DEFAULT) -> JarVerdict:
     function becomes on a negated proposition).
     """
     rs = rational_judgments(jar.agenda)
+    charge(config, len(rs.judgments) ** jar.judges,
+           f"checking a rule for {jar.judges} judges", "|U|**judges within budget")
     width, cols, rational = _profile_columns(rs, jar.judges, config)
     bad = _irrational(rational, [compose(f, cols[k], width)
                                  for k, f in enumerate(jar.functions)], width)
@@ -158,8 +163,7 @@ RELATION_VIOLATION = "violation"
 RELATION_NOT_APPLICABLE = "not-applicable"
 
 
-def dependent_pair_relation(jar: PiJar, x: int, y: int, *,
-                            config: Config = DEFAULT) -> str:
+def dependent_pair_relation(jar: PiJar, x: int, y: int) -> str:
     """How the function at ``y`` relates to the function at ``x``.
 
     Applicable when some two rational judgments differ exactly on positions
@@ -167,27 +171,16 @@ def dependent_pair_relation(jar: PiJar, x: int, y: int, *,
     consistent unanimity-preserving rule the answer is then 'equal' or
     'flip'; 'violation' flags anything else.
     """
+    size = len(jar.agenda)
     if x == y:
         raise ValueError("positions must differ")
-    rs = rational_judgments(jar.agenda)
-    depends = False
-    for a in rs.judgments:
-        for b in rs.judgments:
-            if a[x] != b[x] and a[y] != b[y] and all(
-                    a[k] == b[k] for k in range(len(jar.agenda)) if k not in (x, y)):
-                depends = True
-                break
-        if depends:
-            break
-    rest = [k for k in range(len(jar.agenda)) if k != y]
-    determined: dict[tuple[bool, ...], bool] = {}
-    fixed = True
-    for j in rs.judgments:
-        key = tuple(j[k] for k in rest)
-        if determined.setdefault(key, j[y]) != j[y]:
-            fixed = False
-            break
-    if not depends or not fixed:
+    if not (0 <= x < size and 0 <= y < size):
+        raise ValueError(f"positions ({x}, {y}) out of range for {size} basis entries")
+    # y reacts to x when two rational points differ exactly at x and y
+    points = set(_points(rational_judgments(jar.agenda)))
+    pair = 1 << x | 1 << y
+    if not any(p ^ pair in points for p in points) or not is_determined_by(
+            jar.agenda, y, [k for k in range(size) if k != y]):
         return RELATION_NOT_APPLICABLE
     fx, fy = jar.functions[x], jar.functions[y]
     if fy == fx:
@@ -265,8 +258,8 @@ def _solution_case(fn: BoolFn, has_compound: bool) -> UniformSolution:
         case = CASE_UNCONSTRAINED
     else:
         case = CASE_VIOLATION
-    return UniformSolution(fn, relevant, label, case,
-                           fn.is_symmetric(), fn == fn.flip())
+    _, anonymous, systematic = _axioms((fn,))
+    return UniformSolution(fn, relevant, label, case, anonymous, systematic)
 
 
 def enumerate_uniform_rules(agenda: Agenda, judges: int, *,
@@ -287,7 +280,7 @@ def enumerate_uniform_rules(agenda: Agenda, judges: int, *,
     the consistent ones are the AND of that over every profile.
     """
     rs = rational_judgments(agenda)
-    rational = _rational_fn(rs, judges, config)
+    rational = _rational_fn(rs, config)
     points = 1 << judges
     if points > config.arity_cap:
         raise BudgetError(f"{judges} judges give 2**{points} candidate tables, "
@@ -347,7 +340,7 @@ def _candidates(judges: int) -> Iterator[BoolFn]:
 
 def filter_axioms(solutions: Iterable[UniformSolution | PiJar], *,
                   anonymous: bool = False, systematic: bool = False,
-                  config: Config = DEFAULT) -> list[UniformSolution | PiJar]:
+                  ) -> list[UniformSolution | PiJar]:
     """Keep solutions satisfying the requested axioms."""
     kept = []
     for sol in solutions:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boolfn import BoolFn, classify, compose, variable_mask
-from .config import DEFAULT, BudgetError, Config, charge
+from .config import DEFAULT, Config, charge
 
 
 @dataclass(frozen=True)
@@ -71,15 +71,16 @@ def _composites(g: BoolFn, f: BoolFn) -> tuple[int, int]:
 def check_normal_pair(g: BoolFn, f: BoolFn, *, config: Config = DEFAULT) -> NormalPairReport:
     """Decide normality, reporting the first violated condition.
 
-    Constant functions are reported before irrelevant indices (a constant has
-    no relevant index at all), and structural defects before commutation.
+    The check is charged 2**(m*n) work units, one per matrix, before the
+    structural checks.  Constant functions are reported before irrelevant
+    indices (a constant has no relevant index at all), and structural
+    defects before commutation.
     """
     m, n = g.n, f.n
     if m < 1 or n < 1:
         raise ValueError("both functions need arity >= 1")
-    if m * n > config.matrix_cap:
-        raise BudgetError(f"matrix size {m}x{n} exceeds the cap of "
-                          f"{config.matrix_cap} cells")
+    charge(config, 1 << (m * n), f"checking a {m}x{n} pair",
+           f"m*n <= {config.enumeration_budget.bit_length() - 1}")
     if g.is_constant():
         return NormalPairReport(g, f, False, Violation("g_constant"))
     if f.is_constant():
@@ -140,9 +141,6 @@ def enumerate_normal_pairs(m: int, n: int, *, config: Config = DEFAULT,
             if compose(f, cols, width) == compose(g, f_rows[f.table], width):
                 pairs.append((g, f))
     return pairs
-
-
-PAIR_CASES = ("both-and", "both-or", "xor-family", "trivial", "violation")
 
 
 def classify_pair(g: BoolFn, f: BoolFn) -> str:

@@ -15,7 +15,7 @@ from functools import cache
 from itertools import combinations
 
 from .agenda import build_agenda, is_determined_by, rational_judgments
-from .boolfn import BoolFn, all_tables, classify, format_fn_spec
+from .boolfn import BoolFn, all_tables, classify, format_fn_spec, parse_fn_spec
 from .config import DEFAULT, Config
 from .formula import parse
 from .fourier import Dyadic, cell_subset_identity, rectangle_identity, reconstruct, spectrum
@@ -238,7 +238,6 @@ EXPECTED_PAIRS = {
 
 def suite_pairs(config: Config = DEFAULT) -> VerifyReport:
     report = VerifyReport()
-    from .boolfn import parse_fn_spec
     normal_pairs = _normal_pairs(config)
 
     def enumerations():
@@ -348,7 +347,6 @@ SCENARIO_AGENDAS = {
 
 def suite_uniform(config: Config = DEFAULT) -> VerifyReport:
     report = VerifyReport()
-    from .boolfn import parse_fn_spec
 
     def golden_lists():
         for (scenario, judges), expected in EXPECTED_UNIFORM.items():
@@ -410,7 +408,7 @@ def suite_axioms(config: Config = DEFAULT) -> VerifyReport:
         agenda = build_agenda(SCENARIO_AGENDAS["or-closure"], config=config)
         sols = filter_axioms(
             enumerate_uniform_rules(agenda, 3, require_up=False, config=config),
-            anonymous=True, config=config)
+            anonymous=True)
         fns = [s.fn for s in sols]  # type: ignore[union-attr]
         if fns != [BoolFn.or_(3)]:
             return False, f"anonymous rules on the or-closure: {[format_fn_spec(f) for f in fns]}"
@@ -422,7 +420,7 @@ def suite_axioms(config: Config = DEFAULT) -> VerifyReport:
         for judges in (2, 3):
             sols = filter_axioms(
                 enumerate_uniform_rules(agenda, judges, require_up=False, config=config),
-                anonymous=True, systematic=True, config=config)
+                anonymous=True, systematic=True)
             if sols:
                 return False, f"n={judges}: found {len(sols)} anonymous systematic rules"
         return True, ("and-closure, n = 2 and 3: no consistent rule is both "
@@ -533,7 +531,7 @@ def suite_structure(config: Config = DEFAULT) -> VerifyReport:
                     for y in range(len(agenda)):
                         if x == y:
                             continue
-                        rel = dependent_pair_relation(jar, x, y, config=config)
+                        rel = dependent_pair_relation(jar, x, y)
                         if rel not in (RELATION_EQUAL, RELATION_FLIP,
                                        "not-applicable"):
                             return False, (f"{scenario}: positions ({x}, {y}) "

@@ -71,6 +71,24 @@ def test_majority_tie_handling():
     assert BoolFn.majority(3) == BoolFn.majority(3, ties=False)
 
 
+def loop_majority(n, ties):
+    """The former per-point construction, kept as a reference."""
+    table = 0
+    for p in range(1 << n):
+        double = 2 * p.bit_count()
+        if double > n or (double == n and ties):
+            table |= 1 << p
+    return BoolFn(n, table)
+
+
+def test_majority_matches_loop():
+    for n in range(1, 13):
+        for ties in (True, False):
+            assert BoolFn.majority(n, ties=ties) == loop_majority(n, ties), (n, ties)
+    with pytest.raises(BudgetError):
+        BoolFn.majority(4, config=Config(arity_cap=3))
+
+
 def test_table_range_checked():
     with pytest.raises(ValueError):
         BoolFn(2, 16)

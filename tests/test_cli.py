@@ -60,6 +60,14 @@ def test_checkpair_golden_and_exit(capsys):
     assert json.loads(out)["case"] == "both-and"
 
 
+def test_classify_goldens(capsys):
+    for spec, name in (("dictator:3:1", "classify_dictator3_1.json"),
+                       ("const:2:T", "classify_const2_T.json")):
+        code, out = run(capsys, "classify", spec, "--json")
+        assert code == 0
+        assert out == golden(name)
+
+
 def test_enumerate_pairs_goldens(capsys):
     code, out = run(capsys, "enumerate-pairs", "-m", "2", "-n", "2", "--json")
     assert code == 0
@@ -120,6 +128,24 @@ def test_jars_enumerate_anonymous(capsys):
     doc = json.loads(out)
     assert [s["fn"] for s in doc["solutions"]] == ["tt:3:fe"]
     assert doc["unanimity_required"] is False
+
+
+def test_jars_enumerate_up_flag(capsys):
+    argv = ["jars", "enumerate", "--agenda", agenda("or_closure.agenda"), "-n", "3",
+            "--normal-form", "--anonymous", "--json"]
+    # --up requires unanimity despite --anonymous (the old spelling was --no-no-up)
+    code, out = run(capsys, *argv, "--up")
+    assert code == 0
+    assert out == golden("uniform_or_closure_n3_anonymous_up.json")
+    # --no-up drops the requirement, as --anonymous already does
+    code, out = run(capsys, *argv, "--no-up")
+    assert code == 0
+    assert out == run(capsys, *argv)[1]
+    assert json.loads(out)["unanimity_required"] is False
+    code, _ = run(capsys, *argv, "--no-no-up")
+    assert code == 2
+    _, out = run(capsys, "jars", "enumerate", "--help")
+    assert "--up, --no-up" in out and "--no-no-up" not in out
 
 
 def test_jars_enumerate_impossibility(capsys):

@@ -1,5 +1,7 @@
 """Configuration, environment overrides, and the work budget."""
 
+from dataclasses import fields
+
 import pytest
 
 from jagg.config import BudgetError, Config, DEFAULT, charge
@@ -7,20 +9,20 @@ from jagg.config import BudgetError, Config, DEFAULT, charge
 
 def test_defaults():
     assert DEFAULT.arity_cap == 20
-    assert DEFAULT.matrix_cap == 25
     assert DEFAULT.enumeration_budget == 1 << 25
-    assert DEFAULT.profile_cap == 10 ** 7
-    assert not hasattr(DEFAULT, "worker_count")
     assert DEFAULT.output_format == "text"
+    assert [f.name for f in fields(Config)] == ["arity_cap", "enumeration_budget",
+                                                 "output_format"]
 
 
 def test_validation():
     with pytest.raises(ValueError):
         Config(arity_cap=0)
     with pytest.raises(ValueError):
-        Config(matrix_cap=-1)
-    with pytest.raises(TypeError):
-        Config(worker_count=1)
+        Config(enumeration_budget=-1)
+    for removed in ("worker_count", "matrix_cap", "profile_cap"):
+        with pytest.raises(TypeError):
+            Config(**{removed: 1})
     with pytest.raises(ValueError):
         Config(output_format="yaml")
 
@@ -30,20 +32,24 @@ def test_from_env():
                            "UNRELATED": "x"})
     assert cfg.arity_cap == 8
     assert cfg.output_format == "json"
-    assert cfg.matrix_cap == DEFAULT.matrix_cap
+    assert cfg.enumeration_budget == DEFAULT.enumeration_budget
     assert Config.from_env({}) == DEFAULT
+    # removed knobs are ignored like any unknown variable
+    assert Config.from_env({"JAGG_MATRIX_CAP": "1", "JAGG_PROFILE_CAP": "x",
+                            "JAGG_WORKER_COUNT": "1"}) == DEFAULT
 
 
 def test_from_env_rejects_malformed():
     with pytest.raises(ValueError):
-        Config.from_env({"JAGG_PROFILE_CAP": "lots"})
+        Config.from_env({"JAGG_ENUMERATION_BUDGET": "lots"})
     with pytest.raises(ValueError):
         Config.from_env({"JAGG_OUTPUT_FORMAT": "xml"})
 
 
 def test_with_overrides():
     cfg = DEFAULT.with_overrides(arity_cap=5)
-    assert cfg.arity_cap == 5 and cfg.matrix_cap == DEFAULT.matrix_cap
+    assert cfg.arity_cap == 5
+    assert cfg.enumeration_budget == DEFAULT.enumeration_budget
     assert DEFAULT.with_overrides(arity_cap=None) == DEFAULT
 
 

@@ -133,3 +133,12 @@ def test_byte_offsets_are_utf8():
     with pytest.raises(ParseError) as err:
         parse("µ & P")
     assert err.value.offset == 0
+
+
+def test_connectives_equality_hash_and_immutability():
+    assert And(P, Q) != Or(P, Q) and Or(P, Q) != Xor(P, Q)
+    assert hash(And(P, Or(Q, R))) == hash(And(P, Or(Q, R)))
+    assert len({And(P, Q), And(P, Q), Or(P, Q), Xor(P, Q)}) == 3
+    assert repr(And(P, Q)) == "And(args=(Atom(name='P'), Atom(name='Q')))"
+    with pytest.raises(AttributeError):
+        And(P, Q).args = (P, R)

@@ -88,12 +88,14 @@ def test_dictator_always_consistent():
             assert not verdict.anonymous
 
 
-def test_profile_cap():
-    tight = Config(profile_cap=10)
+def test_rule_check_budget():
+    # a check is charged |U|**judges units, one per profile: 4**3 here
+    jar = uniform_jar(OR_CLOSURE, BoolFn.or_(3))
     with pytest.raises(BudgetError):
-        check_jar(uniform_jar(OR_CLOSURE, BoolFn.or_(3)), config=tight)
+        check_jar(jar, config=Config(enumeration_budget=63))
+    assert check_jar(jar, config=Config(enumeration_budget=64)).consistent
     with pytest.raises(BudgetError):
-        enumerate_uniform_rules(OR_CLOSURE, 2, config=tight)
+        enumerate_uniform_rules(OR_CLOSURE, 2, config=Config(enumeration_budget=63))
     # the rational set is a function of the three basis positions
     with pytest.raises(BudgetError):
         check_jar(uniform_jar(OR_CLOSURE, BoolFn.or_(1)), config=Config(arity_cap=2))
@@ -113,6 +115,53 @@ def test_dependent_pair_relation():
         assert dependent_pair_relation(same, x, y) == "equal"
     odd = PiJar(PARITY, 2, (BoolFn.xor(2), BoolFn.xor(2), BoolFn.and_(2)))
     assert dependent_pair_relation(odd, 0, 2) == "violation"
+    for x, y in ((0, 0), (0, 3), (3, 0), (-1, 0)):
+        with pytest.raises(ValueError):
+            dependent_pair_relation(odd, x, y)
+
+
+def loop_pair_relation(jar, x, y):
+    """The former pairwise loops of ``dependent_pair_relation``, kept as a
+    reference."""
+    rs = rational_judgments(jar.agenda)
+    depends = False
+    for a in rs.judgments:
+        for b in rs.judgments:
+            if a[x] != b[x] and a[y] != b[y] and all(
+                    a[k] == b[k] for k in range(len(jar.agenda)) if k not in (x, y)):
+                depends = True
+                break
+        if depends:
+            break
+    rest = [k for k in range(len(jar.agenda)) if k != y]
+    determined = {}
+    fixed = True
+    for j in rs.judgments:
+        key = tuple(j[k] for k in rest)
+        if determined.setdefault(key, j[y]) != j[y]:
+            fixed = False
+            break
+    if not depends or not fixed:
+        return "not-applicable"
+    fx, fy = jar.functions[x], jar.functions[y]
+    if fy == fx:
+        return "equal"
+    return "flip" if fy == fx.flip() else "violation"
+
+
+def test_dependent_pair_relation_matches_loop():
+    jars = [PiJar(OR_CLOSURE, 2, (BoolFn.and_(2), BoolFn.and_(2), BoolFn.or_(2))),
+            uniform_jar(PARITY, BoolFn.xor(2)),
+            PiJar(PARITY, 2, (BoolFn.xor(2), BoolFn.xor(2), BoolFn.and_(2)))]
+    for basis in SCENARIO_AGENDAS.values():
+        jars.extend(enumerate_independent_rules(build_agenda(basis), 2))
+    seen = set()
+    for jar in jars:
+        for x, y in itertools.permutations(range(len(jar.agenda)), 2):
+            got = dependent_pair_relation(jar, x, y)
+            assert got == loop_pair_relation(jar, x, y), (jar, x, y)
+            seen.add(got)
+    assert seen == {"equal", "flip", "violation", "not-applicable"}
 
 
 def test_to_normal_form():

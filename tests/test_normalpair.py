@@ -6,6 +6,7 @@ import pytest
 
 from jagg.boolfn import BoolFn, format_fn_spec, parse_fn_spec
 from jagg.config import BudgetError, Config
+import jagg.normalpair as normalpair
 from jagg.normalpair import (check_normal_pair, classify_pair,
                              enumerate_normal_pairs)
 
@@ -100,12 +101,26 @@ def test_arity_zero_rejected():
         check_normal_pair(BoolFn(0, 1), BoolFn.and_(2))
 
 
-def test_matrix_cap():
-    tight = Config(matrix_cap=8)
+def test_pair_check_budget(monkeypatch):
+    # a check is charged 2**(m*n) units, one per matrix
     with pytest.raises(BudgetError):
-        check_normal_pair(BoolFn.and_(3), BoolFn.and_(3), config=tight)
-    assert check_normal_pair(BoolFn.and_(2), BoolFn.and_(3),
-                             config=tight).is_normal
+        check_normal_pair(BoolFn.and_(3), BoolFn.and_(3),
+                          config=Config(enumeration_budget=(1 << 9) - 1))
+    assert check_normal_pair(BoolFn.and_(3), BoolFn.and_(3),
+                             config=Config(enumeration_budget=1 << 9)).is_normal
+    # the default admits exactly m*n <= 25
+    assert check_normal_pair(BoolFn.and_(5), BoolFn.and_(5)).is_normal
+
+    def no_columns(*args):
+        raise AssertionError("columns built for a refused check")
+
+    monkeypatch.setattr(normalpair, "_cells", no_columns)
+    monkeypatch.setattr(normalpair, "compose", no_columns)
+    with pytest.raises(BudgetError, match="2x13"):
+        check_normal_pair(BoolFn.and_(2), BoolFn.and_(13))
+    # the charge comes before the structural checks
+    with pytest.raises(BudgetError):
+        check_normal_pair(BoolFn(2, 0), BoolFn.and_(13))
 
 
 # expected enumerations, frozen from the brute-force sweep
