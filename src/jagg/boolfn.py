@@ -67,6 +67,31 @@ def compose(f: "BoolFn", arg_tables: Sequence[int], width: int) -> int:
     return out
 
 
+def set_bits(mask: int) -> list[int]:
+    """Indices of the set bits of a non-negative ``mask``, in ascending order."""
+    bits = format(mask, "b")[::-1]
+    out, i = [], bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return out
+
+
+def relevant_tables(n: int) -> int:
+    """The arity-``n`` tables that use every input, as a candidate set: bit t
+    stands for table t, so "T at point x" is ``variable_mask(x, 2**n)``, and
+    input i matters to the tables that differ at some x and ``x | 1 << i``."""
+    points = 1 << n
+    cols = [variable_mask(x, points) for x in range(points)]
+    mask = (1 << (1 << points)) - 1
+    for i in range(n):
+        pivotal = 0
+        for x in range(points):
+            pivotal |= cols[x] ^ cols[x | 1 << i]
+        mask &= pivotal
+    return mask
+
+
 _INCREMENT = bytes(range(1, 256)) + b"\0"
 
 

@@ -170,7 +170,7 @@ def cmd_agenda_rationals(args, config: Config) -> int:
             "basis": [str(b) for b in agenda.basis],
             "symbols": list(agenda.symbols),
             "judgments": [{"values": list(j),
-                           "witness": dict(zip(agenda.symbols, rs.witnesses[k]))}
+                           "witness": rs.witness_assignment(k)}
                           for k, j in enumerate(rs.judgments)],
         }))
     else:
@@ -179,7 +179,7 @@ def cmd_agenda_rationals(args, config: Config) -> int:
         for k, j in enumerate(rs.judgments):
             row = " ".join(f"{'T' if v else 'F':>8}" for v in j)
             witness = ", ".join(f"{s}={'T' if v else 'F'}"
-                                for s, v in zip(agenda.symbols, rs.witnesses[k]))
+                                for s, v in rs.witness_assignment(k).items())
             print(f"  {row}   [{witness}]")
     return 0
 

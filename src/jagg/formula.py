@@ -120,18 +120,20 @@ def negate(f: Formula) -> Formula:
     return Not(f)
 
 
+# binary connectives from loosest to tightest binding; ``!`` binds tighter still
+_BINARY = (("|", Or), ("^", Xor), ("&", And))
+_LEVEL = {node: level for level, (_, node) in enumerate(_BINARY)}
+_GLUE = {node: f" {op} " for op, node in _BINARY}
+
+
 # --- printing ---------------------------------------------------------------
 
-_LEVEL = {Or: 0, Xor: 1, And: 2, Not: 3, Atom: 4}
-_GLUE = {Or: " | ", Xor: " ^ ", And: " & "}
-
-
 def _print(f: Formula, parent_level: int) -> str:
-    level = _LEVEL[type(f)]
     if isinstance(f, Atom):
         return f.name
     if isinstance(f, Not):
-        return "!" + _print(f.child, level)
+        return "!" + _print(f.child, len(_BINARY))
+    level = _LEVEL[type(f)]
     text = _GLUE[type(f)].join(_print(a, level) for a in f.args)  # type: ignore[attr-defined]
     return f"({text})" if level < parent_level else text
 
@@ -194,26 +196,16 @@ class _Parser:
         what = "end of input" if tok.kind == "END" else repr(tok.text)
         return ParseError(f"unexpected {what}", tok.offset, expected)
 
-    def expr(self) -> Formula:
-        terms = [self.xor_term()]
-        while self.peek().kind == "|":
+    def expr(self, level: int = 0) -> Formula:
+        """Operands joined by ``_BINARY[level]``, each binding tighter."""
+        op, node = _BINARY[level]
+        terms = []
+        while True:
+            terms.append(self.expr(level + 1) if level + 1 < len(_BINARY)
+                         else self.unary())
+            if self.peek().kind != op:
+                return terms[0] if len(terms) == 1 else node(*terms)
             self.take()
-            terms.append(self.xor_term())
-        return terms[0] if len(terms) == 1 else Or(*terms)
-
-    def xor_term(self) -> Formula:
-        terms = [self.and_term()]
-        while self.peek().kind == "^":
-            self.take()
-            terms.append(self.and_term())
-        return terms[0] if len(terms) == 1 else Xor(*terms)
-
-    def and_term(self) -> Formula:
-        terms = [self.unary()]
-        while self.peek().kind == "&":
-            self.take()
-            terms.append(self.unary())
-        return terms[0] if len(terms) == 1 else And(*terms)
 
     def unary(self) -> Formula:
         if self.peek().kind == "!":

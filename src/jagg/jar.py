@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .agenda import (Agenda, Judgment, RationalSet, build_agenda, is_determined_by,
-                     rational_judgments)
-from .boolfn import (BoolFn, FnClass, all_tables, classify, compose, repeat_bits,
-                     variable_mask)
+from .agenda import Agenda, Judgment, RationalSet, build_agenda, rational_judgments
+from .boolfn import (BoolFn, FnClass, classify_on_relevant, compose, repeat_bits,
+                     set_bits, variable_mask)
 from .config import DEFAULT, BudgetError, Config, charge
 
 
@@ -176,11 +175,11 @@ def dependent_pair_relation(jar: PiJar, x: int, y: int) -> str:
         raise ValueError("positions must differ")
     if not (0 <= x < size and 0 <= y < size):
         raise ValueError(f"positions ({x}, {y}) out of range for {size} basis entries")
-    # y reacts to x when two rational points differ exactly at x and y
+    # y reacts to x when two rational points differ exactly at x and y, and
+    # is fixed by the other positions when no two differ exactly at y
     points = set(_points(rational_judgments(jar.agenda)))
-    pair = 1 << x | 1 << y
-    if not any(p ^ pair in points for p in points) or not is_determined_by(
-            jar.agenda, y, [k for k in range(size) if k != y]):
+    if (not any(p ^ (1 << x | 1 << y) in points for p in points)
+            or any(p ^ (1 << y) in points for p in points)):
         return RELATION_NOT_APPLICABLE
     fx, fy = jar.functions[x], jar.functions[y]
     if fy == fx:
@@ -248,8 +247,7 @@ class UniformSolution:
 
 
 def _solution_case(fn: BoolFn, has_compound: bool) -> UniformSolution:
-    restriction, relevant = fn.on_relevant()
-    label = classify(restriction)
+    label, relevant = classify_on_relevant(fn)
     if label.kind == "dictator" and len(relevant) == 1:
         case = CASE_DICTATOR
     elif label.kind in OLIGARCHY_KINDS and len(relevant) >= 2:
@@ -305,12 +303,7 @@ def enumerate_uniform_rules(agenda: Agenda, judges: int, *,
         if not alive:
             break
     has_compound = agenda.has_compound()
-    bits = format(alive, "b")[::-1]
-    tables, t = [], bits.find("1")
-    while t >= 0:
-        tables.append(t)
-        t = bits.find("1", t + 1)
-    return [_solution_case(BoolFn(judges, t), has_compound) for t in tables]
+    return [_solution_case(BoolFn(judges, t), has_compound) for t in set_bits(alive)]
 
 
 def enumerate_independent_rules(agenda: Agenda, judges: int, *,
@@ -324,18 +317,13 @@ def enumerate_independent_rules(agenda: Agenda, judges: int, *,
            "|UP functions|**|basis| * |U|**judges * |basis| within budget, "
            "e.g. 2 judges on a three-entry basis")
     width, cols, rational = _profile_columns(rs, judges, config)
+    up = variable_mask((1 << judges) - 1, 1 << judges) & ~variable_mask(0, 1 << judges)
+    candidates = [BoolFn(judges, t) for t in set_bits(up)]
     # each (position, function) pair is composed once, not once per rule
-    columns = [[(fn, compose(fn, c, width)) for fn in _candidates(judges)] for c in cols]
+    columns = [[(fn, compose(fn, c, width)) for fn in candidates] for c in cols]
     return [PiJar(agenda, judges, tuple(fn for fn, _ in combo))
             for combo in product(*columns)
             if not _irrational(rational, [agg for _, agg in combo], width)]
-
-
-def _candidates(judges: int) -> Iterator[BoolFn]:
-    """Unanimity-preserving functions, in ascending table order."""
-    for fn in all_tables(judges):
-        if fn.value(fn.points - 1) and not fn.value(0):
-            yield fn
 
 
 def filter_axioms(solutions: Iterable[UniformSolution | PiJar], *,

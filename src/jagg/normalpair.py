@@ -9,13 +9,18 @@ bit i*n + j holds the cell in row i, column j.
 The check evaluates both composites for all 2**(m*n) matrices at once: each
 cell becomes a truth-table column over the matrix space, and functions are
 applied through their minterm expansion (``boolfn.compose``).
+
+The enumeration fixes each all-relevant g and sweeps every candidate f at
+once, as the shared-function rule sweep does: f is bit ``f.table`` of a set
+over all 2**(2**n) tables, "f is T at point x" is the set ``col[x] =
+variable_mask(x, 2**n)``, and each matrix keeps the f where the composites agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolfn import BoolFn, classify, compose, variable_mask
+from .boolfn import BoolFn, classify, compose, relevant_tables, set_bits, variable_mask
 from .config import DEFAULT, Config, charge
 
 
@@ -101,45 +106,35 @@ def check_normal_pair(g: BoolFn, f: BoolFn, *, config: Config = DEFAULT) -> Norm
         bool(lhs >> first & 1), bool(rhs >> first & 1))
 
 
-def _all_relevant_candidates(arity: int) -> list[BoolFn]:
-    """Non-constant functions of the given arity with every input relevant."""
-    out = []
-    for table in range(1 << (1 << arity)):
-        f = BoolFn(arity, table)
-        if f.is_constant():
-            continue
-        if all(f.is_relevant(i) for i in range(arity)):
-            out.append(f)
-    return out
-
-
 def enumerate_normal_pairs(m: int, n: int, *, config: Config = DEFAULT,
                            ) -> list[tuple[BoolFn, BoolFn]]:
     """All normal pairs with the given arities, ascending by (g, f) table.
 
-    Candidates are pruned to non-constant all-relevant functions first; each
-    surviving pair is swept over all 2**(m*n) matrices.
+    Each matrix keeps the f whose value at a, the point of g's column outputs,
+    is ``compose(g, [col[r_i] ...])`` over the matrix's row points r_i.
     """
     if m < 2 or n < 2:
         raise ValueError("enumeration needs both arities >= 2")
     work = (1 << (1 << m)) * (1 << (1 << n)) * (1 << (m * n))
     charge(config, work, f"enumerating {m}x{n} pairs",
            "(m, n) with 2**(2**m + 2**n + m*n) within budget, e.g. up to (3, 3)")
-    width = 1 << (m * n)
-    cell = _cells(m, n)
-    gs = _all_relevant_candidates(m)
-    fs = _all_relevant_candidates(n)
-    # column compositions depend only on g, row compositions only on f
-    g_cols = {g.table: [compose(g, [cell[i][j] for i in range(m)], width)
-                        for j in range(n)] for g in gs}
-    f_rows = {f.table: [compose(f, [cell[i][j] for j in range(n)], width)
-                        for i in range(m)] for f in fs}
+    points = 1 << n
+    col = [variable_mask(x, points) for x in range(points)]
+    # each matrix, ascending, as its row points
+    matrices = [[matrix >> (i * n) & (points - 1) for i in range(m)]
+                for matrix in range(1 << (m * n))]
+    fs = relevant_tables(n)
     pairs = []
-    for g in gs:
-        cols = g_cols[g.table]
-        for f in fs:
-            if compose(f, cols, width) == compose(g, f_rows[f.table], width):
-                pairs.append((g, f))
+    for gt in set_bits(relevant_tables(m)):
+        g = BoolFn(m, gt)
+        alive = fs
+        for rows in matrices:
+            # g down every column at once: g composed onto the rows as n-bit tables
+            a = compose(g, rows, n)
+            alive &= ~(col[a] ^ compose(g, [col[r] for r in rows], 1 << points))
+            if not alive:
+                break
+        pairs.extend((g, BoolFn(n, ft)) for ft in set_bits(alive))
     return pairs
 
 

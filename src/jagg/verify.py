@@ -15,14 +15,14 @@ from functools import cache
 from itertools import combinations
 
 from .agenda import build_agenda, is_determined_by, rational_judgments
-from .boolfn import BoolFn, all_tables, classify, format_fn_spec, parse_fn_spec
+from .boolfn import (BoolFn, all_tables, classify, format_fn_spec, parse_fn_spec,
+                     relevant_tables, set_bits)
 from .config import DEFAULT, Config
 from .formula import parse
 from .fourier import Dyadic, cell_subset_identity, rectangle_identity, reconstruct, spectrum
-from .jar import (PiJar, RELATION_EQUAL, RELATION_FLIP, check_jar,
-                  dependent_pair_relation, enumerate_independent_rules,
-                  enumerate_uniform_rules, filter_axioms, restrict_jar,
-                  uniform_jar)
+from .jar import (PiJar, RELATION_EQUAL, RELATION_FLIP, RELATION_NOT_APPLICABLE,
+                  check_jar, dependent_pair_relation, enumerate_independent_rules,
+                  enumerate_uniform_rules, filter_axioms, restrict_jar, uniform_jar)
 from .normalpair import check_normal_pair, classify_pair, enumerate_normal_pairs
 
 
@@ -298,9 +298,8 @@ def suite_pairs(config: Config = DEFAULT) -> VerifyReport:
         ident = BoolFn.dictator(1, 0)
         neg = BoolFn.anti_dictator(1, 0)
         for n in range(1, 4):
-            for f in all_tables(n):
-                if f.is_constant() or len(f.relevant_indices()) != n:
-                    continue
+            for table in set_bits(relevant_tables(n)):
+                f = BoolFn(n, table)
                 if not check_normal_pair(ident, f, config=config).is_normal:
                     return False, f"(identity, {format_fn_spec(f)}) not normal"
                 expect = f == f.flip()
@@ -533,10 +532,10 @@ def suite_structure(config: Config = DEFAULT) -> VerifyReport:
                             continue
                         rel = dependent_pair_relation(jar, x, y)
                         if rel not in (RELATION_EQUAL, RELATION_FLIP,
-                                       "not-applicable"):
+                                       RELATION_NOT_APPLICABLE):
                             return False, (f"{scenario}: positions ({x}, {y}) "
                                            f"related by {rel}")
-                        if rel != "not-applicable":
+                        if rel != RELATION_NOT_APPLICABLE:
                             count += 1
         return True, (f"{count} dependent position pairs relate by equality or flip "
                       "on every enumerated rule")

@@ -7,7 +7,7 @@ import pytest
 
 from jagg.boolfn import (BoolFn, FnClass, all_tables, classify,
                          classify_on_relevant, compose, format_fn_spec,
-                         parse_fn_spec, variable_mask)
+                         parse_fn_spec, relevant_tables, set_bits, variable_mask)
 from jagg.config import Config, BudgetError
 from jagg.formula import parse
 
@@ -278,6 +278,22 @@ def test_all_tables_counts():
     assert sum(1 for _ in all_tables(1)) == 4
     assert sum(1 for _ in all_tables(2)) == 16
     assert sum(1 for _ in all_tables(3)) == 256
+
+
+def test_set_bits():
+    assert set_bits(0) == []
+    for i in (0, 1, 7, 64, 1000):
+        assert set_bits(1 << i) == [i]
+    mask = random.Random(6).getrandbits(5000)
+    assert set_bits(mask) == [i for i in range(5000) if mask >> i & 1]
+
+
+def test_relevant_tables_match_is_relevant():
+    for n, count in ((0, 2), (1, 2), (2, 10), (3, 218), (4, 64594)):
+        mask = relevant_tables(n)
+        assert mask.bit_count() == count
+        assert mask == sum(1 << f.table for f in all_tables(n)
+                           if all(f.is_relevant(i) for i in range(n)))
 
 
 def test_compose():

@@ -1,12 +1,14 @@
 """Command-line behavior: golden JSON, exit codes, env overrides."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import jagg
 from jagg.cli import main
 
 HERE = Path(__file__).parent
@@ -251,7 +253,9 @@ def test_env_cap_respected(capsys, monkeypatch):
 
 
 def test_console_script_installed():
+    # the child imports jagg from where this process found it
+    env = {**os.environ, "PYTHONPATH": str(Path(jagg.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-m", "jagg.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("jagg ")

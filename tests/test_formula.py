@@ -1,9 +1,14 @@
 """Formula AST, parser, and printer."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jagg
 from jagg.formula import And, Atom, Not, Or, ParseError, Xor, negate, parse
 
 P, Q, R = Atom("P"), Atom("Q"), Atom("R")
@@ -74,6 +79,18 @@ def test_parse_flattens_chains():
 def test_parse_whitespace_and_parens():
     assert parse("  ( P )  ") == P
     assert parse("((P&Q))") == And(P, Q)
+
+
+def test_parse_nesting_depth():
+    # the parser spends five frames per parenthesis, so 197 levels fit the
+    # default recursion limit of a fresh interpreter
+    text = "(" * 197 + "P" + ")" * 197
+    env = {**os.environ, "PYTHONPATH": str(Path(jagg.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c",
+                           f"from jagg.formula import parse; print(parse({text!r}))"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "P\n"
 
 
 def test_print_minimal_parens():

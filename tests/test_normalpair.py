@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from jagg.boolfn import BoolFn, format_fn_spec, parse_fn_spec
+from jagg.boolfn import BoolFn, all_tables, compose, format_fn_spec, parse_fn_spec
 from jagg.config import BudgetError, Config
 import jagg.normalpair as normalpair
 from jagg.normalpair import (check_normal_pair, classify_pair,
@@ -27,6 +27,26 @@ def brute_force_commutes(g, f):
         if col_then_row != row_then_col:
             return False
     return True
+
+
+def loop_enumerate_normal_pairs(m, n):
+    """The pair-by-pair enumeration the candidate-table sweep replaced: every
+    all-relevant g against every all-relevant f, comparing the two composites
+    over all matrices."""
+    width = 1 << (m * n)
+    cell = normalpair._cells(m, n)
+
+    def candidates(arity):
+        return [f for f in all_tables(arity) if not f.is_constant()
+                and all(f.is_relevant(i) for i in range(arity))]
+
+    gs, fs = candidates(m), candidates(n)
+    g_cols = {g.table: [compose(g, [cell[i][j] for i in range(m)], width)
+                        for j in range(n)] for g in gs}
+    f_rows = {f.table: [compose(f, [cell[i][j] for j in range(n)], width)
+                        for i in range(m)] for f in fs}
+    return [(g, f) for g in gs for f in fs
+            if compose(f, g_cols[g.table], width) == compose(g, f_rows[f.table], width)]
 
 
 def test_check_matches_brute_force_at_2x2():
@@ -145,6 +165,12 @@ def test_enumerate_2x2():
     assert sorted(got) == sorted(canon(PAIRS_2X2))
 
 
+def test_enumerate_3x3():
+    got = [(format_fn_spec(g), format_fn_spec(f))
+           for g, f in enumerate_normal_pairs(3, 3)]
+    assert sorted(got) == sorted(canon(PAIRS_3X3))
+
+
 def test_enumerate_mixed_arities():
     for m, n, expected in ((2, 3, PAIRS_2X3), (3, 2, PAIRS_3X2)):
         got = [(format_fn_spec(g), format_fn_spec(f))
@@ -156,6 +182,11 @@ def test_enumeration_is_sorted_by_tables():
     pairs = enumerate_normal_pairs(2, 3)
     keys = [(g.table, f.table) for g, f in pairs]
     assert keys == sorted(keys)
+
+
+def test_sweep_matches_pair_by_pair_loop():
+    for m, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        assert enumerate_normal_pairs(m, n) == loop_enumerate_normal_pairs(m, n)
 
 
 def test_enumeration_budget():
@@ -176,6 +207,6 @@ def test_classify_pair():
 
 
 def test_every_enumerated_pair_lands_in_a_named_case():
-    for m, n in ((2, 2), (2, 3), (3, 2)):
+    for m, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
         for g, f in enumerate_normal_pairs(m, n):
             assert classify_pair(g, f) in ("both-and", "both-or", "xor-family")
