@@ -67,6 +67,21 @@ def compose(f: "BoolFn", arg_tables: Sequence[int], width: int) -> int:
     return out
 
 
+def minterms(tables: Sequence[int], width: int) -> list[int]:
+    """Entry x: the ``width``-point set where ``tables[i]`` reads bit i of x.
+
+    The entries are disjoint and cover every point.  They are built by
+    splitting the full set on each table in turn, so an OR of entries is
+    ``compose`` of the function with those T points, shared across functions.
+    """
+    full = (1 << width) - 1
+    out = [full]
+    for table in tables:
+        rest = full ^ table
+        out = [e & rest for e in out] + [e & table for e in out]
+    return out
+
+
 def set_bits(mask: int) -> list[int]:
     """Indices of the set bits of a non-negative ``mask``, in ascending order."""
     bits = format(mask, "b")[::-1]

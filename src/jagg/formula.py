@@ -21,8 +21,8 @@ class ParseError(ValueError):
     """Syntax error with a byte offset and the token kinds that were legal."""
 
     def __init__(self, message: str, offset: int, expected: frozenset[str]):
-        super().__init__(f"{message} at byte {offset} "
-                         f"(expected {', '.join(sorted(expected))})")
+        legal = f" (expected {', '.join(sorted(expected))})" if expected else ""
+        super().__init__(f"{message} at byte {offset}{legal}")
         self.offset = offset
         self.expected = expected
 
@@ -229,9 +229,13 @@ class _Parser:
 
 
 def parse(text: str) -> Formula:
-    """Parse a formula; empty input and trailing garbage are errors."""
+    """Parse a formula; empty input, trailing garbage and nesting deeper
+    than the interpreter's recursion limit are errors."""
     parser = _Parser(_tokenize(text))
-    result = parser.expr()
+    try:
+        result = parser.expr()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", 0, frozenset()) from None
     if parser.peek().kind != "END":
         raise parser.fail(frozenset({"'&'", "'^'", "'|'", "end of input"}))
     return result

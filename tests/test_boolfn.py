@@ -6,7 +6,7 @@ import random
 import pytest
 
 from jagg.boolfn import (BoolFn, FnClass, all_tables, classify,
-                         classify_on_relevant, compose, format_fn_spec,
+                         classify_on_relevant, compose, format_fn_spec, minterms,
                          parse_fn_spec, relevant_tables, set_bits, variable_mask)
 from jagg.config import Config, BudgetError
 from jagg.formula import parse
@@ -294,6 +294,37 @@ def test_relevant_tables_match_is_relevant():
         assert mask.bit_count() == count
         assert mask == sum(1 << f.table for f in all_tables(n)
                            if all(f.is_relevant(i) for i in range(n)))
+
+
+def test_minterms_partition_the_points():
+    rng = random.Random(8)
+    for width in (1, 7, 64, 300):
+        full = (1 << width) - 1
+        for count in range(1, 5):
+            tables = [rng.getrandbits(width) for _ in range(count)]
+            entries = minterms(tables, width)
+            assert len(entries) == 1 << count
+            union = 0
+            for x, entry in enumerate(entries):
+                assert entry & union == 0
+                union |= entry
+                # entry x is where table i reads bit i of x
+                for i, table in enumerate(tables):
+                    assert entry & table == (entry if x >> i & 1 else 0)
+            assert union == full
+
+
+def test_minterms_or_equals_compose():
+    rng = random.Random(9)
+    width = 200
+    for n in range(4):
+        args = [rng.getrandbits(width) for _ in range(n)]
+        entries = minterms(args, width)
+        for f in all_tables(n):
+            joined = 0
+            for x in set_bits(f.table):
+                joined |= entries[x]
+            assert joined == compose(f, args, width)
 
 
 def test_compose():

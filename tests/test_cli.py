@@ -210,6 +210,17 @@ def test_usage_errors_exit_2(capsys):
         assert code == 2, argv
 
 
+def test_deeply_nested_agenda_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.agenda"
+    path.write_text("(" * 300 + "P" + ")" * 300 + "\nQ\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["agenda", "check", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "jagg: line 1: formula nested too deeply at byte 0\n"
+
+
 def test_budget_errors_exit_2(capsys):
     code, _ = run(capsys, "enumerate-pairs", "-m", "2", "-n", "4")
     assert code == 2

@@ -93,6 +93,13 @@ def test_parse_nesting_depth():
     assert proc.stdout == "P\n"
 
 
+def test_parse_too_deep_is_a_parse_error():
+    for text in ("(" * 300 + "P" + ")" * 300, "!" * 3000 + "P"):
+        with pytest.raises(ParseError, match="nested too deeply") as exc:
+            parse(text)
+        assert exc.value.offset == 0
+
+
 def test_print_minimal_parens():
     cases = [
         (And(Not(P), Q), "!P & Q"),

@@ -4,12 +4,14 @@ import itertools
 
 import pytest
 
-from jagg.boolfn import BoolFn, all_tables, compose, format_fn_spec, parse_fn_spec
+from jagg.boolfn import (BoolFn, all_tables, compose, format_fn_spec, parse_fn_spec,
+                         relevant_tables, set_bits, variable_mask)
 from jagg.config import BudgetError, Config
 import jagg.normalpair as normalpair
 from jagg.normalpair import (check_normal_pair, classify_pair,
                              enumerate_normal_pairs)
 
+RAISED = Config(enumeration_budget=1 << 62)
 IDENTITY = BoolFn(1, 0b10)
 NEGATION = BoolFn(1, 0b01)
 
@@ -47,6 +49,27 @@ def loop_enumerate_normal_pairs(m, n):
                         for i in range(m)] for f in fs}
     return [(g, f) for g in gs for f in fs
             if compose(f, g_cols[g.table], width) == compose(g, f_rows[f.table], width)]
+
+
+def column_sweep_enumerate_normal_pairs(m, n):
+    """The candidate-table sweep the matrix-outer sweep replaced: fix each
+    all-relevant g, and sweep every f table at once over the matrices in
+    ascending order, composing g onto the columns of the row points."""
+    points = 1 << n
+    col = [variable_mask(x, points) for x in range(points)]
+    matrices = [[matrix >> (i * n) & (points - 1) for i in range(m)]
+                for matrix in range(1 << (m * n))]
+    pairs = []
+    for gt in set_bits(relevant_tables(m)):
+        g = BoolFn(m, gt)
+        alive = relevant_tables(n)
+        for rows in matrices:
+            a = compose(g, rows, n)
+            alive &= ~(col[a] ^ compose(g, [col[r] for r in rows], 1 << points))
+            if not alive:
+                break
+        pairs.extend((g, BoolFn(n, ft)) for ft in set_bits(alive))
+    return pairs
 
 
 def test_check_matches_brute_force_at_2x2():
@@ -187,6 +210,32 @@ def test_enumeration_is_sorted_by_tables():
 def test_sweep_matches_pair_by_pair_loop():
     for m, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
         assert enumerate_normal_pairs(m, n) == loop_enumerate_normal_pairs(m, n)
+
+
+def test_sweep_matches_column_sweep():
+    for m, n in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4)):
+        assert (enumerate_normal_pairs(m, n, config=RAISED)
+                == column_sweep_enumerate_normal_pairs(m, n))
+
+
+def test_matrix_order_does_not_change_the_pairs(monkeypatch):
+    expected = enumerate_normal_pairs(3, 3)
+    for step in (1, 3, (1 << 9) - 1):
+        monkeypatch.setattr(normalpair, "_MATRIX_STEP", step)
+        assert enumerate_normal_pairs(3, 3) == expected
+
+
+def test_transposition():
+    # (g, f) is normal at (m, n) iff (f, g) is normal at (n, m)
+    for m, n in ((2, 3), (2, 4)):
+        pairs = {(g.table, f.table) for g, f in enumerate_normal_pairs(m, n, config=RAISED)}
+        swapped = {(f.table, g.table) for g, f in enumerate_normal_pairs(n, m, config=RAISED)}
+        assert pairs == swapped
+
+
+def test_flip_duality():
+    pairs = {(g, f) for g, f in enumerate_normal_pairs(3, 3)}
+    assert {(g.flip(), f.flip()) for g, f in pairs} == pairs
 
 
 def test_enumeration_budget():
