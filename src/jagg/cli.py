@@ -60,10 +60,12 @@ def cmd_fourier(args, config: Config) -> int:
         sys.stdout.write(_dump({"spec": format_fn_spec(f), "arity": f.n,
                                 "coefficients": coeffs}))
     else:
-        print(f"spectrum of {args.fn} (arity {f.n})")
-        for R, c in enumerate(sp.coeffs):
-            subset = "{" + ",".join(str(i) for i in range(f.n) if R >> i & 1) + "}"
-            print(f"  {subset:12s} {c}")
+        labels = [""]   # the inputs of subset R, by doubling over the inputs
+        for i in range(f.n):
+            labels += [f"{label},{i}" if label else str(i) for label in labels]
+        lines = [f"spectrum of {args.fn} (arity {f.n})\n"]
+        lines += [f"  {'{' + label + '}':12s} {c}\n" for label, c in zip(labels, sp.coeffs)]
+        sys.stdout.write("".join(lines))
     return 0
 
 

@@ -3,18 +3,22 @@
 Truth values are encoded T -> +1, F -> -1.  The coefficient of a subset R of
 inputs is the average of f(x) * prod_{i in R} x_i over all points, always an
 integer multiple of 2**-n.  Spectra are computed by a packed-lane integer
-Walsh-Hadamard transform and kept as integer numerators over 2**n;
-``Dyadic`` values are made only at the API and JSON boundary.  Nothing here
-uses floats.
+Walsh-Hadamard transform over cache-sized chunks, with the first three
+stages read from a per-byte table, and kept as integer numerators over
+2**n; ``Dyadic`` values are made only at the API and JSON boundary.
+Nothing here uses floats.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from itertools import repeat
+from operator import mul
+from typing import Callable, Iterable, Sequence
 
 from .boolfn import BoolFn, repeat_bits
 
@@ -128,18 +132,27 @@ ZERO = Dyadic(0, 0)
 ONE = Dyadic(1, 0)
 
 
-# --- packed-lane Walsh-Hadamard kernel ----------------------------------------
+# --- chunked Walsh-Hadamard kernel --------------------------------------------
 #
-# A vector of 2**n integers is held in one int as 2**n lanes of ``width``
-# bits, lane k at bits [k*width, (k+1)*width).  Inside the transform each lane
-# stores its value plus the bias 2**(width-1), so it is never negative and a
-# butterfly stage is a few big-int operations on the whole vector.  Every
-# value a stage makes is a signed sum of input values, so no lane can wrap
-# while the sum of the inputs' absolute values stays below the bias.
+# A vector of 2**n integers is held as 2**n little-endian lanes of ``width``
+# bits in one byte string, lane k at bits [k*width, (k+1)*width).  The
+# transform reads it as chunks of at most _CHUNK_BITS bits, one int each.
+# Inside the transform each lane stores its value plus the bias
+# 2**(width-1), so it is never negative and chunks add lane by lane.  A
+# butterfly stage whose lane pairs lie inside a chunk is one update of a few
+# big-int operations on the chunk, and a chunk runs all such stages while it
+# is in cache; a stage whose pairs are whole chunks adds and subtracts chunk
+# ints.  Every value a stage makes is a signed sum of input values, so no
+# lane can wrap while the sum of the inputs' absolute values stays below the
+# bias.
+#
+# The first three stages pair points inside one byte of a truth table, so a
+# table per byte value (``_byte_plan``) does them for ``spectrum`` and reads
+# them back for ``reconstruct``.
 
 _ARRAY_CODES = {array(code).itemsize * 8: code for code in "hilq"}
-_SMALL_BITS = 1 << 12   # vectors up to this many bits keep their masks cached
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")   # 0/1 bytes -> binary digits
+_CHUNK_BITS = 1 << 16   # 8 KB; 2**12 to 2**18 bits time alike at arities 16 and 17
+_BYTE_STAGES = 3        # the stages inside one byte of a truth table
 
 
 def _lane_width(bound: int) -> int:
@@ -150,74 +163,77 @@ def _lane_width(bound: int) -> int:
     return width
 
 
-def _stage_masks(total: int, width: int, lane_bias: int) -> Iterator[tuple[int, int, int]]:
-    """(shift, keep, bias) for each butterfly stage, one stage at a time.
+@lru_cache(maxsize=None)   # keys: chunk sizes up to _CHUNK_BITS, widths, skip 0 or 3
+def _chunk_plan(bits: int, width: int, skip: int
+                ) -> tuple[int, tuple[tuple[int, int, int], ...], int]:
+    """Lane bias, in-chunk stages and first chunk span for ``bits``-bit chunks.
 
+    The bias is 2**(width-1) in every lane.  Each stage from the ``skip``-th
+    on whose lane pairs lie inside a chunk gives (shift, keep, carry):
     ``keep`` covers the lanes whose index has the stage's bit clear, and
-    ``bias`` is ``lane_bias`` (2**(width-1) in every lane) on those lanes.
+    ``carry`` is ``(bias << shift) - bias`` for the lane bias on those lanes.
+    The later stages pair whole chunks, the first one chunks ``span`` apart.
     """
-    shift = width
-    while shift < total:
-        keep = repeat_bits((1 << shift) - 1, shift << 1, total)
-        yield shift, keep, keep & lane_bias
+    lane_bias = repeat_bits(1 << (width - 1), width, bits)
+    stages = []
+    shift = width << skip
+    while shift < bits:
+        keep = repeat_bits((1 << shift) - 1, shift << 1, bits)
+        bias = keep & lane_bias
+        stages.append((shift, keep, (bias << shift) - bias))
         shift <<= 1
+    return lane_bias, tuple(stages), shift // bits
 
 
-@lru_cache(maxsize=None)   # keys are bounded: total <= _SMALL_BITS
-def _small_masks(total: int, width: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    lane_bias = repeat_bits(1 << (width - 1), width, total)
-    return lane_bias, tuple(_stage_masks(total, width, lane_bias))
-
-
-def _transform(x: int, npts: int, width: int, inverse: bool) -> int:
-    """Walsh-Hadamard butterflies over two's-complement lanes.
+def _transform(raw: bytes, width: int, inverse: bool, skip: int) -> bytes:
+    """Walsh-Hadamard butterflies over the two's-complement lanes of ``raw``,
+    all stages but the first ``skip``.
 
     Forward, a stage maps the lane pair (without, with) the stage's input
     to (with + without, with - without); inverse, to (without - with,
-    without + with).
+    without + with), which undoes the forward stage times 2.
     """
-    total = npts * width
-    if total <= _SMALL_BITS:
-        lane_bias, stages = _small_masks(total, width)
-    else:
-        # a mask is as large as the vector here, so none outlives its stage
-        lane_bias = repeat_bits(1 << (width - 1), width, total)
-        stages = _stage_masks(total, width, lane_bias)
-    x ^= lane_bias   # two's complement -> biased
-    for shift, keep, bias in stages:
-        lo = x & keep
-        hi = (x >> shift) & keep
-        if inverse:
-            x = (lo - hi + bias) | ((lo + hi - bias) << shift)
-        else:
-            x = (hi + lo - bias) | ((hi - lo + bias) << shift)
-    return x ^ lane_bias
+    size = len(raw)
+    step = size if size <= _CHUNK_BITS // 8 else max(_CHUNK_BITS, width) // 8
+    lane_bias, stages, span = _chunk_plan(step * 8, width, skip)
+    chunks = []
+    for start in range(0, size, step):
+        x = int.from_bytes(raw[start:start + step], "little") ^ lane_bias
+        for shift, keep, carry in stages:
+            # with x = lo + (hi << shift), the forward stage adds
+            # (hi - bias) - ((lo - bias) << shift); the inverse subtracts it
+            delta = ((x >> shift) & keep) - ((x & keep) << shift) + carry
+            x = x - delta if inverse else x + delta
+        chunks.append(x)
+    count = len(chunks)
+    while span < count:
+        for base in range(0, count, span << 1):
+            for k in range(base, base + span):
+                lo, hi = chunks[k], chunks[k + span]
+                if inverse:
+                    chunks[k], chunks[k + span] = lo - hi + lane_bias, lo + hi - lane_bias
+                else:
+                    chunks[k], chunks[k + span] = hi + lo - lane_bias, hi - lo + lane_bias
+        span <<= 1
+    if count == 1:   # one chunk, as at arity 4: no list to join
+        return (x ^ lane_bias).to_bytes(step, "little")
+    return b"".join([(x ^ lane_bias).to_bytes(step, "little") for x in chunks])
 
 
-@lru_cache(maxsize=None)
-def _sign_lanes(width: int) -> tuple[bytes, ...]:
-    """For each byte of a truth table, its 8 points as +/-1 lanes."""
-    lane = [v.to_bytes(width // 8, "little", signed=True) for v in (-1, 1)]
-    return tuple(b"".join(lane[byte >> k & 1] for k in range(8)) for byte in range(256))
-
-
-def _pack(values: Sequence[int], width: int) -> int:
-    """Values as two's-complement lanes of one int."""
+def _pack(values: Sequence[int], width: int) -> bytes:
+    """Values as two's-complement lanes."""
     code = _ARRAY_CODES.get(width)
     if code is None:
         size = width // 8
-        raw = b"".join(v.to_bytes(size, "little", signed=True) for v in values)
-    else:
-        lanes = array(code, values)
-        if sys.byteorder == "big":
-            lanes.byteswap()
-        raw = lanes.tobytes()
-    return int.from_bytes(raw, "little")
+        return b"".join(v.to_bytes(size, "little", signed=True) for v in values)
+    lanes = array(code, values)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes.tobytes()
 
 
-def _unpack(x: int, npts: int, width: int) -> Sequence[int]:
-    """The ``npts`` two's-complement lanes of ``x`` as ints."""
-    raw = x.to_bytes(npts * width // 8, "little")
+def _unpack(raw: bytes, width: int) -> Sequence[int]:
+    """The two's-complement lanes of ``raw`` as ints."""
     code = _ARRAY_CODES.get(width)
     if code is None:
         size = width // 8
@@ -227,6 +243,34 @@ def _unpack(x: int, npts: int, width: int) -> Sequence[int]:
     if sys.byteorder == "big":
         lanes.byteswap()
     return lanes
+
+
+@lru_cache(maxsize=None)   # keys: arities up to the arity cap, lane widths
+def _byte_plan(n: int, width: int) -> tuple[tuple[bytes, ...], dict[bytes, int],
+                                            Callable[[bytes], list[bytes]]]:
+    """Forward entries, their reverse map and a lane splitter for the bytes
+    of an arity-n truth table.
+
+    The entry of byte value b is b's points (all 2**n of them below arity 3)
+    as +/-1 lanes after the first min(n, 3) forward stages.  The map takes
+    each entry times 2**(n-3) back to b: that is what the remaining inverse
+    stages leave in a byte's lanes when the spectrum is Boolean, since each
+    inverse stage undoes its forward stage times 2.  The map is empty when
+    2**n does not fit a lane, as no Boolean spectrum has lanes that narrow.
+    The splitter cuts a vector into one byte string per table byte.
+    """
+    points = min(1 << n, 8)
+    scale = n - min(n, _BYTE_STAGES)
+    lane = [v.to_bytes(width // 8, "little", signed=True) for v in (-1, 1)]
+    forward, back = [], {}
+    for byte in range(1 << points):
+        signs = b"".join(lane[byte >> k & 1] for k in range(points))
+        entry = _transform(signs, width, False, 0)
+        forward.append(entry)
+        if n < width - 1:
+            back[_pack([v << scale for v in _unpack(entry, width)], width)] = byte
+    split = re.compile(b".{%d}" % (points * width // 8), re.DOTALL).findall
+    return tuple(forward), back, split
 
 
 # --- spectra ------------------------------------------------------------------
@@ -243,6 +287,8 @@ class FourierSpectrum:
     nums: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"arity must be non-negative, got {self.n}")
         if len(self.nums) != 1 << self.n:
             raise ValueError(f"expected {1 << self.n} coefficients, got {len(self.nums)}")
 
@@ -253,6 +299,8 @@ class FourierSpectrum:
 
     def __getitem__(self, subset: int) -> Dyadic:
         """Coefficient of the subset given as an n-bit index mask."""
+        if not 0 <= subset < len(self.nums):
+            raise ValueError(f"subset mask {subset} out of range for arity {self.n}")
         return Dyadic.make(self.nums[subset], self.n)
 
     def coefficient(self, subset: Iterable[int]) -> Dyadic:
@@ -266,7 +314,7 @@ class FourierSpectrum:
 
     def parseval_sum(self) -> Dyadic:
         """Sum of squared coefficients; exactly 1 for any Boolean function."""
-        return Dyadic.make(sum(v * v for v in self.nums), 2 * self.n)
+        return Dyadic.make(sum(map(mul, self.nums, self.nums)), 2 * self.n)
 
     def support(self) -> tuple[int, ...]:
         """Subset masks with non-zero coefficient, ascending."""
@@ -274,43 +322,44 @@ class FourierSpectrum:
 
 
 def spectrum(f: BoolFn) -> FourierSpectrum:
-    """Exact spectrum by the packed-lane integer transform, O(n * 2**n) bit work.
+    """Exact spectrum by the chunked packed-lane transform, O(n * 2**n) bit work.
 
-    The table's +/-1 values are packed into one int of 16- or 32-bit lanes,
-    each of the n butterfly stages is a few big-int operations on it, and the
-    result is unpacked as numerators over 2**n.
+    Each byte of the table becomes its entry in the byte plan, 8 lanes of
+    16 or 32 bits already through the first three butterfly stages; the
+    transform runs the rest, and the lanes are read as numerators over 2**n.
     """
     npts = f.points
     width = _lane_width(npts)
-    signs = _sign_lanes(width)
-    raw = b"".join(map(signs.__getitem__, f.table.to_bytes((npts + 7) // 8, "little")))
-    x = int.from_bytes(raw[:npts * width // 8], "little")
-    return FourierSpectrum(f.n, tuple(_unpack(_transform(x, npts, width, False), npts, width)))
+    forward, _, _ = _byte_plan(f.n, width)
+    raw = b"".join(map(forward.__getitem__, f.table.to_bytes((npts + 7) // 8, "little")))
+    raw = _transform(raw, width, False, _BYTE_STAGES)
+    return FourierSpectrum(f.n, tuple(_unpack(raw, width)))
 
 
 def reconstruct(spec: FourierSpectrum) -> BoolFn:
     """Inverse transform; errors if the coefficients are not a Boolean function.
 
-    A Boolean function has every value +/-1, so every lane of the inverse
-    transform holds +/-2**n; the test and the table both come from the
-    lanes' sign bits.
+    All inverse stages but the first three run; for a Boolean function each
+    byte's lanes are then 2**(n-3) times its byte-plan entry, so one lookup
+    per byte both tests the lanes and decodes the table byte.  Only when a
+    lookup misses does the full inverse run, to name the first bad point.
     """
-    npts, nums = 1 << spec.n, spec.nums
+    n, nums = spec.n, spec.nums
     width = _lane_width(sum(map(abs, nums)))
-    total = npts * width
-    x = _transform(_pack(nums, width), npts, width, True)
-    ones = repeat_bits(1, width, total)
-    neg = (x >> (width - 1)) & ones   # 1 in each lane whose sign bit is set
-    # each lane must hold 2**n, or -2**n (2**width - 2**n) where negative
-    if x != ones * npts + neg * ((1 << width) - 2 * npts):
-        p, v = next((p, v) for p, v in enumerate(_unpack(x, npts, width))
-                    if v != npts and v != -npts)
+    packed = _pack(nums, width)
+    _, back, split = _byte_plan(n, width)
+    groups = split(_transform(packed, width, True, _BYTE_STAGES))
+    try:
+        # a miss gives 256, which bytes() rejects
+        table = bytes(map(back.get, groups, repeat(256)))
+    except ValueError:
+        npts = 1 << n
+        values = _unpack(_transform(packed, width, True, 0), width)
+        p, v = next((p, v) for p, v in enumerate(values) if v != npts and v != -npts)
         exp = max(c.exp for c in spec.coeffs)
         raise ValueError(f"coefficients do not describe a Boolean function "
-                         f"(value {v >> (spec.n - exp)}/2**{exp} at point {p})")
-    # one byte per lane, 1 where the value is +2**n, read as binary digits
-    digits = (neg ^ ones).to_bytes(total // 8, "little")[::width // 8].translate(_DIGITS)
-    return BoolFn(spec.n, int(digits[::-1], 2))
+                         f"(value {v >> (n - exp)}/2**{exp} at point {p})") from None
+    return BoolFn(n, int.from_bytes(table, "little"))
 
 
 # --- composition-coefficient identities -------------------------------------

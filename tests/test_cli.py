@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import jagg
+from jagg.boolfn import parse_fn_spec
 from jagg.cli import main
+from jagg.fourier import spectrum
 
 HERE = Path(__file__).parent
 DATA = HERE / "data"
@@ -43,6 +46,21 @@ def test_fourier_text(capsys):
     code, out = run(capsys, "fourier", "and:2")
     assert code == 0
     assert "-1/2^1" in out and "{0,1}" in out
+
+
+def test_fourier_text_matches_print_loop(capsys):
+    # the reference is the former output loop: one print per subset
+    rng = random.Random(60)
+    for n in range(7):
+        fn = f"tt:{n}:{rng.getrandbits(1 << n):x}"
+        sp = spectrum(parse_fn_spec(fn))
+        lines = [f"spectrum of {fn} (arity {n})"]
+        for R, c in enumerate(sp.coeffs):
+            subset = "{" + ",".join(str(i) for i in range(n) if R >> i & 1) + "}"
+            lines.append(f"  {subset:12s} {c}")
+        code, out = run(capsys, "fourier", fn)
+        assert code == 0
+        assert out == "".join(line + "\n" for line in lines)
 
 
 def test_schema_field_everywhere(capsys):

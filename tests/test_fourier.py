@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from jagg.boolfn import BoolFn, all_tables, compose
-from jagg.fourier import (Dyadic, FourierSpectrum, ONE, ZERO,
-                          cell_subset_identity, rectangle_identity,
+from jagg.boolfn import BoolFn, all_tables, compose, repeat_bits
+from jagg.fourier import (_CHUNK_BITS, Dyadic, FourierSpectrum, ONE, ZERO,
+                          _lane_width, cell_subset_identity, rectangle_identity,
                           reconstruct, spectrum)
 
 
@@ -54,7 +54,53 @@ def spectrum_of(n: int, coeffs: list[Fraction]) -> FourierSpectrum:
     return FourierSpectrum(n, tuple(int(c * (1 << n)) for c in coeffs))
 
 
-RANDOM_ARITIES = (5, 8, 12, 16)
+def one_int_reconstruct(spec: FourierSpectrum) -> BoolFn:
+    """``reconstruct`` by the one-int kernel the chunked one replaced: every
+    inverse stage on the whole vector as one int, with masks as large as the
+    vector, then a test and decode from the lanes' sign bits.  The reference
+    the chunked kernel and its byte-table decode must equal, errors included."""
+    npts, nums = 1 << spec.n, spec.nums
+    width = 16
+    while sum(map(abs, nums)) >= 1 << (width - 1):
+        width <<= 1
+    total, size = npts * width, width // 8
+    x = int.from_bytes(b"".join(v.to_bytes(size, "little", signed=True) for v in nums),
+                       "little")
+    lane_bias = repeat_bits(1 << (width - 1), width, total)
+    x ^= lane_bias
+    shift = width
+    while shift < total:
+        keep = repeat_bits((1 << shift) - 1, shift << 1, total)
+        bias = keep & lane_bias
+        lo, hi = x & keep, (x >> shift) & keep
+        x = (lo - hi + bias) | ((lo + hi - bias) << shift)
+        shift <<= 1
+    x ^= lane_bias
+    ones = repeat_bits(1, width, total)
+    neg = (x >> (width - 1)) & ones   # 1 in each lane whose sign bit is set
+    if x != ones * npts + neg * ((1 << width) - 2 * npts):
+        raw = x.to_bytes(total // 8, "little")
+        values = (int.from_bytes(raw[i:i + size], "little", signed=True)
+                  for i in range(0, len(raw), size))
+        p, v = next((p, v) for p, v in enumerate(values) if v != npts and v != -npts)
+        exp = max(c.exp for c in spec.coeffs)
+        raise ValueError(f"coefficients do not describe a Boolean function "
+                         f"(value {v >> (spec.n - exp)}/2**{exp} at point {p})")
+    # one byte per lane, 1 where the value is +2**n, read as binary digits
+    digits = (neg ^ ones).to_bytes(total // 8, "little")[::size]
+    digits = digits.translate(bytes.maketrans(b"\x00\x01", b"01"))
+    return BoolFn(spec.n, int(digits[::-1], 2))
+
+
+def reconstruct_outcome(rebuild, spec: FourierSpectrum) -> "BoolFn | str":
+    """The function ``rebuild`` makes from ``spec``, or its error text."""
+    try:
+        return rebuild(spec)
+    except ValueError as exc:
+        return str(exc)
+
+
+RANDOM_ARITIES = (5, 8, 11, 12, 13, 15, 16)
 
 
 # --- Dyadic -----------------------------------------------------------------
@@ -136,6 +182,10 @@ def test_spectrum_matches_definition_at_random_arities():
                    + [rng.getrandbits(n) for _ in range(5)])
         for subset in subsets:
             assert as_fraction(sp[subset]) == oracle_coeff(f, subset)
+    # arity 4 is where the byte table meets the first packed stage
+    for table in random.Random(4096).sample(range(1 << 16), 4096):
+        f = BoolFn(4, table)
+        assert spectrum(f).nums == tuple(loop_spectrum(f))
 
 
 def test_closed_forms():
@@ -184,6 +234,20 @@ def test_coefficient_by_indices():
         sp.coefficient([3])
 
 
+def test_subset_mask_out_of_range():
+    sp = spectrum(BoolFn.and_(2))
+    for mask in (-1, -4, 4, 1 << 10):
+        with pytest.raises(ValueError) as err:
+            sp[mask]
+        assert str(err.value) == f"subset mask {mask} out of range for arity 2"
+
+
+def test_spectrum_rejects_negative_arity():
+    with pytest.raises(ValueError) as err:
+        FourierSpectrum(-1, ())
+    assert str(err.value) == "arity must be non-negative, got -1"
+
+
 def test_reconstruct_roundtrip():
     for n in (1, 2, 3):
         for f in all_tables(n):
@@ -193,6 +257,40 @@ def test_reconstruct_roundtrip():
         for table in (rng.getrandbits(1 << n), 0, (1 << (1 << n)) - 1):
             f = BoolFn(n, table)
             assert reconstruct(spectrum(f)) == f
+
+
+def test_reconstruct_matches_one_int_kernel():
+    specs = []
+    for n in (0, 1, 2, 3):
+        for f in all_tables(n):
+            nums = spectrum(f).nums
+            specs.append(FourierSpectrum(n, nums))
+            specs += [FourierSpectrum(n, nums[:r] + (nums[r] + 1,) + nums[r + 1:])
+                      for r in range(len(nums))]
+    rng = random.Random(1115)
+    specs += [spectrum(BoolFn(n, rng.getrandbits(1 << n))) for n in range(11, 16)]
+    # all zero: the narrowest lanes, too narrow to hold the value 2**15 at all
+    specs.append(FourierSpectrum(15, (0,) * (1 << 15)))
+    for spec in specs:
+        assert (reconstruct_outcome(reconstruct, spec)
+                == reconstruct_outcome(one_int_reconstruct, spec))
+
+
+def test_reconstruct_names_bad_point_in_second_chunk():
+    # a dictator's spectrum with the value at point p taken to 0: 16-bit
+    # lanes, so the 2**13 points fill two chunks and p lies in the second
+    n, p = 13, 5000
+    nums = list(spectrum(BoolFn.dictator(n, 0)).nums)
+    value = 1 if p & 1 else -1
+    for r in range(1 << n):
+        character = -1 if bin(r & ~p).count("1") & 1 else 1
+        nums[r] -= value * character
+    spec = FourierSpectrum(n, tuple(nums))
+    assert _lane_width(sum(map(abs, nums))) << n == 2 * _CHUNK_BITS
+    message = ("coefficients do not describe a Boolean function "
+               f"(value 0/2**13 at point {p})")
+    assert reconstruct_outcome(reconstruct, spec) == message
+    assert reconstruct_outcome(one_int_reconstruct, spec) == message
 
 
 @pytest.mark.parametrize("n, coeffs, message", [
