@@ -54,9 +54,11 @@ def cmd_fourier(args, config: Config) -> int:
     f = parse_fn_spec(args.fn, config=config)
     sp = spectrum(f)
     if args.json:
-        coeffs = [{"subset": [i for i in range(f.n) if R >> i & 1],
-                   "num": c.num, "exp": c.exp}
-                  for R, c in enumerate(sp.coeffs)]
+        subsets: list[list[int]] = [[]]   # the inputs of subset R, by doubling
+        for i in range(f.n):
+            subsets += [subset + [i] for subset in subsets]
+        coeffs = [{"subset": subset, "num": c.num, "exp": c.exp}
+                  for subset, c in zip(subsets, sp.coeffs)]
         sys.stdout.write(_dump({"spec": format_fn_spec(f), "arity": f.n,
                                 "coefficients": coeffs}))
     else:

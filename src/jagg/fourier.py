@@ -12,8 +12,7 @@ Nothing here uses floats.
 from __future__ import annotations
 
 import re
-import sys
-from array import array
+import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -41,11 +40,20 @@ class Dyadic:
 
     @classmethod
     def make(cls, num: int, exp: int = 0) -> "Dyadic":
-        """Canonicalise num / 2**exp."""
+        """Canonicalise num / 2**exp.
+
+        The result is canonical by construction, so its slots are set
+        directly rather than checked again by ``__post_init__``.
+        """
         if num == 0:
-            return cls(0, 0)
-        shift = min((num & -num).bit_length() - 1, max(exp, 0))
-        return cls(num >> shift, exp - shift)
+            return ZERO
+        if exp < 0:
+            raise ValueError("exponent must be non-negative")
+        shift = min((num & -num).bit_length() - 1, exp)
+        value = object.__new__(cls)
+        _set_num(value, num >> shift)
+        _set_exp(value, exp - shift)
+        return value
 
     @staticmethod
     def _coerce(value: "Dyadic | int") -> "Dyadic":
@@ -128,6 +136,8 @@ class Dyadic:
         return str(self.num) if self.exp == 0 else f"{self.num}/2^{self.exp}"
 
 
+_set_num = Dyadic.num.__set__   # the slot descriptors, past the frozen __setattr__
+_set_exp = Dyadic.exp.__set__
 ZERO = Dyadic(0, 0)
 ONE = Dyadic(1, 0)
 
@@ -135,22 +145,33 @@ ONE = Dyadic(1, 0)
 # --- chunked Walsh-Hadamard kernel --------------------------------------------
 #
 # A vector of 2**n integers is held as 2**n little-endian lanes of ``width``
-# bits in one byte string, lane k at bits [k*width, (k+1)*width).  The
-# transform reads it as chunks of at most _CHUNK_BITS bits, one int each.
-# Inside the transform each lane stores its value plus the bias
-# 2**(width-1), so it is never negative and chunks add lane by lane.  A
-# butterfly stage whose lane pairs lie inside a chunk is one update of a few
-# big-int operations on the chunk, and a chunk runs all such stages while it
-# is in cache; a stage whose pairs are whole chunks adds and subtracts chunk
-# ints.  Every value a stage makes is a signed sum of input values, so no
-# lane can wrap while the sum of the inputs' absolute values stays below the
-# bias.
+# bits in one byte string, lane k at bits [k*width, (k+1)*width).  Lanes of
+# 16, 32 or 64 bits go to and from ints through one cached ``struct`` format
+# per lane count and width.  The transform reads the vector as chunks of at
+# most _CHUNK_BITS bits, one int each.  Inside the transform each lane
+# stores its value plus the bias 2**(width-1), so it is never negative and
+# chunks add lane by lane.  A butterfly stage whose lane pairs lie inside a
+# chunk is one update of a few big-int operations on the chunk, and a chunk
+# runs all such stages while it is in cache; a stage whose pairs are whole
+# chunks adds and subtracts chunk ints.  Every value a stage makes is a
+# signed sum of input values, so no lane can wrap while the sum of the
+# inputs' absolute values stays below the bias.  One cached plan per vector
+# size, width and skip holds a transform's chunk size, masks and chunk
+# starts, so a call does no size arithmetic.
 #
 # The first three stages pair points inside one byte of a truth table, so a
 # table per byte value (``_byte_plan``) does them for ``spectrum`` and reads
 # them back for ``reconstruct``.
+#
+# ``spectrum`` leaves its lanes on the spectrum, at the forward width that
+# holds +/-2**n, and ``reconstruct`` runs the inverse on them.  That width
+# holds every inverse value: the inverse stages commute, and each undoes its
+# forward stage times 2, so after any set S of inverse stages a Boolean
+# spectrum's lanes are 2**|S| times the transform of the table over the
+# other n - |S| stages.  Those values are bounded by 2**(n - |S|), so every
+# lane stays within +/-2**n.
 
-_ARRAY_CODES = {array(code).itemsize * 8: code for code in "hilq"}
+_LANE_CODES = {16: "h", 32: "i", 64: "q"}   # struct codes of the fixed lane widths
 _CHUNK_BITS = 1 << 16   # 8 KB; 2**12 to 2**18 bits time alike at arities 16 and 17
 _BYTE_STAGES = 3        # the stages inside one byte of a truth table
 
@@ -163,17 +184,23 @@ def _lane_width(bound: int) -> int:
     return width
 
 
-@lru_cache(maxsize=None)   # keys: chunk sizes up to _CHUNK_BITS, widths, skip 0 or 3
-def _chunk_plan(bits: int, width: int, skip: int
-                ) -> tuple[int, tuple[tuple[int, int, int], ...], int]:
-    """Lane bias, in-chunk stages and first chunk span for ``bits``-bit chunks.
+@lru_cache(maxsize=None)   # keys: vector sizes, lane widths, skip 0 or 3
+def _chunk_plan(size: int, width: int, skip: int
+                ) -> tuple[int, int, tuple[tuple[int, int, int], ...], int, range]:
+    """Chunk size, lane bias, in-chunk stages, first chunk span and chunk
+    starts for a ``size``-byte vector of ``width``-bit lanes.
 
-    The bias is 2**(width-1) in every lane.  Each stage from the ``skip``-th
-    on whose lane pairs lie inside a chunk gives (shift, keep, carry):
-    ``keep`` covers the lanes whose index has the stage's bit clear, and
-    ``carry`` is ``(bias << shift) - bias`` for the lane bias on those lanes.
-    The later stages pair whole chunks, the first one chunks ``span`` apart.
+    Chunks are ``step`` bytes: the whole vector if it fits _CHUNK_BITS, else
+    _CHUNK_BITS or one lane, whichever is wider.  The bias is 2**(width-1)
+    in every lane of a chunk.  Each stage from the ``skip``-th on whose lane
+    pairs lie inside a chunk gives (shift, keep, carry): ``keep`` covers the
+    lanes whose index has the stage's bit clear, and ``carry`` is
+    ``(bias << shift) - bias`` for the lane bias on those lanes.  The later
+    stages pair whole chunks, the first one chunks ``span`` apart; ``span``
+    is 0 when the vector is one chunk.
     """
+    step = size if size <= _CHUNK_BITS // 8 else max(_CHUNK_BITS, width) // 8
+    bits = step * 8
     lane_bias = repeat_bits(1 << (width - 1), width, bits)
     stages = []
     shift = width << skip
@@ -182,7 +209,8 @@ def _chunk_plan(bits: int, width: int, skip: int
         bias = keep & lane_bias
         stages.append((shift, keep, (bias << shift) - bias))
         shift <<= 1
-    return lane_bias, tuple(stages), shift // bits
+    span = shift // bits if step < size else 0
+    return step, lane_bias, tuple(stages), span, range(0, size, step)
 
 
 def _transform(raw: bytes, width: int, inverse: bool, skip: int) -> bytes:
@@ -193,56 +221,58 @@ def _transform(raw: bytes, width: int, inverse: bool, skip: int) -> bytes:
     to (with + without, with - without); inverse, to (without - with,
     without + with), which undoes the forward stage times 2.
     """
-    size = len(raw)
-    step = size if size <= _CHUNK_BITS // 8 else max(_CHUNK_BITS, width) // 8
-    lane_bias, stages, span = _chunk_plan(step * 8, width, skip)
+    step, lane_bias, stages, span, starts = _chunk_plan(len(raw), width, skip)
     chunks = []
-    for start in range(0, size, step):
+    for start in starts:
         x = int.from_bytes(raw[start:start + step], "little") ^ lane_bias
-        for shift, keep, carry in stages:
-            # with x = lo + (hi << shift), the forward stage adds
-            # (hi - bias) - ((lo - bias) << shift); the inverse subtracts it
-            delta = ((x >> shift) & keep) - ((x & keep) << shift) + carry
-            x = x - delta if inverse else x + delta
+        # with x = lo + (hi << shift), the forward stage adds
+        # (hi - bias) - ((lo - bias) << shift); the inverse subtracts it
+        if inverse:
+            for shift, keep, carry in stages:
+                x -= ((x >> shift) & keep) - ((x & keep) << shift) + carry
+        else:
+            for shift, keep, carry in stages:
+                x += ((x >> shift) & keep) - ((x & keep) << shift) + carry
+        if not span:   # one chunk, as at arity 4: nothing to pair or join
+            return (x ^ lane_bias).to_bytes(step, "little")
         chunks.append(x)
     count = len(chunks)
     while span < count:
-        for base in range(0, count, span << 1):
-            for k in range(base, base + span):
-                lo, hi = chunks[k], chunks[k + span]
-                if inverse:
-                    chunks[k], chunks[k + span] = lo - hi + lane_bias, lo + hi - lane_bias
-                else:
-                    chunks[k], chunks[k + span] = hi + lo - lane_bias, hi - lo + lane_bias
+        pairs = [(k, k + span) for base in range(0, count, span << 1)
+                 for k in range(base, base + span)]
+        if inverse:
+            for k, j in pairs:
+                lo, hi = chunks[k], chunks[j]
+                chunks[k], chunks[j] = lo - hi + lane_bias, lo + hi - lane_bias
+        else:
+            for k, j in pairs:
+                lo, hi = chunks[k], chunks[j]
+                chunks[k], chunks[j] = hi + lo - lane_bias, hi - lo + lane_bias
         span <<= 1
-    if count == 1:   # one chunk, as at arity 4: no list to join
-        return (x ^ lane_bias).to_bytes(step, "little")
     return b"".join([(x ^ lane_bias).to_bytes(step, "little") for x in chunks])
+
+
+@lru_cache(maxsize=None)   # keys: lane counts up to 2**arity, widths 16, 32 and 64
+def _lane_struct(count: int, width: int) -> struct.Struct:
+    """The codec of ``count`` little-endian two's-complement lanes."""
+    return struct.Struct(f"<{count}{_LANE_CODES[width]}")
 
 
 def _pack(values: Sequence[int], width: int) -> bytes:
     """Values as two's-complement lanes."""
-    code = _ARRAY_CODES.get(width)
-    if code is None:
+    if width > 64:
         size = width // 8
         return b"".join(v.to_bytes(size, "little", signed=True) for v in values)
-    lanes = array(code, values)
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    return lanes.tobytes()
+    return _lane_struct(len(values), width).pack(*values)
 
 
-def _unpack(raw: bytes, width: int) -> Sequence[int]:
+def _unpack(raw: bytes, width: int) -> tuple[int, ...]:
     """The two's-complement lanes of ``raw`` as ints."""
-    code = _ARRAY_CODES.get(width)
-    if code is None:
+    if width > 64:
         size = width // 8
-        return [int.from_bytes(raw[i:i + size], "little", signed=True)
-                for i in range(0, len(raw), size)]
-    lanes = array(code, raw)
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    return lanes
+        return tuple(int.from_bytes(raw[i:i + size], "little", signed=True)
+                     for i in range(0, len(raw), size))
+    return _lane_struct(len(raw) * 8 // width, width).unpack(raw)
 
 
 @lru_cache(maxsize=None)   # keys: arities up to the arity cap, lane widths
@@ -273,6 +303,14 @@ def _byte_plan(n: int, width: int) -> tuple[tuple[bytes, ...], dict[bytes, int],
     return tuple(forward), back, split
 
 
+@lru_cache(maxsize=None)   # keys: arities up to the arity cap
+def _forward_plan(n: int) -> tuple[int, int, tuple[bytes, ...]]:
+    """Lane width, table byte count and byte-plan entries of ``spectrum`` at
+    arity n; the width is the narrowest that holds +/-2**n."""
+    width = _lane_width(1 << n)
+    return width, ((1 << n) + 7) // 8, _byte_plan(n, width)[0]
+
+
 # --- spectra ------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -293,9 +331,20 @@ class FourierSpectrum:
             raise ValueError(f"expected {1 << self.n} coefficients, got {len(self.nums)}")
 
     @cached_property
+    def _lanes(self) -> tuple[int, bytes]:
+        """Lane width and the numerators packed as lanes, for ``reconstruct``.
+
+        ``spectrum`` fills this with the lanes it made; otherwise the width
+        holds the sum of the numerators' absolute values, which bounds every
+        value an inverse stage can make.
+        """
+        width = _lane_width(sum(map(abs, self.nums)))
+        return width, _pack(self.nums, width)
+
+    @cached_property
     def coeffs(self) -> tuple[Dyadic, ...]:
         """All coefficients as canonical ``Dyadic`` values."""
-        return tuple(Dyadic.make(v, self.n) for v in self.nums)
+        return tuple(map(Dyadic.make, self.nums, repeat(self.n)))
 
     def __getitem__(self, subset: int) -> Dyadic:
         """Coefficient of the subset given as an n-bit index mask."""
@@ -327,26 +376,28 @@ def spectrum(f: BoolFn) -> FourierSpectrum:
     Each byte of the table becomes its entry in the byte plan, 8 lanes of
     16 or 32 bits already through the first three butterfly stages; the
     transform runs the rest, and the lanes are read as numerators over 2**n.
+    The spectrum keeps those lanes for ``reconstruct``.
     """
-    npts = f.points
-    width = _lane_width(npts)
-    forward, _, _ = _byte_plan(f.n, width)
-    raw = b"".join(map(forward.__getitem__, f.table.to_bytes((npts + 7) // 8, "little")))
+    width, nbytes, forward = _forward_plan(f.n)
+    raw = b"".join(map(forward.__getitem__, f.table.to_bytes(nbytes, "little")))
     raw = _transform(raw, width, False, _BYTE_STAGES)
-    return FourierSpectrum(f.n, tuple(_unpack(raw, width)))
+    # valid by construction, so filled without the constructor's checks
+    spec = object.__new__(FourierSpectrum)
+    spec.__dict__.update(n=f.n, nums=_unpack(raw, width), _lanes=(width, raw))
+    return spec
 
 
 def reconstruct(spec: FourierSpectrum) -> BoolFn:
     """Inverse transform; errors if the coefficients are not a Boolean function.
 
-    All inverse stages but the first three run; for a Boolean function each
-    byte's lanes are then 2**(n-3) times its byte-plan entry, so one lookup
-    per byte both tests the lanes and decodes the table byte.  Only when a
-    lookup misses does the full inverse run, to name the first bad point.
+    All inverse stages but the first three run on the spectrum's lanes; for
+    a Boolean function each byte's lanes are then 2**(n-3) times its
+    byte-plan entry, so one lookup per byte both tests the lanes and decodes
+    the table byte.  Only when a lookup misses does the full inverse run, to
+    name the first bad point.
     """
-    n, nums = spec.n, spec.nums
-    width = _lane_width(sum(map(abs, nums)))
-    packed = _pack(nums, width)
+    n = spec.n
+    width, packed = spec._lanes
     _, back, split = _byte_plan(n, width)
     groups = split(_transform(packed, width, True, _BYTE_STAGES))
     try:

@@ -63,6 +63,22 @@ def test_fourier_text_matches_print_loop(capsys):
         assert out == "".join(line + "\n" for line in lines)
 
 
+def test_fourier_json_matches_subset_scan(capsys):
+    # the reference scans the n bits of each subset mask for its inputs
+    rng = random.Random(61)
+    for n in range(7):
+        fn = f"tt:{n}:{rng.getrandbits(1 << n):x}"
+        f = parse_fn_spec(fn)
+        coeffs = [{"subset": [i for i in range(n) if R >> i & 1],
+                   "num": c.num, "exp": c.exp}
+                  for R, c in enumerate(spectrum(f).coeffs)]
+        payload = {"schema": 1, "spec": jagg.format_fn_spec(f), "arity": n,
+                   "coefficients": coeffs}
+        code, out = run(capsys, "fourier", fn, "--json")
+        assert code == 0
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_schema_field_everywhere(capsys):
     for argv in (["fourier", "xor:2"], ["classify", "or:3"],
                  ["enumerate-pairs", "-m", "2", "-n", "2"],

@@ -5,7 +5,9 @@ with Fraction arithmetic, so the butterfly transform is tested against a
 slower second implementation rather than against itself.
 """
 
+import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -151,6 +153,21 @@ def test_dyadic_order_rejects_other_types():
         Dyadic(1, 0) > 0.5
 
 
+def test_dyadic_make_is_canonical():
+    # make sets its slots without the constructor's checks: every value it
+    # makes must pass them, and equal the fraction it was asked for
+    for num in range(-300, 301):
+        for exp in range(13):
+            d = Dyadic.make(num, exp)
+            checked = Dyadic(d.num, d.exp)
+            assert d == checked and hash(d) == hash(checked)
+            assert as_fraction(d) == Fraction(num, 1 << exp)
+    for num in (3, 4):
+        with pytest.raises(ValueError) as err:
+            Dyadic.make(num, -1)
+        assert str(err.value) == "exponent must be non-negative"
+
+
 def test_dyadic_str():
     assert str(ONE) == "1"
     assert str(Dyadic.make(-3, 2)) == "-3/2^2"
@@ -186,6 +203,17 @@ def test_spectrum_matches_definition_at_random_arities():
     for table in random.Random(4096).sample(range(1 << 16), 4096):
         f = BoolFn(4, table)
         assert spectrum(f).nums == tuple(loop_spectrum(f))
+
+
+def test_spectrum_matches_checked_construction():
+    # spectrum fills its result without the constructor's checks
+    rng = random.Random(1717)
+    for n in range(18):
+        spec = spectrum(BoolFn(n, rng.getrandbits(1 << n)))
+        checked = FourierSpectrum(n, spec.nums)
+        assert type(spec.nums) is tuple
+        assert spec == checked and hash(spec) == hash(checked)
+        assert repr(spec) == repr(checked)
 
 
 def test_closed_forms():
@@ -291,6 +319,41 @@ def test_reconstruct_names_bad_point_in_second_chunk():
                f"(value 0/2**13 at point {p})")
     assert reconstruct_outcome(reconstruct, spec) == message
     assert reconstruct_outcome(one_int_reconstruct, spec) == message
+
+
+def test_carried_lanes_match_default_lanes():
+    # spectrum's own lanes, at the width that holds 2**n, against lanes packed
+    # afresh from the numerators at the width their absolute sum needs; the
+    # seeded arities cross the chunk boundary and the 16- to 32-bit switch
+    fns = [f for n in range(4) for f in all_tables(n)]
+    rng = random.Random(1915)
+    fns += [BoolFn(n, rng.getrandbits(1 << n)) for n in RANDOM_ARITIES + (17,)]
+    for f in fns:
+        carried = spectrum(f)
+        fresh = FourierSpectrum(f.n, carried.nums)
+        assert reconstruct(carried) == f
+        assert reconstruct(fresh) == f
+        assert one_int_reconstruct(fresh) == f
+
+
+def test_replaced_spectrum_does_not_keep_lanes():
+    spec = spectrum(BoolFn.and_(3))
+    other = spectrum(BoolFn.or_(3))
+    assert reconstruct(dataclasses.replace(spec, nums=other.nums)) == BoolFn.or_(3)
+    bad = (spec.nums[0] + 1,) + spec.nums[1:]
+    with pytest.raises(ValueError) as replaced:
+        reconstruct(dataclasses.replace(spec, nums=bad))
+    with pytest.raises(ValueError) as fresh:
+        reconstruct(FourierSpectrum(3, bad))
+    assert str(replaced.value) == str(fresh.value)
+
+
+def test_pickled_spectrum_reconstructs():
+    f = BoolFn(9, random.Random(9).getrandbits(1 << 9))
+    spec = spectrum(f)
+    back = pickle.loads(pickle.dumps(spec))
+    assert back == spec and back.nums == spec.nums
+    assert reconstruct(back) == f
 
 
 @pytest.mark.parametrize("n, coeffs, message", [
