@@ -4,10 +4,20 @@ A basis lists distinct, non-degenerate formulas; the agenda it represents is
 closed under negation implicitly (negations are handled by function flips
 downstream, never stored).  Logical comparisons (duplicates, tautologies,
 determination) are decided by truth tables over the agenda's symbols.
+
+The rational judgments U, and their projections ``cons`` and
+``is_determined_by``, come from one bit-parallel split: each table is a
+column over the 2**k assignments, and the assignment set is split on each
+column in turn, in chunks of 2**16 assignments, keeping only non-empty
+cells.  Each cell left is one judgment, so a chunk takes at most |U| cells
+through each table, a few big-int operations on at most 8 KB each, in
+place of a Python step per assignment.  The worst case is an agenda of
+atoms, where |U| = 2**k.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -170,55 +180,102 @@ class RationalSet:
         return len(self.judgments)
 
     def __contains__(self, judgment: Judgment) -> bool:
-        return tuple(judgment) in set(self.judgments)
+        judgment = tuple(judgment)
+        i = bisect_left(self.judgments, judgment)
+        return i < len(self.judgments) and self.judgments[i] == judgment
 
     def witness_assignment(self, index: int) -> dict[str, bool]:
         return dict(zip(self.agenda.symbols, self.witnesses[index]))
 
 
-def rational_judgments(agenda: Agenda) -> RationalSet:
-    """Enumerate all 2**k symbol assignments and collect distinct judgments."""
-    k = len(agenda.symbols)
-    # one bit string per table, read in assignment order; '0' < '1' sorts as F < T
-    columns = [format(t.table, f"0{1 << k}b")[::-1] for t in agenda.tables]
-    first: dict[tuple[str, ...], int] = {}
-    for mask, bits in enumerate(zip(*columns)):
-        first.setdefault(bits, mask)
-    ordered = sorted(first)
-    return RationalSet(agenda, tuple(tuple(b == "1" for b in bits) for bits in ordered),
-                       tuple(tuple(bool(first[bits] >> i & 1) for i in range(k))
-                             for bits in ordered))
+_CHUNK_POINTS = 1 << 16   # assignments per chunk, so a cell int is at most 8 KB
 
 
-def cons(agenda: Agenda, positions: Iterable[int]) -> tuple[tuple[bool, ...], ...]:
-    """Distinct restrictions of the rational judgments to the given basis
-    positions (in the order given), sorted."""
+def _split(tables: Sequence[int], k: int) -> dict[int, int]:
+    """Each judgment point the ``tables`` induce over the 2**k assignments,
+    with its first inducing assignment.
+
+    A point holds one bit per table, the first table's as the most
+    significant, so sorted points are sorted judgments.  A cell is the set
+    of assignments that agree on the tables split so far: each table splits
+    a cell into its T and F parts, and only non-empty parts go on.  Chunks of at most _CHUNK_POINTS assignments are split in
+    ascending order, so the lowest assignment of the first cell that reaches
+    a point is its first witness.
+    """
+    size = 1 << k
+    step = min(size, _CHUNK_POINTS)
+    full = (1 << step) - 1
+    count = len(tables)
+    first: dict[int, int] = {}
+    for base in range(0, size, step):
+        chunk = [t >> base & full for t in tables]
+        stack = [(full, 0, 0)]   # cell, tables split, point so far
+        while stack:
+            cell, depth, point = stack.pop()
+            for d in range(depth, count):
+                hi = cell & chunk[d]
+                point <<= 1
+                if hi == cell:
+                    point |= 1
+                    continue
+                if hi:
+                    stack.append((hi, d + 1, point | 1))
+                cell ^= hi
+            if point not in first:
+                first[point] = base + (cell & -cell).bit_length() - 1
+    return first
+
+
+_IS_ONE = "1".__eq__
+
+
+def _bits(value: int, width: int) -> tuple[bool, ...]:
+    """The bits of ``value`` below 2**width, most significant first (the
+    bit set at 2**width keeps the leading zeros, and also gives ``()`` for
+    width 0)."""
+    return tuple(map(_IS_ONE, bin(value | 1 << width)[3:]))
+
+
+def _positions(agenda: Agenda, positions: Iterable[int]) -> tuple[int, ...]:
+    """``positions`` as a tuple, each checked to be a basis position."""
     pos = tuple(positions)
     for p in pos:
         if not 0 <= p < len(agenda):
             raise ValueError(f"basis position {p} out of range")
-    rs = rational_judgments(agenda)
-    return tuple(sorted({tuple(j[p] for p in pos) for j in rs.judgments}))
+    return pos
+
+
+def rational_judgments(agenda: Agenda) -> RationalSet:
+    """Split the 2**k symbol assignments on every basis table and collect the
+    distinct judgments, each with its first inducing assignment."""
+    k = len(agenda.symbols)
+    first = _split([t.table for t in agenda.tables], k)
+    points = sorted(first)
+    return RationalSet(agenda, tuple(_bits(p, len(agenda)) for p in points),
+                       tuple(_bits(first[p], k)[::-1] for p in points))
+
+
+def cons(agenda: Agenda, positions: Iterable[int]) -> tuple[tuple[bool, ...], ...]:
+    """Distinct restrictions of the rational judgments to the given basis
+    positions (in the order given), sorted; found by splitting the
+    assignments on those positions' tables alone."""
+    pos = _positions(agenda, positions)
+    first = _split([agenda.tables[p].table for p in pos], len(agenda.symbols))
+    return tuple(_bits(p, len(pos)) for p in sorted(first))
 
 
 def is_determined_by(agenda: Agenda, target: int, positions: Iterable[int]) -> bool:
     """True iff no two rational judgments agree on ``positions`` but differ
-    on the ``target`` basis position."""
+    on the ``target`` basis position: split on ``positions`` and then on the
+    ``target`` table, no two points differ only in the last bit."""
     pos = tuple(positions)
     if target in pos:
         raise ValueError("target must not be among the determining positions")
     if not 0 <= target < len(agenda):
         raise ValueError(f"basis position {target} out of range")
-    for p in pos:
-        if not 0 <= p < len(agenda):
-            raise ValueError(f"basis position {p} out of range")
-    rs = rational_judgments(agenda)
-    values: dict[tuple[bool, ...], bool] = {}
-    for j in rs.judgments:
-        key = tuple(j[p] for p in pos)
-        if values.setdefault(key, j[target]) != j[target]:
-            return False
-    return True
+    _positions(agenda, pos)
+    first = _split([agenda.tables[p].table for p in (*pos, target)], len(agenda.symbols))
+    return len({point >> 1 for point in first}) == len(first)
 
 
 def load_agenda(text: str, *, config: Config = DEFAULT) -> Agenda:

@@ -157,7 +157,8 @@ ONE = Dyadic(1, 0)
 # signed sum of input values, so no lane can wrap while the sum of the
 # inputs' absolute values stays below the bias.  One cached plan per vector
 # size, width and skip holds a transform's chunk size, masks and chunk
-# starts, so a call does no size arithmetic.
+# starts, so a call does no size arithmetic; the masks are cached per chunk
+# size, so every vector larger than one chunk shares them.
 #
 # The first three stages pair points inside one byte of a truth table, so a
 # table per byte value (``_byte_plan``) does them for ``spectrum`` and reads
@@ -184,23 +185,18 @@ def _lane_width(bound: int) -> int:
     return width
 
 
-@lru_cache(maxsize=None)   # keys: vector sizes, lane widths, skip 0 or 3
-def _chunk_plan(size: int, width: int, skip: int
-                ) -> tuple[int, int, tuple[tuple[int, int, int], ...], int, range]:
-    """Chunk size, lane bias, in-chunk stages, first chunk span and chunk
-    starts for a ``size``-byte vector of ``width``-bit lanes.
+@lru_cache(maxsize=None)   # keys: chunk bit counts, lane widths, skip 0 or 3
+def _chunk_masks(bits: int, width: int, skip: int
+                 ) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """Lane bias and in-chunk stages of a ``bits``-bit chunk of ``width``-bit
+    lanes, shared by every vector whose chunks are that size.
 
-    Chunks are ``step`` bytes: the whole vector if it fits _CHUNK_BITS, else
-    _CHUNK_BITS or one lane, whichever is wider.  The bias is 2**(width-1)
-    in every lane of a chunk.  Each stage from the ``skip``-th on whose lane
-    pairs lie inside a chunk gives (shift, keep, carry): ``keep`` covers the
-    lanes whose index has the stage's bit clear, and ``carry`` is
-    ``(bias << shift) - bias`` for the lane bias on those lanes.  The later
-    stages pair whole chunks, the first one chunks ``span`` apart; ``span``
-    is 0 when the vector is one chunk.
+    The bias is 2**(width-1) in every lane of the chunk.  Each stage from
+    the ``skip``-th on whose lane pairs lie inside the chunk gives (shift,
+    keep, carry): ``keep`` covers the lanes whose index has the stage's bit
+    clear, and ``carry`` is ``(bias << shift) - bias`` for the lane bias on
+    those lanes.
     """
-    step = size if size <= _CHUNK_BITS // 8 else max(_CHUNK_BITS, width) // 8
-    bits = step * 8
     lane_bias = repeat_bits(1 << (width - 1), width, bits)
     stages = []
     shift = width << skip
@@ -209,8 +205,26 @@ def _chunk_plan(size: int, width: int, skip: int
         bias = keep & lane_bias
         stages.append((shift, keep, (bias << shift) - bias))
         shift <<= 1
-    span = shift // bits if step < size else 0
-    return step, lane_bias, tuple(stages), span, range(0, size, step)
+    return lane_bias, tuple(stages)
+
+
+@lru_cache(maxsize=None)   # keys: vector sizes, lane widths, skip 0 or 3
+def _chunk_plan(size: int, width: int, skip: int
+                ) -> tuple[int, int, tuple[tuple[int, int, int], ...], int, range]:
+    """Chunk size, lane bias, in-chunk stages, first chunk span and chunk
+    starts for a ``size``-byte vector of ``width``-bit lanes.
+
+    Chunks are ``step`` bytes: the whole vector if it fits _CHUNK_BITS, else
+    _CHUNK_BITS or one lane, whichever is wider.  The bias and stages come
+    from ``_chunk_masks``.  The later stages pair whole chunks, the first
+    one chunks ``span`` apart; ``span`` is 0 when the vector is one chunk.
+    """
+    step = size if size <= _CHUNK_BITS // 8 else max(_CHUNK_BITS, width) // 8
+    bits = step * 8
+    lane_bias, stages = _chunk_masks(bits, width, skip)
+    # the first stage past the in-chunk ones pairs lanes that many chunks apart
+    span = (width << skip << len(stages)) // bits if step < size else 0
+    return step, lane_bias, stages, span, range(0, size, step)
 
 
 def _transform(raw: bytes, width: int, inverse: bool, skip: int) -> bytes:

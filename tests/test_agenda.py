@@ -195,6 +195,88 @@ def test_is_determined_by():
     assert not is_determined_by(o, 0, (2,))
 
 
+def data_agendas():
+    return [load_agenda(path.read_text(encoding="utf-8"))
+            for path in sorted((Path(__file__).parent / "data").glob("*.agenda"))]
+
+
+def loop_cons(judgments, positions):
+    """Reference: project the loop's rational judgments onto the positions."""
+    return tuple(sorted({tuple(j[p] for p in positions) for j in judgments}))
+
+
+def loop_is_determined_by(judgments, target, positions):
+    """Reference: no two of the loop's judgments agree on the positions but
+    differ on the target."""
+    values = {}
+    for j in judgments:
+        key = tuple(j[p] for p in positions)
+        if values.setdefault(key, j[target]) != j[target]:
+            return False
+    return True
+
+
+def check_projections(agenda, judgments):
+    """cons and is_determined_by against the references, on every subset of
+    positions (ascending and reversed) and every target outside it."""
+    size = len(agenda)
+    for r in range(size + 1):
+        for pos in itertools.combinations(range(size), r):
+            assert cons(agenda, pos) == loop_cons(judgments, pos)
+            assert cons(agenda, pos[::-1]) == loop_cons(judgments, pos[::-1])
+            for target in range(size):
+                if target not in pos:
+                    assert (is_determined_by(agenda, target, pos)
+                            == loop_is_determined_by(judgments, target, pos))
+
+
+def test_rational_judgments_match_loop_across_chunks():
+    rng = random.Random(20261019)
+    agendas = [build_agenda([f"s{i:02d}" for i in range(10)])]   # |U| = 2**10
+    for k in (16, 17):
+        names = [f"s{i:02d}" for i in range(k)]
+        # at k = 17 the T judgments of the first entry are induced only in the
+        # second chunk of 2**16 assignments, its F judgments in both
+        basis = [And(Atom(names[-2]), Atom(names[-1])),
+                 Or(*(Atom(n) if rng.random() < 0.5 else Not(Atom(n)) for n in names)),
+                 Xor(Atom(names[0]), Atom(names[-1])),
+                 random_formula(rng, names, 3)]
+        agendas.append(build_agenda(basis))
+    late = agendas[-1]
+    assert len(late.symbols) == 17
+    assert any(w[16] for w in rational_judgments(late).witnesses)
+    for agenda in agendas:
+        reference = loop_rational_judgments(agenda)
+        assert rational_judgments(agenda) == reference
+        if agenda.has_compound():
+            check_projections(agenda, reference.judgments)
+
+
+def test_cons_and_is_determined_by_match_projection():
+    for agenda in data_agendas():
+        check_projections(agenda, loop_rational_judgments(agenda).judgments)
+    # the checks run in order: target among positions, target, then positions
+    a = AND_CLOSURE
+    with pytest.raises(ValueError, match="target must not be"):
+        is_determined_by(a, 5, (7, 5))
+    with pytest.raises(ValueError, match="position 5 out of range"):
+        is_determined_by(a, 5, (7,))
+    with pytest.raises(ValueError, match="position 7 out of range"):
+        is_determined_by(a, 0, (1, 7))
+    with pytest.raises(ValueError, match="position -1 out of range"):
+        cons(a, (0, -1))
+
+
+def test_rational_set_membership_matches_set():
+    for agenda in data_agendas():
+        rs = rational_judgments(agenda)
+        judgments = set(rs.judgments)
+        for length in range(len(agenda) + 2):
+            for bits in itertools.product((0, 1), repeat=length):
+                assert (bits in rs) == (bits in judgments)
+                assert (list(bits) in rs) == (bits in judgments)
+
+
 def test_load_agenda():
     text = "# or closure\nP\nQ\n\nP | Q  # trailing comment\n"
     a = load_agenda(text)
