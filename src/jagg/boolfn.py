@@ -77,8 +77,7 @@ def minterms(tables: Sequence[int], width: int) -> list[int]:
     full = (1 << width) - 1
     out = [full]
     for table in tables:
-        rest = full ^ table
-        out = [e & rest for e in out] + [e & table for e in out]
+        out = [e & t for t in (full ^ table, table) for e in out]
     return out
 
 

@@ -21,6 +21,14 @@ T points, where a, the point of g's column outputs, is the OR of ``down``
 over the same points.  The kept set is an AND over all matrices, so the
 order of the matrices does not change the result; the order used fails most
 g within a few matrices.
+
+Two steps cut the sweep down.  Permuting g's inputs permutes the matrix
+rows, a bijection on the matrices, so every g in an orbit has the same
+partners: only the smallest g of each orbit is swept, 68 of 218 at arity 3
+and 3 904 of 64 594 at arity 4, and the orbits are expanded after.  And once
+few (g, f) candidates are left next to the matrices still to visit, the
+sweep stops and each candidate is certified by the two composites over all
+2**(m*n) matrices, as ``check_normal_pair`` does.  The result stays exact.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 
 from .boolfn import (BoolFn, classify, compose, minterms, relevant_tables, set_bits,
                      variable_mask)
-from .config import DEFAULT, Config, charge
+from .config import DEFAULT, BudgetError, Config, charge
 
 
 @dataclass(frozen=True)
@@ -69,15 +77,20 @@ def _cells(m: int, n: int) -> list[list[int]]:
     return [[variable_mask(i * n + j, m * n) for j in range(n)] for i in range(m)]
 
 
-def _composites(g: BoolFn, f: BoolFn) -> tuple[int, int]:
-    """Truth tables over all matrices of the two composite evaluations."""
-    m, n = g.n, f.n
-    cell = _cells(m, n)
-    width = 1 << (m * n)
-    col_then_row = compose(
-        f, [compose(g, [cell[i][j] for i in range(m)], width) for j in range(n)], width)
-    row_then_col = compose(
-        g, [compose(f, [cell[i][j] for j in range(n)], width) for i in range(m)], width)
+def _columns(g: BoolFn, cell: list[list[int]]) -> list[int]:
+    """Entry j: the matrices on which g down column j is T."""
+    width = 1 << (len(cell) * len(cell[0]))
+    return [compose(g, [row[j] for row in cell], width) for j in range(len(cell[0]))]
+
+
+def _composites(g: BoolFn, f: BoolFn, cell: list[list[int]],
+                down: list[int] | None = None) -> tuple[int, int]:
+    """Truth tables over all matrices of the two composite evaluations, from
+    ``cell = _cells(m, n)`` and ``down = _columns(g, cell)``; when ``down``
+    is not given it is built here and dropped before the second composite."""
+    width = 1 << (g.n * f.n)
+    col_then_row = compose(f, _columns(g, cell) if down is None else down, width)
+    row_then_col = compose(g, [compose(f, row, width) for row in cell], width)
     return col_then_row, row_then_col
 
 
@@ -104,7 +117,7 @@ def check_normal_pair(g: BoolFn, f: BoolFn, *, config: Config = DEFAULT) -> Norm
     for j in range(n):
         if not f.is_relevant(j):
             return NormalPairReport(g, f, False, Violation("f_irrelevant_index", j))
-    lhs, rhs = _composites(g, f)
+    lhs, rhs = _composites(g, f, _cells(m, n))
     diff = lhs ^ rhs
     if diff == 0:
         return NormalPairReport(g, f, True)
@@ -118,29 +131,68 @@ def check_normal_pair(g: BoolFn, f: BoolFn, *, config: Config = DEFAULT) -> Norm
 # step is odd, so this permutes the matrices
 _MATRIX_STEP = 0x9E3779B1
 
+# the sweep hands its candidates to the exact check once the live g and the
+# live (g, f) pairs, each times this ratio, are at most the matrices left;
+# counting the pairs reads every live set, so it is done only after matrices
+# 1, 2, 4, 8, ...
+_HANDOFF_RATIO = 8
 
-def enumerate_normal_pairs(m: int, n: int, *, config: Config = DEFAULT,
-                           ) -> list[tuple[BoolFn, BoolFn]]:
-    """All normal pairs with the given arities, ascending by (g, f) table.
+# largest arity either side of an enumeration: at arity 5 a set over all
+# tables, such as relevant_tables(5), has 2**32 bits (512 MB)
+_MAX_ENUMERATION_ARITY = 4
 
-    Memory grows with the live f of each surviving g, at most (all-relevant
-    g) * 2**(2**n) bits.  The measured peak is under 0.1 MB at (3, 3),
-    2.3 MB at (3, 4) and 20 MB at (4, 3), most of it per-g bookkeeping for
-    the 64 594 all-relevant g.  At (4, 4) the sets alone would take about
-    530 MB; the default budget refuses every arity past (3, 3).
+
+def _orbits(m: int) -> dict[int, list[int]]:
+    """The all-relevant arity-m tables grouped by permuting g's inputs: each
+    orbit's smallest table maps to its members, ascending.
+
+    The m - 1 adjacent input swaps generate every permutation.  Swapping
+    inputs i and i + 1 exchanges the table bits of the points that read
+    (T, F) there with those that read (F, T), 2**i points higher.
     """
-    if m < 2 or n < 2:
-        raise ValueError("enumeration needs both arities >= 2")
-    work = (1 << (1 << m)) * (1 << (1 << n)) * (1 << (m * n))
-    charge(config, work, f"enumerating {m}x{n} pairs",
-           "(m, n) with 2**(2**m + 2**n + m*n) within budget, e.g. up to (3, 3)")
+    width = 1 << m
+    swaps = []
+    for i in range(m - 1):
+        lo, hi = variable_mask(i, m), variable_mask(i + 1, m)
+        up, down = lo & ~hi, hi & ~lo
+        swaps.append(((1 << width) - 1 ^ up ^ down, up, down, 1 << i))
+    orbits: dict[int, list[int]] = {}
+    seen: set[int] = set()
+    for t in set_bits(relevant_tables(m)):
+        if t in seen:
+            continue
+        seen.add(t)
+        members = [t]
+        for u in members:  # visits the members appended on the way
+            for keep, up, down, s in swaps:
+                v = u & keep | (u & up) << s | (u & down) >> s
+                if v not in seen:
+                    seen.add(v)
+                    members.append(v)
+        orbits[t] = sorted(members)
+    return orbits
+
+
+def _partners(m: int, g_tables: list[int], n: int) -> list[int]:
+    """Entry k: the set of all-relevant arity-n f tables (bit ``f.table``)
+    that commute with the arity-m g of table ``g_tables[k]``.
+
+    Matrices run on the outside, in ``_MATRIX_STEP`` order, and the g still
+    live on the inside.  Once the live g and the live (g, f) pairs are few
+    next to the matrices left (``_HANDOFF_RATIO``), each pair left is
+    certified by evaluating both composites over all matrices.  Either way
+    a pair is kept iff it commutes on every matrix.
+    """
     points = 1 << n
     col = [variable_mask(x, points) for x in range(points)]
-    gs = set_bits(relevant_tables(m))
-    t_points = [set_bits(gt) for gt in gs]
-    # alive[gi]: the f tables that commute with gs[gi] on every matrix so far
-    alive = [relevant_tables(n)] * len(gs)
-    live = range(len(gs))
+    # same[x]: the f tables F at point x, so same[a] ^ rhs keeps f with
+    # f(a) == rhs without a negative int
+    full = (1 << (1 << points)) - 1
+    same = [c ^ full for c in col]
+    t_points = [set_bits(gt) for gt in g_tables]
+    # alive[gi]: the f tables that commute with g_tables[gi] on every matrix so far
+    alive = [relevant_tables(n)] * len(g_tables)
+    live = range(len(g_tables))
     last = (1 << (m * n)) - 1
     for k in range(last + 1):
         matrix = k * _MATRIX_STEP & last
@@ -153,12 +205,60 @@ def enumerate_normal_pairs(m: int, n: int, *, config: Config = DEFAULT,
             for x in t_points[gi]:
                 a |= down[x]
                 rhs |= across[x]
-            fs = alive[gi] & ~(col[a] ^ rhs)
+            fs = alive[gi] & (same[a] ^ rhs)
             if fs:
                 alive[gi] = fs
                 kept.append(gi)
         live = kept
-    return [(BoolFn(m, gs[gi]), BoolFn(n, ft)) for gi in live for ft in set_bits(alive[gi])]
+        left = last - k
+        if k & (k + 1) == 0 and len(live) * _HANDOFF_RATIO <= left and (
+                sum(alive[gi].bit_count() for gi in live) * _HANDOFF_RATIO <= left):
+            cell = _cells(m, n)
+            for gi in live:
+                g = BoolFn(m, g_tables[gi])
+                g_down = _columns(g, cell)
+                certified = 0
+                for ft in set_bits(alive[gi]):
+                    col_then_row, row_then_col = _composites(g, BoolFn(n, ft), cell, g_down)
+                    if col_then_row == row_then_col:
+                        certified |= 1 << ft
+                alive[gi] = certified
+            break
+    partners = [0] * len(g_tables)
+    for gi in live:
+        partners[gi] = alive[gi]
+    return partners
+
+
+def enumerate_normal_pairs(m: int, n: int, *, config: Config = DEFAULT,
+                           ) -> list[tuple[BoolFn, BoolFn]]:
+    """All normal pairs with the given arities, ascending by (g, f) table.
+
+    ``_partners`` sweeps the smallest g of each orbit (``_orbits``), and
+    each orbit is expanded after.  Both arities must be at most 4, at any
+    budget: at arity 5 every set over all tables, ``relevant_tables(5)``
+    among them, has 2**32 bits (512 MB), and there are about 4 * 10**9
+    all-relevant g.  Memory grows with the live f of each swept g, at most
+    (orbits) * 2**(2**n) bits, plus the orbits themselves.  The measured
+    peak is under 0.1 MB at (3, 3), 1 MB at (3, 4), 7 MB at (4, 3), most
+    of it the 64 594 arity-4 tables in their orbits, and 37 MB at (4, 4).
+    The default budget refuses every arity past (3, 3).
+    """
+    if m < 2 or n < 2:
+        raise ValueError("enumeration needs both arities >= 2")
+    if max(m, n) > _MAX_ENUMERATION_ARITY:
+        raise BudgetError(
+            f"enumerating {m}x{n} pairs is refused at any budget: both arities "
+            f"must be at most {_MAX_ENUMERATION_ARITY}, since at arity 5 a set "
+            f"over all tables has 2**32 bits (512 MB)")
+    work = (1 << (1 << m)) * (1 << (1 << n)) * (1 << (m * n))
+    charge(config, work, f"enumerating {m}x{n} pairs",
+           "(m, n) with 2**(2**m + 2**n + m*n) within budget, e.g. up to (3, 3)")
+    orbits = _orbits(m)
+    partners = _partners(m, list(orbits), n)
+    pairs = sorted((gt, ft) for members, fs in zip(orbits.values(), partners) if fs
+                   for ft in set_bits(fs) for gt in members)
+    return [(BoolFn(m, gt), BoolFn(n, ft)) for gt, ft in pairs]
 
 
 def classify_pair(g: BoolFn, f: BoolFn) -> str:

@@ -4,8 +4,9 @@ import itertools
 
 import pytest
 
-from jagg.boolfn import (BoolFn, all_tables, compose, format_fn_spec, parse_fn_spec,
-                         relevant_tables, set_bits, variable_mask)
+import jagg.boolfn as boolfn
+from jagg.boolfn import (BoolFn, all_tables, compose, format_fn_spec, minterms,
+                         parse_fn_spec, relevant_tables, set_bits, variable_mask)
 from jagg.config import BudgetError, Config
 import jagg.normalpair as normalpair
 from jagg.normalpair import (check_normal_pair, classify_pair,
@@ -70,6 +71,36 @@ def column_sweep_enumerate_normal_pairs(m, n):
                 break
         pairs.extend((g, BoolFn(n, ft)) for ft in set_bits(alive))
     return pairs
+
+
+def matrix_outer_enumerate_normal_pairs(m, n):
+    """The matrix-outer sweep the orbit quotient and hand-off replaced: every
+    all-relevant g swept over every matrix, with each matrix's minterms
+    shared by every g."""
+    points = 1 << n
+    col = [variable_mask(x, points) for x in range(points)]
+    gs = set_bits(relevant_tables(m))
+    t_points = [set_bits(gt) for gt in gs]
+    alive = [relevant_tables(n)] * len(gs)
+    live = range(len(gs))
+    last = (1 << (m * n)) - 1
+    for k in range(last + 1):
+        matrix = k * 0x9E3779B1 & last
+        rows = [matrix >> (i * n) & (points - 1) for i in range(m)]
+        down = minterms(rows, n)
+        across = minterms([col[r] for r in rows], 1 << points)
+        kept = []
+        for gi in live:
+            a = rhs = 0
+            for x in t_points[gi]:
+                a |= down[x]
+                rhs |= across[x]
+            fs = alive[gi] & ~(col[a] ^ rhs)
+            if fs:
+                alive[gi] = fs
+                kept.append(gi)
+        live = kept
+    return [(BoolFn(m, gs[gi]), BoolFn(n, ft)) for gi in live for ft in set_bits(alive[gi])]
 
 
 def test_check_matches_brute_force_at_2x2():
@@ -218,6 +249,66 @@ def test_sweep_matches_column_sweep():
                 == column_sweep_enumerate_normal_pairs(m, n))
 
 
+def test_sweep_matches_matrix_outer_sweep():
+    for m, n in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)):
+        assert (enumerate_normal_pairs(m, n, config=RAISED)
+                == matrix_outer_enumerate_normal_pairs(m, n))
+
+
+def test_both_ends_of_the_handoff(monkeypatch):
+    handoffs = []
+    cells = normalpair._cells
+
+    def counted_cells(m, n):
+        handoffs.append((m, n))
+        return cells(m, n)
+
+    monkeypatch.setattr(normalpair, "_cells", counted_cells)
+    for ratio, expect_handoff in ((1 << 64, False), (0, True)):
+        monkeypatch.setattr(normalpair, "_HANDOFF_RATIO", ratio)
+        for m, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
+            handoffs.clear()
+            assert enumerate_normal_pairs(m, n) == matrix_outer_enumerate_normal_pairs(m, n)
+            assert handoffs == ([(m, n)] if expect_handoff else [])
+
+
+def test_orbits():
+    for m, count in ((2, 8), (3, 68), (4, 3904)):
+        orbits = normalpair._orbits(m)
+        assert len(orbits) == count
+        members = [t for orbit in orbits.values() for t in orbit]
+        assert len(members) == len(set(members))
+        assert set(members) == set(set_bits(relevant_tables(m)))
+        for key, orbit in orbits.items():
+            assert orbit == sorted(orbit) and orbit[0] == key
+        if m > 3:
+            continue
+        home = {t: key for key, orbit in orbits.items() for t in orbit}
+        for t in members:
+            for perm in itertools.permutations(range(m)):
+                moved = compose(BoolFn(m, t), [variable_mask(i, m) for i in perm], 1 << m)
+                assert home[moved] == home[t]
+
+
+def test_4x4_pairs():
+    # 1.7-2.8 s on a shared 2-core machine
+    expected = sorted([(BoolFn.and_(4), BoolFn.and_(4)), (BoolFn.or_(4), BoolFn.or_(4)),
+                       (BoolFn.xor(4), BoolFn.xor(4)), (BoolFn.nxor(4), BoolFn.nxor(4))],
+                      key=lambda p: (p[0].table, p[1].table))
+    assert enumerate_normal_pairs(4, 4, config=RAISED) == expected
+
+
+def test_arity_five_refused_at_any_budget(monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("tables built for a refused enumeration")
+
+    monkeypatch.setattr(boolfn, "variable_mask", no_tables)
+    monkeypatch.setattr(normalpair, "variable_mask", no_tables)
+    for m, n in ((2, 5), (5, 2)):
+        with pytest.raises(BudgetError, match="at any budget"):
+            enumerate_normal_pairs(m, n, config=RAISED)
+
+
 def test_matrix_order_does_not_change_the_pairs(monkeypatch):
     expected = enumerate_normal_pairs(3, 3)
     for step in (1, 3, (1 << 9) - 1):
@@ -227,7 +318,7 @@ def test_matrix_order_does_not_change_the_pairs(monkeypatch):
 
 def test_transposition():
     # (g, f) is normal at (m, n) iff (f, g) is normal at (n, m)
-    for m, n in ((2, 3), (2, 4)):
+    for m, n in ((2, 3), (2, 4), (3, 4)):
         pairs = {(g.table, f.table) for g, f in enumerate_normal_pairs(m, n, config=RAISED)}
         swapped = {(f.table, g.table) for g, f in enumerate_normal_pairs(n, m, config=RAISED)}
         assert pairs == swapped
