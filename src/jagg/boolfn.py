@@ -94,14 +94,18 @@ def set_bits(mask: int) -> list[int]:
 def relevant_tables(n: int) -> int:
     """The arity-``n`` tables that use every input, as a candidate set: bit t
     stands for table t, so "T at point x" is ``variable_mask(x, 2**n)``, and
-    input i matters to the tables that differ at some x and ``x | 1 << i``."""
+    input i matters to the tables that differ at some x and ``x + 2**i``,
+    with bit i of x clear.  Those x are the k < 2**(n-1) with a 0 put in at
+    bit i: ``k + (k & -2**i)``."""
     points = 1 << n
     cols = [variable_mask(x, points) for x in range(points)]
     mask = (1 << (1 << points)) - 1
     for i in range(n):
+        step = 1 << i
         pivotal = 0
-        for x in range(points):
-            pivotal |= cols[x] ^ cols[x | 1 << i]
+        for k in range(points >> 1):
+            x = k + (k & -step)
+            pivotal |= cols[x] ^ cols[x + step]
         mask &= pivotal
     return mask
 

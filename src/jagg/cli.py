@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 failed verification, 2 usage or parameter error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Sequence
@@ -381,8 +382,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.  Parsing leaves
+    it unchanged: each call fills a fresh namespace."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         config = Config.from_env()

@@ -6,9 +6,14 @@ row and then g down those results, with both functions non-constant and
 using every input.  Matrices are encoded as m*n-bit integers, row-major:
 bit i*n + j holds the cell in row i, column j.
 
-The check evaluates both composites for all 2**(m*n) matrices at once: each
-cell becomes a truth-table column over the matrix space, and functions are
-applied through their minterm expansion (``boolfn.compose``).
+The check evaluates both composites for all 2**(m*n) matrices at once, as
+truth tables over the matrix space.  The argument tables are lifted straight
+from the truth tables of f and g.  "f across row i" reads only row i's
+n-bit field, so it is f's table with each bit stretched over the 2**(i*n)
+settings of the rows below, tiled over the rows above (``_across``).  "g
+down column j" is built one row at a time from g's cofactors (``_down``).
+The composites are then f and g applied to these through their minterm
+expansion (``boolfn.compose``).
 
 The enumeration runs the matrices on the outside and the surviving g on the
 inside.  Candidate f is bit ``f.table`` of a set over all 2**(2**n) tables,
@@ -35,8 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolfn import (BoolFn, classify, compose, minterms, relevant_tables, set_bits,
-                     variable_mask)
+from .boolfn import (BoolFn, classify, compose, minterms, relevant_tables, repeat_bits,
+                     set_bits, variable_mask)
 from .config import DEFAULT, BudgetError, Config, charge
 
 
@@ -72,26 +77,61 @@ def _matrix_rows(mask: int, m: int, n: int) -> tuple[tuple[bool, ...], ...]:
                  for i in range(m))
 
 
-def _cells(m: int, n: int) -> list[list[int]]:
-    """``cell[i][j]``: the matrices with the cell in row i, column j set."""
-    return [[variable_mask(i * n + j, m * n) for j in range(n)] for i in range(m)]
+def _stretch(table: int, points: int, block: int) -> int:
+    """The ``points``-bit ``table`` with each bit repeated ``block`` times."""
+    if block == 1:
+        return table
+    if block < 8:  # the rows above the first have block >= points, so points < 8
+        ones, out = (1 << block) - 1, 0
+        for x in set_bits(table):
+            out |= ones << x * block
+        return out
+    on, off = b"\xff" * (block >> 3), bytes(block >> 3)
+    return int.from_bytes(b"".join([on if table >> x & 1 else off for x in range(points)]),
+                          "little")
 
 
-def _columns(g: BoolFn, cell: list[list[int]]) -> list[int]:
-    """Entry j: the matrices on which g down column j is T."""
-    width = 1 << (len(cell) * len(cell[0]))
-    return [compose(g, [row[j] for row in cell], width) for j in range(len(cell[0]))]
+def _across(f: BoolFn, m: int) -> list[int]:
+    """Entry i: the matrices of m rows on which f across row i is T.
+
+    Row i is the n-bit field at bit i*n of a matrix, so its table is f's
+    table with each bit stretched over the 2**(i*n) settings of the rows
+    below, tiled over the rows above.
+    """
+    n, width = f.n, 1 << (m * f.n)
+    return [repeat_bits(_stretch(f.table, 1 << n, 1 << i * n), 1 << (i + 1) * n, width)
+            for i in range(m)]
 
 
-def _composites(g: BoolFn, f: BoolFn, cell: list[list[int]],
-                down: list[int] | None = None) -> tuple[int, int]:
-    """Truth tables over all matrices of the two composite evaluations, from
-    ``cell = _cells(m, n)`` and ``down = _columns(g, cell)``; when ``down``
-    is not given it is built here and dropped before the second composite."""
-    width = 1 << (g.n * f.n)
-    col_then_row = compose(f, _columns(g, cell) if down is None else down, width)
-    row_then_col = compose(g, [compose(f, row, width) for row in cell], width)
-    return col_then_row, row_then_col
+def _down(g: BoolFn, n: int) -> list[int]:
+    """Entry j: the matrices of n columns on which g down column j is T.
+
+    Built one row at a time from g's arity-1 cofactors.  After row k, entry
+    u of the level is the table, over the settings of rows 0..k, of g down
+    column j with its inputs above k fixed to the bits of u.  Row 0 lifts
+    each arity-1 cofactor (F, not, identity or T) to bit j of its field.
+    Each later row k picks the cofactor with input k false or true by bit j
+    of its field, so the new table is runs of 2**j blocks of the one and of
+    the other, alternating.
+    """
+    m = g.n
+    if n == 1:  # a single column reads the matrix as g's input point
+        return [g.table]
+    full = (1 << (1 << n)) - 1
+    tables = []
+    for j in range(n):
+        var = variable_mask(j, n)
+        lift = (0, var ^ full, var, full)
+        level = [lift[g.table >> t & 3] for t in range(0, 1 << m, 2)]
+        block = 1 << n
+        for _ in range(m - 1):
+            run = block << j
+            level = [repeat_bits(repeat_bits(lo, block, run)
+                                 | repeat_bits(hi, block, run) << run, run << 1, block << n)
+                     for lo, hi in zip(level[::2], level[1::2])]
+            block <<= n
+        tables.append(level[0])
+    return tables
 
 
 def check_normal_pair(g: BoolFn, f: BoolFn, *, config: Config = DEFAULT) -> NormalPairReport:
@@ -100,7 +140,11 @@ def check_normal_pair(g: BoolFn, f: BoolFn, *, config: Config = DEFAULT) -> Norm
     The check is charged 2**(m*n) work units, one per matrix, before the
     structural checks.  Constant functions are reported before irrelevant
     indices (a constant has no relevant index at all), and structural
-    defects before commutation.
+    defects before commutation.  The composites are f over g's column tables
+    (``_down``) and g over f's row tables (``_across``).  At 5x5, the largest
+    the default budget admits, ``(xor:5, xor:5)`` takes 0.34-0.37 s and
+    96 MB max RSS (1.28-1.36 s and 201 MB when each cell was first made a
+    table and both functions were composed over the cells).
     """
     m, n = g.n, f.n
     if m < 1 or n < 1:
@@ -117,7 +161,9 @@ def check_normal_pair(g: BoolFn, f: BoolFn, *, config: Config = DEFAULT) -> Norm
     for j in range(n):
         if not f.is_relevant(j):
             return NormalPairReport(g, f, False, Violation("f_irrelevant_index", j))
-    lhs, rhs = _composites(g, f, _cells(m, n))
+    width = 1 << (m * n)
+    lhs = compose(f, _down(g, n), width)
+    rhs = compose(g, _across(f, m), width)
     diff = lhs ^ rhs
     if diff == 0:
         return NormalPairReport(g, f, True)
@@ -173,6 +219,23 @@ def _orbits(m: int) -> dict[int, list[int]]:
     return orbits
 
 
+def _certify(m: int, n: int, g_tables: list[int], alive: list[int],
+             live: list[int]) -> None:
+    """Cut each ``alive[gi]``, for gi in ``live``, to the f tables that
+    commute with the g of table ``g_tables[gi]`` on all 2**(m*n) matrices,
+    comparing the two composites as ``check_normal_pair`` does."""
+    width = 1 << (m * n)
+    for gi in live:
+        g = BoolFn(m, g_tables[gi])
+        g_down = _down(g, n)
+        certified = 0
+        for ft in set_bits(alive[gi]):
+            f = BoolFn(n, ft)
+            if compose(f, g_down, width) == compose(g, _across(f, m), width):
+                certified |= 1 << ft
+        alive[gi] = certified
+
+
 def _partners(m: int, g_tables: list[int], n: int) -> list[int]:
     """Entry k: the set of all-relevant arity-n f tables (bit ``f.table``)
     that commute with the arity-m g of table ``g_tables[k]``.
@@ -213,16 +276,7 @@ def _partners(m: int, g_tables: list[int], n: int) -> list[int]:
         left = last - k
         if k & (k + 1) == 0 and len(live) * _HANDOFF_RATIO <= left and (
                 sum(alive[gi].bit_count() for gi in live) * _HANDOFF_RATIO <= left):
-            cell = _cells(m, n)
-            for gi in live:
-                g = BoolFn(m, g_tables[gi])
-                g_down = _columns(g, cell)
-                certified = 0
-                for ft in set_bits(alive[gi]):
-                    col_then_row, row_then_col = _composites(g, BoolFn(n, ft), cell, g_down)
-                    if col_then_row == row_then_col:
-                        certified |= 1 << ft
-                alive[gi] = certified
+            _certify(m, n, g_tables, alive, live)
             break
     partners = [0] * len(g_tables)
     for gi in live:

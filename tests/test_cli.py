@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import jagg
+import jagg.cli as cli
 from jagg.boolfn import parse_fn_spec
 from jagg.cli import main
 from jagg.fourier import spectrum
@@ -277,6 +278,27 @@ def test_verify_json_is_byte_stable(capsys):
     second = run(capsys, "verify", "--suite", "forceful", "--json")
     assert first[0] == 0
     assert first == second
+
+
+def test_one_parser_serves_a_run_of_calls(capsys):
+    # the process builds its parser once; each call in a row must print
+    # what a fresh parser prints, and no flag may carry over to the next
+    calls = [
+        ["enumerate-pairs", "-m", "2", "-n", "2", "--json"],
+        ["check-pair", "--g", "or:2", "--f", "and:2"],
+        ["check-pair", "--g", "and:2"],
+        ["verify", "--suite", "pairs", "--json"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _ in fresh] == [0, 1, 2, 0]
+    assert fresh[1][1].startswith("not a normal pair: commutation\n")
+    cli._parser.cache_clear()
+    parser = cli._parser()
+    assert [run(capsys, *argv) for argv in calls] == fresh
+    assert cli._parser() is parser
 
 
 def test_env_output_format(capsys, monkeypatch):

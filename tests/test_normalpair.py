@@ -1,6 +1,7 @@
 """Commutation checks on matrices and exhaustive pair enumeration."""
 
 import itertools
+import random
 
 import pytest
 
@@ -9,7 +10,7 @@ from jagg.boolfn import (BoolFn, all_tables, compose, format_fn_spec, minterms,
                          parse_fn_spec, relevant_tables, set_bits, variable_mask)
 from jagg.config import BudgetError, Config
 import jagg.normalpair as normalpair
-from jagg.normalpair import (check_normal_pair, classify_pair,
+from jagg.normalpair import (Violation, check_normal_pair, classify_pair,
                              enumerate_normal_pairs)
 
 RAISED = Config(enumeration_budget=1 << 62)
@@ -17,19 +18,73 @@ IDENTITY = BoolFn(1, 0b10)
 NEGATION = BoolFn(1, 0b01)
 
 
-def brute_force_commutes(g, f):
-    """Direct two-loop evaluation over every matrix, kept independent of the
-    bit-parallel implementation."""
+def first_failure(g, f):
+    """Direct two-loop evaluation over the matrices in ascending encoding
+    order, kept independent of the bit-parallel implementation: the first
+    matrix on which the two composites differ, as rows, with both values;
+    None when they agree on every matrix."""
     m, n = g.n, f.n
     for bits in range(1 << (m * n)):
-        rows = [[bool(bits >> (i * n + j) & 1) for j in range(n)]
-                for i in range(m)]
+        rows = tuple(tuple(bool(bits >> (i * n + j) & 1) for j in range(n))
+                     for i in range(m))
         col_then_row = f.apply([g.apply([rows[i][j] for i in range(m)])
                                 for j in range(n)])
         row_then_col = g.apply([f.apply(rows[i]) for i in range(m)])
         if col_then_row != row_then_col:
-            return False
-    return True
+            return rows, col_then_row, row_then_col
+    return None
+
+
+def brute_force_commutes(g, f):
+    return first_failure(g, f) is None
+
+
+def cells(m, n):
+    """``cell[i][j]``: the matrices with the cell in row i, column j set."""
+    return [[variable_mask(i * n + j, m * n) for j in range(n)] for i in range(m)]
+
+
+def cell_composites(g, f):
+    """The two composites as the pair check built them before the lifted
+    tables: every cell is a truth table over the matrices, and g goes down
+    the columns and f across the rows through ``compose``."""
+    m, n = g.n, f.n
+    width, cell = 1 << (m * n), cells(m, n)
+    down = [compose(g, [row[j] for row in cell], width) for j in range(n)]
+    across = [compose(f, row, width) for row in cell]
+    return compose(f, down, width), compose(g, across, width)
+
+
+def composite_failure(g, f, lhs, rhs):
+    """``first_failure`` read off the two composite tables."""
+    diff = lhs ^ rhs
+    if diff == 0:
+        return None
+    first = (diff & -diff).bit_length() - 1
+    rows = tuple(tuple(bool(first >> (i * f.n + j) & 1) for j in range(f.n))
+                 for i in range(g.n))
+    return rows, bool(lhs >> first & 1), bool(rhs >> first & 1)
+
+
+def assert_check_matches_references(g, f):
+    """The check's composites equal the cell composites, both find the
+    matrix loop's first failure, and the report carries it."""
+    width = 1 << (g.n * f.n)
+    lhs = compose(f, normalpair._down(g, f.n), width)
+    rhs = compose(g, normalpair._across(f, g.n), width)
+    assert (lhs, rhs) == cell_composites(g, f)
+    failure = first_failure(g, f)
+    assert composite_failure(g, f, lhs, rhs) == failure
+    report = check_normal_pair(g, f)
+    structural = (not g.is_constant() and not f.is_constant()
+                  and all(g.is_relevant(i) for i in range(g.n))
+                  and all(f.is_relevant(j) for j in range(f.n)))
+    assert report.is_normal == (structural and failure is None)
+    if report.violation == Violation("commutation"):
+        assert (report.counterexample, report.column_then_row,
+                report.row_then_column) == failure
+    else:
+        assert report.counterexample is None
 
 
 def loop_enumerate_normal_pairs(m, n):
@@ -37,7 +92,7 @@ def loop_enumerate_normal_pairs(m, n):
     all-relevant g against every all-relevant f, comparing the two composites
     over all matrices."""
     width = 1 << (m * n)
-    cell = normalpair._cells(m, n)
+    cell = cells(m, n)
 
     def candidates(arity):
         return [f for f in all_tables(arity) if not f.is_constant()
@@ -115,6 +170,54 @@ def test_check_matches_brute_force_at_2x2():
             assert report.is_normal == by_hand
 
 
+def test_check_matches_cell_composites_and_brute_force():
+    # at every arity pair with m*n <= 6, the arity-1 sides included: every
+    # table pair where there are at most 1024, else and, or, xor and nxor
+    # against each other and 256 seeded pairs
+    rng = random.Random(6)
+
+    def named(k):
+        return [make(k).table for make in (BoolFn.and_, BoolFn.or_, BoolFn.xor, BoolFn.nxor)]
+
+    for m, n in [(m, n) for m in range(1, 7) for n in range(1, 7) if m * n <= 6]:
+        if (1 << (1 << m)) * (1 << (1 << n)) <= 1024:
+            pairs = list(itertools.product(range(1 << (1 << m)), range(1 << (1 << n))))
+        else:
+            pairs = list(itertools.product(named(m), named(n)))
+            pairs += [(rng.getrandbits(1 << m), rng.getrandbits(1 << n)) for _ in range(256)]
+        for gt, ft in pairs:
+            assert_check_matches_references(BoolFn(m, gt), BoolFn(n, ft))
+
+
+def test_check_matches_references_on_seeded_large_pairs():
+    rng = random.Random(44)
+    for m, n in ((4, 4), (4, 5), (5, 4)):
+        for _ in range(3):
+            assert_check_matches_references(BoolFn(m, rng.getrandbits(1 << m)),
+                                            BoolFn(n, rng.getrandbits(1 << n)))
+
+
+def test_lifted_tables_match_cell_composition():
+    rng = random.Random(45)
+    for m in range(1, 5):
+        for n in range(1, 6):
+            width, cell = 1 << (m * n), cells(m, n)
+            for gt, ft in ((BoolFn.xor(m).table, BoolFn.and_(n).table),
+                           (rng.getrandbits(1 << m), rng.getrandbits(1 << n))):
+                g, f = BoolFn(m, gt), BoolFn(n, ft)
+                assert normalpair._down(g, n) == [
+                    compose(g, [row[j] for row in cell], width) for j in range(n)]
+                assert normalpair._across(f, m) == [compose(f, row, width) for row in cell]
+
+
+def test_5x5_checks_at_the_default_budget():
+    assert check_normal_pair(BoolFn.xor(5), BoolFn.nxor(5)).is_normal
+    g, f = BoolFn.or_(5), BoolFn.and_(5)
+    rep = check_normal_pair(g, f)
+    assert rep.violation == Violation("commutation")
+    assert (rep.counterexample, rep.column_then_row, rep.row_then_column) == first_failure(g, f)
+
+
 def test_violation_precedence():
     or2, and2 = BoolFn.or_(2), BoolFn.and_(2)
     assert check_normal_pair(BoolFn.all_true(2), and2).violation.kind == "g_constant"
@@ -188,7 +291,8 @@ def test_pair_check_budget(monkeypatch):
     def no_columns(*args):
         raise AssertionError("columns built for a refused check")
 
-    monkeypatch.setattr(normalpair, "_cells", no_columns)
+    monkeypatch.setattr(normalpair, "_down", no_columns)
+    monkeypatch.setattr(normalpair, "_across", no_columns)
     monkeypatch.setattr(normalpair, "compose", no_columns)
     with pytest.raises(BudgetError, match="2x13"):
         check_normal_pair(BoolFn.and_(2), BoolFn.and_(13))
@@ -257,13 +361,13 @@ def test_sweep_matches_matrix_outer_sweep():
 
 def test_both_ends_of_the_handoff(monkeypatch):
     handoffs = []
-    cells = normalpair._cells
+    certify = normalpair._certify
 
-    def counted_cells(m, n):
+    def counted_certify(m, n, *rest):
         handoffs.append((m, n))
-        return cells(m, n)
+        return certify(m, n, *rest)
 
-    monkeypatch.setattr(normalpair, "_cells", counted_cells)
+    monkeypatch.setattr(normalpair, "_certify", counted_certify)
     for ratio, expect_handoff in ((1 << 64, False), (0, True)):
         monkeypatch.setattr(normalpair, "_HANDOFF_RATIO", ratio)
         for m, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
