@@ -190,6 +190,9 @@ def cmd_agenda_rationals(args, config: Config) -> int:
 
 
 def cmd_jars_enumerate(args, config: Config) -> int:
+    if args.up is False and not args.normal_form:
+        raise ValueError("--no-up needs --normal-form: independent rules always "
+                         "preserve unanimity")
     agenda = _read_agenda(args.agenda, config)
     if args.normal_form:
         require_up = not (args.anonymous or args.systematic) if args.up is None \
@@ -360,14 +363,16 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--normal-form", action="store_true",
                    help="one shared function for every position")
     q.add_argument("--anonymous", action="store_true",
-                   help="keep only judge-order-invariant rules (this drops the "
-                   "unanimity requirement from the sweep)")
+                   help="keep only judge-order-invariant rules (with "
+                   "--normal-form, this drops the unanimity requirement from "
+                   "the sweep)")
     q.add_argument("--systematic", action="store_true",
-                   help="keep only rules sharing one self-flip function (also "
-                   "drops the unanimity requirement)")
+                   help="keep only rules sharing one self-flip function (with "
+                   "--normal-form, also drops the unanimity requirement)")
     q.add_argument("--up", action=argparse.BooleanOptionalAction, default=None,
-                   help="require unanimity preservation in the sweep (--up) or "
-                   "not (--no-up), overriding what the axiom flags imply")
+                   help="with --normal-form, require unanimity preservation in "
+                   "the sweep (--up) or not (--no-up), overriding what the "
+                   "axiom flags imply; independent rules always require it")
     q = leaf(jars_sub, "check", cmd_jars_check, "check one rule")
     q.add_argument("--agenda", required=True)
     q.add_argument("-n", "--judges", type=int, required=True)

@@ -29,8 +29,9 @@ class Config:
     """Caps for truth-table work.
 
     arity_cap           largest truth-table arity: Boolean functions, agenda
-                        symbols, the basis of a rational set, and 2**judges
-                        for the shared-function rule sweep
+                        symbols, the basis of a rational set, 2**judges for
+                        the shared-function rule sweep and
+                        (2**judges - 2)*|basis| for the independent-rule sweep
     enumeration_budget  work-unit cap for every exhaustive sweep, where work
                         is candidate count times per-candidate sweep size (a
                         single pair or rule check is one candidate times its

@@ -11,10 +11,10 @@ Consistency is decided for all profiles at once, as pairs are over all
 matrices: each judge's vote at each position becomes a column over the
 profile space, every function is applied through ``boolfn.compose``, and the
 rational set is itself a Boolean function of the basis positions, composed
-onto the aggregate columns.  The shared-function sweep turns this around:
-its columns run over every candidate table at once, one per input point of
-the candidate, and each profile composes the rational set onto the columns
-of the points the judges vote, which leaves the candidates still consistent.
+onto the aggregate columns.  Both rule enumerations turn this around in one
+candidate sweep: its columns run over every candidate rule at once, one per
+position and input point, and each profile composes the rational set onto
+the columns the judges vote, which leaves the candidates still consistent.
 """
 
 from __future__ import annotations
@@ -117,11 +117,6 @@ def _profile_columns(rs: RationalSet, judges: int, config: Config,
     return width, cols, rational
 
 
-def _irrational(rational: BoolFn, aggregates: Sequence[int], width: int) -> int:
-    """The profiles, as a bit set, whose aggregate judgment is not rational."""
-    return ((1 << width) - 1) ^ compose(rational, aggregates, width)
-
-
 def _axioms(functions: Sequence[BoolFn]) -> tuple[bool, bool, bool]:
     """Unanimity preservation, anonymity and systematicity of a rule."""
     up = all(f(*(c,) * f.n) == c for f in functions for c in (False, True))
@@ -145,8 +140,8 @@ def check_jar(jar: PiJar, *, config: Config = DEFAULT) -> JarVerdict:
     charge(config, len(rs.judgments) ** jar.judges,
            f"checking a rule for {jar.judges} judges", "|U|**judges within budget")
     width, cols, rational = _profile_columns(rs, jar.judges, config)
-    bad = _irrational(rational, [compose(f, cols[k], width)
-                                 for k, f in enumerate(jar.functions)], width)
+    aggregates = [compose(f, cols[k], width) for k, f in enumerate(jar.functions)]
+    bad = ((1 << width) - 1) ^ compose(rational, aggregates, width)
     counterexample = None
     if bad:
         first, size = (bad & -bad).bit_length() - 1, len(rs.judgments)
@@ -260,6 +255,22 @@ def _solution_case(fn: BoolFn, has_compound: bool) -> UniformSolution:
     return UniformSolution(fn, relevant, label, case, anonymous, systematic)
 
 
+def _sweep(rs: RationalSet, rational: BoolFn, judges: int,
+           columns: Sequence[Sequence[int]], alive: int, width: int) -> int:
+    """The candidates of ``alive`` that are consistent, where ``columns[k][x]``
+    is the ``width``-bit set of candidates whose position-k function is T at
+    point x: a profile voting x_k at each position k keeps the candidates in
+    ``compose(rational, [columns[k][x_k] ...])``."""
+    # votes[i][u][k]: what judge i voting judgment u adds to the point at k
+    votes = [[tuple(b << i for b in u) for u in rs.judgments] for i in range(judges)]
+    for profile in product(*votes):
+        alive &= compose(rational, [col[sum(p)] for col, p in zip(columns, zip(*profile))],
+                         width)
+        if not alive:
+            break
+    return alive
+
+
 def enumerate_uniform_rules(agenda: Agenda, judges: int, *,
                             require_up: bool = True,
                             config: Config = DEFAULT) -> list[UniformSolution]:
@@ -272,11 +283,10 @@ def enumerate_uniform_rules(agenda: Agenda, judges: int, *,
 
     The sweep runs over the candidates, not the profiles: candidate t is the
     function with table t, so "f is T at input point x" is the column
-    ``variable_mask(x, 2**judges)`` over all 2**(2**judges) tables.  A profile
-    makes the judges vote point x_k at position k, and the candidates whose
-    aggregate is rational there are ``compose(rational, [col[x_k] ...])``;
-    the consistent ones are the AND of that over every profile.
+    ``variable_mask(x, 2**judges)`` over all 2**(2**judges) tables.
     """
+    if judges < 1:
+        raise ValueError("need at least one judge")
     rs = rational_judgments(agenda)
     rational = _rational_fn(rs, config)
     points = 1 << judges
@@ -292,16 +302,10 @@ def enumerate_uniform_rules(agenda: Agenda, judges: int, *,
     charge(config, work, f"uniform-rule sweep for {judges} judges",
            "|U|**judges * (|U| + 1) * (|basis| + 1) * 2**(2**judges) / 2**10 "
            "within budget, e.g. 4 judges on a three-symbol agenda")
-    width = 1 << points
     cols = [variable_mask(x, points) for x in range(points)]
     top, bottom = cols[-1], cols[0]
     alive = top & ~bottom if require_up else top ^ bottom
-    # votes[i][u][k]: what judge i voting judgment u adds to the point at k
-    votes = [[tuple(b << i for b in u) for u in rs.judgments] for i in range(judges)]
-    for profile in product(*votes):
-        alive &= compose(rational, [cols[sum(p)] for p in zip(*profile)], width)
-        if not alive:
-            break
+    alive = _sweep(rs, rational, judges, [cols] * len(agenda), alive, 1 << points)
     has_compound = agenda.has_compound()
     return [_solution_case(BoolFn(judges, t), has_compound) for t in set_bits(alive)]
 
@@ -309,21 +313,35 @@ def enumerate_uniform_rules(agenda: Agenda, judges: int, *,
 def enumerate_independent_rules(agenda: Agenda, judges: int, *,
                                 config: Config = DEFAULT) -> list[PiJar]:
     """All consistent unanimity-preserving rules with positions chosen
-    independently, in ascending order of the per-position table tuple."""
+    independently, in ascending order of the per-position table tuple.
+
+    It runs the uniform rules' candidate sweep over a joint space: unanimity
+    fixes points 0 and 2**judges - 1, and candidate c holds position k's other
+    ``free`` table bits at bit free*(|basis|-1-k), so ascending c is ascending
+    tuples.  The arity cap bounds free*|basis|.
+    """
+    if judges < 1:
+        raise ValueError("need at least one judge")
     rs = rational_judgments(agenda)
-    size = len(agenda)
-    work = (1 << ((1 << judges) - 2)) ** size * len(rs.judgments) ** judges * size
+    rational = _rational_fn(rs, config)
+    size, free = len(agenda), (1 << judges) - 2
+    bits = free * size
+    if bits > config.arity_cap:
+        raise BudgetError(f"{judges} judges on {size} basis entries give "
+                          f"2**{bits} candidate rules, beyond 2**{config.arity_cap}")
+    work = (1 << free) ** size * len(rs.judgments) ** judges * size
     charge(config, work, f"independent-rule sweep for {judges} judges",
            "|UP functions|**|basis| * |U|**judges * |basis| within budget, "
            "e.g. 2 judges on a three-entry basis")
-    width, cols, rational = _profile_columns(rs, judges, config)
-    up = variable_mask((1 << judges) - 1, 1 << judges) & ~variable_mask(0, 1 << judges)
-    candidates = [BoolFn(judges, t) for t in set_bits(up)]
-    # each (position, function) pair is composed once, not once per rule
-    columns = [[(fn, compose(fn, c, width)) for fn in candidates] for c in cols]
-    return [PiJar(agenda, judges, tuple(fn for fn, _ in combo))
-            for combo in product(*columns)
-            if not _irrational(rational, [agg for _, agg in combo], width)]
+    offsets = [free * (size - 1 - k) for k in range(size)]
+    everyone = (1 << (1 << bits)) - 1
+    columns = [[0, *(variable_mask(at + x, bits) for x in range(free)), everyone]
+               for at in offsets]
+    alive = _sweep(rs, rational, judges, columns, everyone, 1 << bits)
+    low, top = (1 << free) - 1, 1 << (free + 1)
+    return [PiJar(agenda, judges, tuple(BoolFn(judges, ((c >> at) & low) << 1 | top)
+                                        for at in offsets))
+            for c in set_bits(alive)]
 
 
 def filter_axioms(solutions: Iterable[UniformSolution | PiJar], *,

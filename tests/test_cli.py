@@ -185,6 +185,40 @@ def test_jars_enumerate_up_flag(capsys):
     assert "--up, --no-up" in out and "--no-no-up" not in out
 
 
+def test_jars_enumerate_independent_golden(capsys, monkeypatch):
+    monkeypatch.setenv("JAGG_ENUMERATION_BUDGET", str(1 << 40))
+    code, out = run(capsys, "jars", "enumerate", "--agenda",
+                    agenda("or_closure.agenda"), "-n", "3", "--json")
+    assert code == 0
+    assert out == golden("independent_or_closure_n3.json")
+
+
+def test_jars_enumerate_needs_a_judge(capsys):
+    for judges in ("0", "-1"):
+        for mode in ([], ["--normal-form"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["jars", "enumerate", "--agenda", agenda("or_closure.agenda"),
+                      "-n", judges, *mode])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "jagg: need at least one judge\n"
+
+
+def test_jars_enumerate_no_up_needs_normal_form(capsys):
+    argv = ["jars", "enumerate", "--agenda", agenda("or_closure.agenda"), "-n", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--no-up"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("jagg: --no-up needs --normal-form")
+    # --up states what independent rules require anyway
+    assert run(capsys, *argv, "--up") == run(capsys, *argv)
+    _, out = run(capsys, "jars", "enumerate", "--help")
+    assert "with --normal-form" in " ".join(out.split())
+
+
 def test_jars_enumerate_impossibility(capsys):
     code, out = run(capsys, "jars", "enumerate", "--agenda",
                     agenda("and_closure.agenda"), "-n", "2", "--normal-form",

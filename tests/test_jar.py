@@ -6,12 +6,14 @@ import pytest
 
 import jagg.jar as jar_module
 from jagg.agenda import build_agenda, rational_judgments
-from jagg.boolfn import BoolFn, all_tables, format_fn_spec, parse_fn_spec
+from jagg.boolfn import (BoolFn, all_tables, compose, format_fn_spec, parse_fn_spec,
+                         set_bits, variable_mask)
 from jagg.config import BudgetError, Config
-from jagg.jar import (PiJar, _solution_case, check_jar, dependent_pair_relation,
-                      enumerate_independent_rules, enumerate_uniform_rules,
-                      filter_axioms, restrict_jar, to_normal_form, uniform_jar)
-from jagg.verify import SCENARIO_AGENDAS
+from jagg.jar import (PiJar, _profile_columns, _solution_case, check_jar,
+                      dependent_pair_relation, enumerate_independent_rules,
+                      enumerate_uniform_rules, filter_axioms, restrict_jar,
+                      to_normal_form, uniform_jar)
+from jagg.verify import SCENARIO_AGENDAS, _generated_agendas
 
 OR_CLOSURE = build_agenda(["P", "Q", "P | Q"])
 AND_CLOSURE = build_agenda(["P", "Q", "P & Q"])
@@ -29,6 +31,13 @@ def test_pijar_validation():
         PiJar(OR_CLOSURE, 2, (BoolFn.or_(3),) * 3)  # arity != judges
     with pytest.raises(ValueError):
         PiJar(OR_CLOSURE, 0, ())
+
+
+def test_enumerations_need_a_judge():
+    for judges in (0, -1):
+        for enumerate_rules in (enumerate_uniform_rules, enumerate_independent_rules):
+            with pytest.raises(ValueError, match="need at least one judge"):
+                enumerate_rules(OR_CLOSURE, judges)
 
 
 def test_aggregate():
@@ -355,11 +364,48 @@ def test_uniform_sweep_matches_loop():
 
 
 def test_independent_sweep_matches_loop():
-    for agenda in SCENARIOS:
+    generated = list(_generated_agendas(Config()))
+    assert len(generated) == 47
+    for agenda in SCENARIOS + generated:
         assert enumerate_independent_rules(agenda, 2) == loop_independent_rules(agenda, 2)
     for basis in (["P | Q", "!P | Q"], ["P", "P & Q"]):
         agenda = build_agenda(basis)
         assert enumerate_independent_rules(agenda, 3) == loop_independent_rules(agenda, 3)
+
+
+def product_independent_rules(agenda, judges):
+    """The per-combination sweep the candidate sweep replaced, kept as a
+    reference: each (position, function) aggregate is composed once over the
+    profile columns, and every combination of them is checked."""
+    rs = rational_judgments(agenda)
+    width, cols, rational = _profile_columns(rs, judges, Config())
+    points = 1 << judges
+    up = variable_mask(points - 1, points) & ~variable_mask(0, points)
+    candidates = [BoolFn(judges, t) for t in set_bits(up)]
+    columns = [[(fn, compose(fn, c, width)) for fn in candidates] for c in cols]
+    return [PiJar(agenda, judges, tuple(fn for fn, _ in combo))
+            for combo in itertools.product(*columns)
+            if compose(rational, [agg for _, agg in combo], width) == (1 << width) - 1]
+
+
+INDEPENDENT_3_COUNTS = {"or-closure": 7, "and-closure": 7, "parity-closure": 4}
+
+
+def test_independent_sweep_three_judges():
+    raised = Config(enumeration_budget=1 << 40)
+    for name, count in INDEPENDENT_3_COUNTS.items():
+        agenda = build_agenda(SCENARIO_AGENDAS[name])
+        got = enumerate_independent_rules(agenda, 3, config=raised)
+        assert len(got) == count, name
+        if name != "and-closure":
+            assert got == product_independent_rules(agenda, 3), name
+
+
+def test_independent_sweep_mixed_compounds_three_judges_dictators():
+    agenda = build_agenda(SCENARIO_AGENDAS["mixed-compounds"])
+    got = enumerate_independent_rules(
+        agenda, 3, config=Config(arity_cap=24, enumeration_budget=1 << 40))
+    assert got == [uniform_jar(agenda, BoolFn.dictator(3, i)) for i in range(3)]
 
 
 # --- four judges: the candidate sweep under the default config ---------------
@@ -395,3 +441,17 @@ def test_uniform_sweep_refuses_five_judges_before_building_columns(monkeypatch):
         enumerate_uniform_rules(OR_CLOSURE, 5, config=Config(enumeration_budget=1 << 62))
     with pytest.raises(BudgetError, match="work units"):
         enumerate_uniform_rules(SCENARIOS[1], 4, config=Config(enumeration_budget=1 << 20))
+
+
+def test_independent_sweep_refuses_before_building_columns(monkeypatch):
+    def no_columns(*args):
+        raise AssertionError("a candidate column was built")
+
+    monkeypatch.setattr(jar_module, "variable_mask", no_columns)
+    raised = Config(enumeration_budget=1 << 62)
+    # 3 judges leave 6 free table bits per position: 24 bits over 4 entries
+    with pytest.raises(BudgetError, match="2\\*\\*24 candidate rules"):
+        enumerate_independent_rules(build_agenda(SCENARIO_AGENDAS["mixed-compounds"]), 3,
+                                    config=raised)
+    with pytest.raises(BudgetError, match="candidate rules"):
+        enumerate_independent_rules(OR_CLOSURE, 6, config=raised)
