@@ -91,12 +91,19 @@ def set_bits(mask: int) -> list[int]:
     return out
 
 
+# largest arity of a set over all tables: at arity 5 one has 2**32 bits
+MAX_TABLE_SET_ARITY = 4
+
+
 def relevant_tables(n: int) -> int:
     """The arity-``n`` tables that use every input, as a candidate set: bit t
     stands for table t, so "T at point x" is ``variable_mask(x, 2**n)``, and
     input i matters to the tables that differ at some x and ``x + 2**i``,
     with bit i of x clear.  Those x are the k < 2**(n-1) with a 0 put in at
-    bit i: ``k + (k & -2**i)``."""
+    bit i: ``k + (k & -2**i)``.  Arities past the table-set cap are refused."""
+    if n > MAX_TABLE_SET_ARITY:
+        raise BudgetError(f"all arity-{n} tables are refused at any budget: the arity "
+                          f"must be at most {MAX_TABLE_SET_ARITY} (2**32 bits at 5)")
     points = 1 << n
     cols = [variable_mask(x, points) for x in range(points)]
     mask = (1 << (1 << points)) - 1

@@ -35,13 +35,13 @@ class Config:
     enumeration_budget  work-unit cap for every exhaustive sweep, where work
                         is candidate count times per-candidate sweep size (a
                         single pair or rule check is one candidate times its
-                        2**(m*n) matrices or |U|**judges profiles; for the
-                        shared-function rule sweep, big-int operations on
-                        1024 bits); the default of 2**25 admits pair checks
-                        up to m*n = 25, the 3x3 pair enumeration,
+                        2**(m*n) matrices or |U|**judges profiles; for both
+                        rule sweeps, big-int operations on 1024 bits across
+                        the candidates); the default of 2**25 admits pair
+                        checks up to m*n = 25, the 3x3 pair enumeration,
                         shared-function rule sweeps up to 4 judges and
-                        independent-rule sweeps up to 3 judges on small
-                        agendas
+                        independent-rule sweeps up to 3 judges on agendas
+                        of at most three entries
     output_format       default CLI rendering, "text" or "json"
     """
 

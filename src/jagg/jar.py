@@ -12,9 +12,10 @@ matrices: each judge's vote at each position becomes a column over the
 profile space, every function is applied through ``boolfn.compose``, and the
 rational set is itself a Boolean function of the basis positions, composed
 onto the aggregate columns.  Both rule enumerations turn this around in one
-candidate sweep: its columns run over every candidate rule at once, one per
-position and input point, and each profile composes the rational set onto
-the columns the judges vote, which leaves the candidates still consistent.
+candidate sweep and layout: a candidate holds the 2**n - 2 points of each
+table that unanimity leaves free, a column per position and point holds the
+candidates T there, and each profile composes the rational set onto the
+columns the judges vote, which leaves the candidates still consistent.
 """
 
 from __future__ import annotations
@@ -255,20 +256,57 @@ def _solution_case(fn: BoolFn, has_compound: bool) -> UniformSolution:
     return UniformSolution(fn, relevant, label, case, anonymous, systematic)
 
 
-def _sweep(rs: RationalSet, rational: BoolFn, judges: int,
-           columns: Sequence[Sequence[int]], alive: int, width: int) -> int:
-    """The candidates of ``alive`` that are consistent, where ``columns[k][x]``
-    is the ``width``-bit set of candidates whose position-k function is T at
-    point x: a profile voting x_k at each position k keeps the candidates in
-    ``compose(rational, [columns[k][x_k] ...])``."""
+def _rule_sweep(agenda: Agenda, judges: int, *, shared: bool, flip: bool,
+                config: Config) -> list[tuple[int, ...]]:
+    """The consistent rules' tables, ascending: one table used at every
+    position when ``shared``, else one table per position.
+
+    Unanimity fixes each table at points 0 and 2**judges - 1, so candidate c
+    holds the ``free`` other points of the k-th of its ``blocks`` tables at
+    bit free*(blocks-1-k); ``flip`` adds a top bit for f(F..F) = T and
+    f(T..T) = F.  ``columns[k][x]`` is the set of candidates whose position-k
+    function is T at point x, and a profile voting x_k at each position k
+    keeps the candidates in ``compose(rational, [columns[k][x_k] ...])``.
+    The charge counts big-int operations on 1024 bits: per profile, compose
+    ANDs |basis| columns into each of |U| terms and ORs it in, negates each
+    column at most once, and ANDs into the survivors.
+    """
+    if judges < 1:
+        raise ValueError("need at least one judge")
+    rs = rational_judgments(agenda)
+    rational = _rational_fn(rs, config)
+    size, positions = len(rs.judgments), len(agenda)
+    free, blocks = (1 << judges) - 2, 1 if shared else positions
+    edge = free * blocks
+    if shared and 1 << judges > config.arity_cap:
+        raise BudgetError(f"{judges} judges give 2**{1 << judges} candidate tables, "
+                          f"beyond 2**{config.arity_cap}")
+    if not shared and edge > config.arity_cap:
+        raise BudgetError(f"{judges} judges on {positions} basis entries give "
+                          f"2**{edge} candidate rules, beyond 2**{config.arity_cap}")
+    bits = edge + flip
+    work = size ** judges * (size + 1) * (positions + 1) * max(1, (1 << bits) >> 10)
+    charge(config, work, f"{'uniform' if shared else 'independent'}-rule sweep for "
+           f"{judges} judges", "|U|**judges * (|U| + 1) * (|basis| + 1) * 2**bits / "
+           "2**10 within budget, bits being 2**judges - 2 per swept table (one more "
+           "without unanimity), e.g. 4 shared or 3 independent judges on 3 entries")
+    alive = everyone = (1 << (1 << bits)) - 1
+    flipped = variable_mask(edge, bits) if flip else 0
+    offsets = [free * (blocks - 1 - k) for k in range(blocks)]
+    columns = [[flipped, *(variable_mask(at + x, bits) for x in range(free)),
+                everyone ^ flipped] for at in offsets]
+    if shared:
+        columns *= positions
     # votes[i][u][k]: what judge i voting judgment u adds to the point at k
     votes = [[tuple(b << i for b in u) for u in rs.judgments] for i in range(judges)]
     for profile in product(*votes):
         alive &= compose(rational, [col[sum(p)] for col, p in zip(columns, zip(*profile))],
-                         width)
+                         1 << bits)
         if not alive:
             break
-    return alive
+    low, top = (1 << free) - 1, 1 << (free + 1)
+    return sorted(tuple((c >> at & low) << 1 | (1 if c >> edge else top) for at in offsets)
+                  for c in set_bits(alive))
 
 
 def enumerate_uniform_rules(agenda: Agenda, judges: int, *,
@@ -281,33 +319,14 @@ def enumerate_uniform_rules(agenda: Agenda, judges: int, *,
     (f(T..T) != f(F..F)); that keeps negations of unanimity-preserving rules
     and drops degenerate constant rules.
 
-    The sweep runs over the candidates, not the profiles: candidate t is the
-    function with table t, so "f is T at input point x" is the column
-    ``variable_mask(x, 2**judges)`` over all 2**(2**judges) tables.
+    The sweep runs over the candidates, not the profiles (``_rule_sweep``):
+    a candidate holds the shared table's 2**judges - 2 inner points, plus,
+    without ``require_up``, one bit for the negated unanimities.  The arity
+    cap bounds 2**judges.
     """
-    if judges < 1:
-        raise ValueError("need at least one judge")
-    rs = rational_judgments(agenda)
-    rational = _rational_fn(rs, config)
-    points = 1 << judges
-    if points > config.arity_cap:
-        raise BudgetError(f"{judges} judges give 2**{points} candidate tables, "
-                          f"beyond 2**{config.arity_cap}")
-    # big-int work in operations on 1024 bits: per profile, compose ANDs the
-    # |basis| columns into each of the |U| rational points and ORs the term
-    # in, negates each column at most once, and the result is ANDed into the
-    # survivors, each operation spanning the 2**points candidate bits
-    size = len(rs.judgments)
-    work = size ** judges * (size + 1) * (len(agenda) + 1) * max(1, (1 << points) >> 10)
-    charge(config, work, f"uniform-rule sweep for {judges} judges",
-           "|U|**judges * (|U| + 1) * (|basis| + 1) * 2**(2**judges) / 2**10 "
-           "within budget, e.g. 4 judges on a three-symbol agenda")
-    cols = [variable_mask(x, points) for x in range(points)]
-    top, bottom = cols[-1], cols[0]
-    alive = top & ~bottom if require_up else top ^ bottom
-    alive = _sweep(rs, rational, judges, [cols] * len(agenda), alive, 1 << points)
+    tables = _rule_sweep(agenda, judges, shared=True, flip=not require_up, config=config)
     has_compound = agenda.has_compound()
-    return [_solution_case(BoolFn(judges, t), has_compound) for t in set_bits(alive)]
+    return [_solution_case(BoolFn(judges, t), has_compound) for t, in tables]
 
 
 def enumerate_independent_rules(agenda: Agenda, judges: int, *,
@@ -315,33 +334,11 @@ def enumerate_independent_rules(agenda: Agenda, judges: int, *,
     """All consistent unanimity-preserving rules with positions chosen
     independently, in ascending order of the per-position table tuple.
 
-    It runs the uniform rules' candidate sweep over a joint space: unanimity
-    fixes points 0 and 2**judges - 1, and candidate c holds position k's other
-    ``free`` table bits at bit free*(|basis|-1-k), so ascending c is ascending
-    tuples.  The arity cap bounds free*|basis|.
+    It runs the uniform rules' candidate sweep (``_rule_sweep``) with one
+    table per position; the arity cap bounds its width (2**judges - 2)*|basis|.
     """
-    if judges < 1:
-        raise ValueError("need at least one judge")
-    rs = rational_judgments(agenda)
-    rational = _rational_fn(rs, config)
-    size, free = len(agenda), (1 << judges) - 2
-    bits = free * size
-    if bits > config.arity_cap:
-        raise BudgetError(f"{judges} judges on {size} basis entries give "
-                          f"2**{bits} candidate rules, beyond 2**{config.arity_cap}")
-    work = (1 << free) ** size * len(rs.judgments) ** judges * size
-    charge(config, work, f"independent-rule sweep for {judges} judges",
-           "|UP functions|**|basis| * |U|**judges * |basis| within budget, "
-           "e.g. 2 judges on a three-entry basis")
-    offsets = [free * (size - 1 - k) for k in range(size)]
-    everyone = (1 << (1 << bits)) - 1
-    columns = [[0, *(variable_mask(at + x, bits) for x in range(free)), everyone]
-               for at in offsets]
-    alive = _sweep(rs, rational, judges, columns, everyone, 1 << bits)
-    low, top = (1 << free) - 1, 1 << (free + 1)
-    return [PiJar(agenda, judges, tuple(BoolFn(judges, ((c >> at) & low) << 1 | top)
-                                        for at in offsets))
-            for c in set_bits(alive)]
+    tables = _rule_sweep(agenda, judges, shared=False, flip=False, config=config)
+    return [PiJar(agenda, judges, tuple(BoolFn(judges, t) for t in ts)) for ts in tables]
 
 
 def filter_axioms(solutions: Iterable[UniformSolution | PiJar], *,

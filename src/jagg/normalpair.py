@@ -40,8 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolfn import (BoolFn, classify, compose, minterms, relevant_tables, repeat_bits,
-                     set_bits, variable_mask)
+from .boolfn import (MAX_TABLE_SET_ARITY, BoolFn, classify, compose, minterms,
+                     relevant_tables, repeat_bits, set_bits, variable_mask)
 from .config import DEFAULT, BudgetError, Config, charge
 
 
@@ -183,10 +183,6 @@ _MATRIX_STEP = 0x9E3779B1
 # 1, 2, 4, 8, ...
 _HANDOFF_RATIO = 8
 
-# largest arity either side of an enumeration: at arity 5 a set over all
-# tables, such as relevant_tables(5), has 2**32 bits (512 MB)
-_MAX_ENUMERATION_ARITY = 4
-
 
 def _orbits(m: int) -> dict[int, list[int]]:
     """The all-relevant arity-m tables grouped by permuting g's inputs: each
@@ -300,10 +296,10 @@ def enumerate_normal_pairs(m: int, n: int, *, config: Config = DEFAULT,
     """
     if m < 2 or n < 2:
         raise ValueError("enumeration needs both arities >= 2")
-    if max(m, n) > _MAX_ENUMERATION_ARITY:
+    if max(m, n) > MAX_TABLE_SET_ARITY:
         raise BudgetError(
             f"enumerating {m}x{n} pairs is refused at any budget: both arities "
-            f"must be at most {_MAX_ENUMERATION_ARITY}, since at arity 5 a set "
+            f"must be at most {MAX_TABLE_SET_ARITY}, since at arity 5 a set "
             f"over all tables has 2**32 bits (512 MB)")
     work = (1 << (1 << m)) * (1 << (1 << n)) * (1 << (m * n))
     charge(config, work, f"enumerating {m}x{n} pairs",

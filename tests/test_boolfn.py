@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import jagg.boolfn as boolfn
 from jagg.boolfn import (BoolFn, FnClass, all_tables, classify,
                          classify_on_relevant, compose, format_fn_spec, minterms,
                          parse_fn_spec, relevant_tables, set_bits, variable_mask)
@@ -294,6 +295,16 @@ def test_relevant_tables_match_is_relevant():
         assert mask.bit_count() == count
         assert mask == sum(1 << f.table for f in all_tables(n)
                            if all(f.is_relevant(i) for i in range(n)))
+
+
+def test_relevant_tables_refuses_arity_five_before_any_mask(monkeypatch):
+    def no_masks(*args):
+        raise AssertionError("a variable mask was built")
+
+    monkeypatch.setattr(boolfn, "variable_mask", no_masks)
+    for n in (5, 6, 32):
+        with pytest.raises(BudgetError, match="at any budget"):
+            relevant_tables(n)
 
 
 def test_minterms_partition_the_points():

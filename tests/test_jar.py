@@ -9,7 +9,7 @@ from jagg.agenda import build_agenda, rational_judgments
 from jagg.boolfn import (BoolFn, all_tables, compose, format_fn_spec, parse_fn_spec,
                          set_bits, variable_mask)
 from jagg.config import BudgetError, Config
-from jagg.jar import (PiJar, _profile_columns, _solution_case, check_jar,
+from jagg.jar import (PiJar, _profile_columns, _rational_fn, _solution_case, check_jar,
                       dependent_pair_relation, enumerate_independent_rules,
                       enumerate_uniform_rules, filter_axioms, restrict_jar,
                       to_normal_form, uniform_jar)
@@ -110,6 +110,26 @@ def test_rule_check_budget():
         check_jar(uniform_jar(OR_CLOSURE, BoolFn.or_(1)), config=Config(arity_cap=2))
     with pytest.raises(BudgetError):
         enumerate_uniform_rules(OR_CLOSURE, 1, config=Config(arity_cap=2))
+
+
+def test_rule_sweeps_share_one_charge():
+    # |U|**judges * (|U| + 1) * (|basis| + 1) * max(1, 2**bits >> 10), with
+    # |U| = 4 and |basis| = 3 on the or-closure: bits is 14 (15 without
+    # unanimity) for 4 shared-function judges, and 6 * 3 for 3 independent ones
+    for sweep, work in ((lambda c: enumerate_uniform_rules(OR_CLOSURE, 4, config=c),
+                         4 ** 4 * 5 * 4 * 16),
+                        (lambda c: enumerate_uniform_rules(OR_CLOSURE, 4, require_up=False,
+                                                           config=c),
+                         4 ** 4 * 5 * 4 * 32),
+                        (lambda c: enumerate_independent_rules(OR_CLOSURE, 3, config=c),
+                         4 ** 3 * 5 * 4 * 256),
+                        (lambda c: enumerate_independent_rules(OR_CLOSURE, 2, config=c),
+                         4 ** 2 * 5 * 4)):
+        with pytest.raises(BudgetError, match=f"needs {work} work units"):
+            sweep(Config(enumeration_budget=work - 1))
+        assert sweep(Config(enumeration_budget=work))
+    # the default budget admits 3 independent judges on a three-entry basis
+    assert len(enumerate_independent_rules(OR_CLOSURE, 3)) == 7
 
 
 def test_dependent_pair_relation():
@@ -430,6 +450,73 @@ def test_uniform_sweep_four_judges_matches_check_jar():
                 and check_jar(uniform_jar(agenda, fn), config=raised).consistent]
         got = enumerate_uniform_rules(agenda, 4, config=raised)
         assert got == [_solution_case(fn, True) for fn in want]
+
+
+# --- the candidate layout against the full table space it replaced ----------
+
+def full_space_uniform_rules(agenda, judges, require_up=True):
+    """The shared-function sweep over all 2**(2**judges) tables, kept as a
+    reference: candidate t is table t, "T at point x" is
+    ``variable_mask(x, 2**judges)``, the unanimity points are filtered
+    through ``alive`` instead of being left out of the candidate, and each
+    profile keeps the tables whose aggregate is rational."""
+    rs = rational_judgments(agenda)
+    rational = _rational_fn(rs, Config())
+    points = 1 << judges
+    cols = [variable_mask(x, points) for x in range(points)]
+    top, bottom = cols[-1], cols[0]
+    alive = top & ~bottom if require_up else top ^ bottom
+    for profile in itertools.product(rs.judgments, repeat=judges):
+        votes = [sum(j[k] << i for i, j in enumerate(profile)) for k in range(len(agenda))]
+        alive &= compose(rational, [cols[x] for x in votes], 1 << points)
+    has_compound = agenda.has_compound()
+    return [_solution_case(BoolFn(judges, t), has_compound) for t in set_bits(alive)]
+
+
+def test_uniform_sweep_matches_full_table_space():
+    generated = list(_generated_agendas(Config()))
+    assert len(generated) == 47
+    raised = Config(enumeration_budget=1 << 40)
+    cases = [(agenda, judges) for agenda in SCENARIOS for judges in (1, 2, 3, 4)]
+    cases += [(agenda, judges) for agenda in generated for judges in (1, 2, 3)]
+    for agenda, judges in cases:
+        for require_up in (True, False):
+            want = full_space_uniform_rules(agenda, judges, require_up)
+            assert want, (agenda.basis, judges, require_up)
+            assert enumerate_uniform_rules(agenda, judges, require_up=require_up,
+                                           config=raised) == want
+
+
+def test_one_judge_candidates_are_the_two_unanimity_bits(monkeypatch):
+    # free = 0 inner points, so a candidate is only the flip bit, if any, and
+    # every column is flipped or everyone ^ flipped
+    composed = []
+
+    def recording_compose(f, arg_tables, width):
+        composed.append((tuple(arg_tables), width))
+        return compose(f, arg_tables, width)
+
+    def columns_used():
+        used = {(arg, width) for args, width in composed for arg in args}
+        composed.clear()
+        return used
+
+    monkeypatch.setattr(jar_module, "compose", recording_compose)
+    identity, negation = BoolFn.dictator(1, 0), BoolFn.anti_dictator(1, 0)
+    kept = []
+    for agenda in SCENARIOS + [build_agenda(["P", "Q"])]:
+        assert [s.fn for s in enumerate_uniform_rules(agenda, 1)] == [identity]
+        assert columns_used() == {(0, 1), (0b1, 1)}
+        # candidate 1 is the flip, the negation: F..F gives T and T..T gives F
+        got = [s.fn for s in enumerate_uniform_rules(agenda, 1, require_up=False)]
+        assert columns_used() == {(0b10, 2), (0b01, 2)}
+        kept.append(loop_check_jar(uniform_jar(agenda, negation))[0])
+        assert got == [negation] * kept[-1] + [identity]
+        assert [j.functions for j in enumerate_independent_rules(agenda, 1)] == [
+            (identity,) * len(agenda)]
+        assert columns_used() == {(0, 1), (0b1, 1)}
+    # only the atomic agenda keeps the negation
+    assert kept == [False] * len(SCENARIOS) + [True]
 
 
 def test_uniform_sweep_refuses_five_judges_before_building_columns(monkeypatch):
