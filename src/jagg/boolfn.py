@@ -94,6 +94,36 @@ def set_bits(mask: int) -> list[int]:
 # largest arity of a set over all tables: at arity 5 one has 2**32 bits
 MAX_TABLE_SET_ARITY = 4
 
+# arities whose input lifts are kept once built: at 16 they take 264 KB, and
+# larger arities build them on every call
+_KEPT_LIFT_ARITY = 16
+_kept_lifts: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
+
+
+def _input_lifts(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Entry i, item c: the arity-``n`` table of the arity-1 function of
+    table c (F, not, identity, T) applied to input i.
+
+    So item 1 is the points where input i is F, ``full ^ variable_mask(i, n)``,
+    and item 2 those where it is T.  Built on first use of an arity, never at
+    import, and kept up to ``_KEPT_LIFT_ARITY``.
+    """
+    lifts = _kept_lifts.get(n)
+    if lifts is None:
+        full = (1 << (1 << n)) - 1
+        lifts = tuple((0, full ^ var, var, full)
+                      for var in [variable_mask(i, n) for i in range(n)])
+        if n <= _KEPT_LIFT_ARITY:
+            _kept_lifts[n] = lifts
+    return lifts
+
+
+def _flip_table(n: int, table: int) -> int:
+    """``BoolFn.flip`` on a bare arity-``n`` table: point p goes to its
+    complement, the mirror position in the table, and the output is negated."""
+    points = 1 << n
+    return int(format(table, f"0{points}b")[::-1], 2) ^ ((1 << points) - 1)
+
 
 def relevant_tables(n: int) -> int:
     """The arity-``n`` tables that use every input, as a candidate set: bit t
@@ -299,17 +329,25 @@ class BoolFn:
         """True iff input ``i`` is pivotal at some point."""
         if not 0 <= i < self.n:
             raise ValueError(f"index {i} out of range for arity {self.n}")
-        low = self.full ^ variable_mask(i, self.n)   # points with input i = F
+        low = _input_lifts(self.n)[i][1]   # points with input i = F
         return (self.table & low) != (self.table >> (1 << i)) & low
 
+    def first_irrelevant_index(self) -> int | None:
+        """The smallest input index that is not relevant, or None."""
+        table = self.table
+        for i, (_, low, _, _) in enumerate(_input_lifts(self.n)):
+            if table & low == table >> (1 << i) & low:
+                return i
+        return None
+
     def relevant_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if self.is_relevant(i))
+        table = self.table
+        return tuple(i for i, (_, low, _, _) in enumerate(_input_lifts(self.n))
+                     if table & low != table >> (1 << i) & low)
 
     def flip(self) -> "BoolFn":
         """The function s -> not f(not s_0, ..., not s_{n-1}); an involution."""
-        # point p goes to its complement, the mirror position in the table
-        rev = int(format(self.table, f"0{self.points}b")[::-1], 2)
-        return BoolFn(self.n, rev ^ self.full)
+        return BoolFn(self.n, _flip_table(self.n, self.table))
 
     def negate(self) -> "BoolFn":
         """Pointwise output negation."""
@@ -321,25 +359,28 @@ class BoolFn:
         When both input values force (only constants), the x = F witness is
         reported.
         """
+        table = self.table
         out: list[tuple[bool, bool] | None] = []
-        for i in range(self.n):
-            high = variable_mask(i, self.n)
-            low = self.full ^ high
+        for _, low, high, _ in _input_lifts(self.n):
             witness: tuple[bool, bool] | None = None
-            if self.table & low == low:
+            if table & low == low:
                 witness = (False, True)
-            elif self.table & low == 0:
+            elif table & low == 0:
                 witness = (False, False)
-            elif self.table & high == high:
+            elif table & high == high:
                 witness = (True, True)
-            elif self.table & high == 0:
+            elif table & high == 0:
                 witness = (True, False)
             out.append(witness)
         return tuple(out)
 
     def is_forceful(self) -> bool:
         """True iff every input index has a forcing value."""
-        return all(w is not None for w in self.forceable_indices())
+        table = self.table
+        for _, low, high, _ in _input_lifts(self.n):
+            if table & low not in (0, low) and table & high not in (0, high):
+                return False
+        return True
 
     def forceful_decomposition(self) -> "ForcefulDecomposition":
         """Sign vector (c0, c1..cn) writing f as -c0 + c0/2**(n-1) * prod(1 + ci*ri).

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from typing import Callable
 
 ENV_PREFIX = "JAGG_"
 
@@ -88,9 +89,15 @@ class Config:
 DEFAULT = Config()
 
 
-def charge(config: Config, work: int, what: str, feasible: str) -> None:
-    """Fail with a BudgetError if ``work`` exceeds the enumeration budget."""
+def charge(config: Config, work: int, what: str | Callable[[], str],
+           feasible: str | Callable[[], str]) -> None:
+    """Fail with a BudgetError if ``work`` exceeds the enumeration budget.
+
+    Either text may be passed as a function that makes it; it is called only
+    on refusal, so an admitted charge formats nothing.
+    """
     if work > config.enumeration_budget:
+        what, feasible = (text() if callable(text) else text for text in (what, feasible))
         raise BudgetError(
             f"{what} needs {work} work units but the enumeration budget is "
             f"{config.enumeration_budget}; feasible at this budget: {feasible}")

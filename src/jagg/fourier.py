@@ -119,8 +119,8 @@ class Dyadic:
         return self._scaled(exp) <= o._scaled(exp)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = Dyadic.make(other)
+        if isinstance(other, int):  # an int is the canonical other / 2**0
+            return self.exp == 0 and self.num == other
         if not isinstance(other, Dyadic):
             return NotImplemented
         return self.num == other.num and self.exp == other.exp

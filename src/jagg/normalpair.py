@@ -27,21 +27,26 @@ over the same points.  The kept set is an AND over all matrices, so the
 order of the matrices does not change the result; the order used fails most
 g within a few matrices.
 
-Two steps cut the sweep down.  Permuting g's inputs permutes the matrix
+Three steps cut the sweep down.  Permuting g's inputs permutes the matrix
 rows, a bijection on the matrices, so every g in an orbit has the same
-partners: only the smallest g of each orbit is swept, 68 of 218 at arity 3
-and 3 904 of 64 594 at arity 4, and the orbits are expanded after.  And once
-few (g, f) candidates are left next to the matrices still to visit, the
-sweep stops and each candidate is certified by the two composites over all
-2**(m*n) matrices, as ``check_normal_pair`` does.  The result stays exact.
+partners.  Flipping both functions (``BoolFn.flip``, s -> not g(not s))
+keeps a pair normal, and it maps orbits onto orbits, so the partners of the
+flipped orbit are the flipped partners.  Only the smallest g of one orbit
+per flip-dual pair of orbits is swept, 4 of 10 at arity 2, 39 of 218 at
+arity 3 and 1 986 of 64 594 at arity 4, and both orbits are expanded after.
+And once few (g, f) candidates are left next to the matrices still to
+visit, the sweep stops and each candidate is certified by the two
+composites over all 2**(m*n) matrices, as ``check_normal_pair`` does.  The
+result stays exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolfn import (MAX_TABLE_SET_ARITY, BoolFn, classify, compose, minterms,
-                     relevant_tables, repeat_bits, set_bits, variable_mask)
+from .boolfn import (MAX_TABLE_SET_ARITY, BoolFn, _flip_table, _input_lifts, classify,
+                     compose, minterms, relevant_tables, repeat_bits, set_bits,
+                     variable_mask)
 from .config import DEFAULT, BudgetError, Config, charge
 
 
@@ -73,8 +78,8 @@ class NormalPairReport:
 
 
 def _matrix_rows(mask: int, m: int, n: int) -> tuple[tuple[bool, ...], ...]:
-    return tuple(tuple(bool(mask >> (i * n + j) & 1) for j in range(n))
-                 for i in range(m))
+    cells = list(map("1".__eq__, format(mask, f"0{m * n}b")[::-1]))
+    return tuple(tuple(cells[i:i + n]) for i in range(0, m * n, n))
 
 
 def _stretch(table: int, points: int, block: int) -> int:
@@ -117,11 +122,8 @@ def _down(g: BoolFn, n: int) -> list[int]:
     m = g.n
     if n == 1:  # a single column reads the matrix as g's input point
         return [g.table]
-    full = (1 << (1 << n)) - 1
     tables = []
-    for j in range(n):
-        var = variable_mask(j, n)
-        lift = (0, var ^ full, var, full)
+    for j, lift in enumerate(_input_lifts(n)):
         level = [lift[g.table >> t & 3] for t in range(0, 1 << m, 2)]
         block = 1 << n
         for _ in range(m - 1):
@@ -149,18 +151,18 @@ def check_normal_pair(g: BoolFn, f: BoolFn, *, config: Config = DEFAULT) -> Norm
     m, n = g.n, f.n
     if m < 1 or n < 1:
         raise ValueError("both functions need arity >= 1")
-    charge(config, 1 << (m * n), f"checking a {m}x{n} pair",
-           f"m*n <= {config.enumeration_budget.bit_length() - 1}")
+    charge(config, 1 << (m * n), lambda: f"checking a {m}x{n} pair",
+           lambda: f"m*n <= {config.enumeration_budget.bit_length() - 1}")
     if g.is_constant():
         return NormalPairReport(g, f, False, Violation("g_constant"))
     if f.is_constant():
         return NormalPairReport(g, f, False, Violation("f_constant"))
-    for i in range(m):
-        if not g.is_relevant(i):
-            return NormalPairReport(g, f, False, Violation("g_irrelevant_index", i))
-    for j in range(n):
-        if not f.is_relevant(j):
-            return NormalPairReport(g, f, False, Violation("f_irrelevant_index", j))
+    i = g.first_irrelevant_index()
+    if i is not None:
+        return NormalPairReport(g, f, False, Violation("g_irrelevant_index", i))
+    j = f.first_irrelevant_index()
+    if j is not None:
+        return NormalPairReport(g, f, False, Violation("f_irrelevant_index", j))
     width = 1 << (m * n)
     lhs = compose(f, _down(g, n), width)
     rhs = compose(g, _across(f, m), width)
@@ -184,9 +186,14 @@ _MATRIX_STEP = 0x9E3779B1
 _HANDOFF_RATIO = 8
 
 
-def _orbits(m: int) -> dict[int, list[int]]:
-    """The all-relevant arity-m tables grouped by permuting g's inputs: each
-    orbit's smallest table maps to its members, ascending.
+def _orbits(m: int) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """The all-relevant arity-m tables grouped by permuting g's inputs, and
+    the flip duality between the groups.
+
+    The first dict maps each orbit's smallest table, its key, to its members,
+    ascending.  The second maps each key to the key of the orbit of the
+    flipped tables (``BoolFn.flip``); flipping commutes with permuting the
+    inputs, so it maps orbits onto orbits, and the map is an involution.
 
     The m - 1 adjacent input swaps generate every permutation.  Swapping
     inputs i and i + 1 exchanges the table bits of the points that read
@@ -199,20 +206,23 @@ def _orbits(m: int) -> dict[int, list[int]]:
         up, down = lo & ~hi, hi & ~lo
         swaps.append(((1 << width) - 1 ^ up ^ down, up, down, 1 << i))
     orbits: dict[int, list[int]] = {}
-    seen: set[int] = set()
+    # home[t]: the key of table t's orbit, 0 while t is unseen (no key is 0,
+    # the constant F table)
+    home = [0] * (1 << width)
     for t in set_bits(relevant_tables(m)):
-        if t in seen:
+        if home[t]:
             continue
-        seen.add(t)
+        home[t] = t
         members = [t]
         for u in members:  # visits the members appended on the way
             for keep, up, down, s in swaps:
                 v = u & keep | (u & up) << s | (u & down) >> s
-                if v not in seen:
-                    seen.add(v)
+                if not home[v]:
+                    home[v] = t
                     members.append(v)
         orbits[t] = sorted(members)
-    return orbits
+    dual = {t: home[_flip_table(m, t)] for t in orbits}
+    return orbits, dual
 
 
 def _certify(m: int, n: int, g_tables: list[int], alive: list[int],
@@ -284,15 +294,17 @@ def enumerate_normal_pairs(m: int, n: int, *, config: Config = DEFAULT,
                            ) -> list[tuple[BoolFn, BoolFn]]:
     """All normal pairs with the given arities, ascending by (g, f) table.
 
-    ``_partners`` sweeps the smallest g of each orbit (``_orbits``), and
-    each orbit is expanded after.  Both arities must be at most 4, at any
-    budget: at arity 5 every set over all tables, ``relevant_tables(5)``
-    among them, has 2**32 bits (512 MB), and there are about 4 * 10**9
-    all-relevant g.  Memory grows with the live f of each swept g, at most
-    (orbits) * 2**(2**n) bits, plus the orbits themselves.  The measured
-    peak is under 0.1 MB at (3, 3), 1 MB at (3, 4), 7 MB at (4, 3), most
-    of it the 64 594 arity-4 tables in their orbits, and 37 MB at (4, 4).
-    The default budget refuses every arity past (3, 3).
+    ``_partners`` sweeps the smallest g of one orbit per flip-dual pair of
+    orbits (``_orbits``); the partners of the dual orbit are the flips of
+    the swept partners, and each orbit is expanded after.  Both arities must
+    be at most 4, at any budget: at arity 5 every set over all tables,
+    ``relevant_tables(5)`` among them, has 2**32 bits (512 MB), and there
+    are about 4 * 10**9 all-relevant g.  Memory grows with the live f of
+    each swept g, at most (swept orbits) * 2**(2**n) bits, plus the orbits
+    and the table-to-orbit map.  The traced peak is under 0.1 MB at (3, 3),
+    0.9 MB at (3, 4), 6 MB at (4, 3), most of it the 64 594 arity-4 tables
+    in their orbits, and 21 MB at (4, 4).  The default budget refuses every
+    arity past (3, 3).
     """
     if m < 2 or n < 2:
         raise ValueError("enumeration needs both arities >= 2")
@@ -304,11 +316,16 @@ def enumerate_normal_pairs(m: int, n: int, *, config: Config = DEFAULT,
     work = (1 << (1 << m)) * (1 << (1 << n)) * (1 << (m * n))
     charge(config, work, f"enumerating {m}x{n} pairs",
            "(m, n) with 2**(2**m + 2**n + m*n) within budget, e.g. up to (3, 3)")
-    orbits = _orbits(m)
-    partners = _partners(m, list(orbits), n)
-    pairs = sorted((gt, ft) for members, fs in zip(orbits.values(), partners) if fs
-                   for ft in set_bits(fs) for gt in members)
-    return [(BoolFn(m, gt), BoolFn(n, ft)) for gt, ft in pairs]
+    orbits, dual = _orbits(m)
+    swept = [t for t in orbits if t <= dual[t]]
+    pairs = []
+    for t, fs in zip(swept, _partners(m, swept, n)):
+        f_tables = set_bits(fs)
+        pairs += [(gt, ft) for gt in orbits[t] for ft in f_tables]
+        if dual[t] != t:
+            flipped = [_flip_table(n, ft) for ft in f_tables]
+            pairs += [(gt, ft) for gt in orbits[dual[t]] for ft in flipped]
+    return [(BoolFn(m, gt), BoolFn(n, ft)) for gt, ft in sorted(pairs)]
 
 
 def classify_pair(g: BoolFn, f: BoolFn) -> str:

@@ -425,3 +425,38 @@ def test_classify_at_raised_arity_cap():
         f = parse_fn_spec(f"{kind}:21", config=wide)
         assert classify(f) == FnClass(kind)
     assert classify(BoolFn.nxor(21, config=wide)) == FnClass("nxor")
+
+
+def test_input_lifts_match_variable_masks():
+    for n in range(7):
+        full = (1 << (1 << n)) - 1
+        lifts = boolfn._input_lifts(n)
+        assert len(lifts) == n
+        for i, lift in enumerate(lifts):
+            var = variable_mask(i, n)
+            assert lift == (0, full ^ var, var, full)
+        assert boolfn._input_lifts(n) is lifts
+
+
+def test_relevance_and_forcing_match_a_point_loop():
+    # every table up to arity 4 against a loop over the points: input i
+    # pairs point p (input i F) with p + 2**i (input i T)
+    for n in range(5):
+        pairs_of = [[(p, p | 1 << i) for p in points(n) if not p >> i & 1] for i in range(n)]
+        for f in all_tables(n):
+            bits = format(f.table, f"0{f.points}b")[::-1]
+            relevant, forceable = [], []
+            for pairs in pairs_of:
+                relevant.append(any(bits[p] != bits[q] for p, q in pairs))
+                witness = None
+                for x, outs in ((False, {bits[p] for p, _ in pairs}),
+                                (True, {bits[q] for _, q in pairs})):
+                    if witness is None and len(outs) == 1:
+                        witness = (x, outs == {"1"})
+                forceable.append(witness)
+            assert [f.is_relevant(i) for i in range(n)] == relevant
+            assert f.relevant_indices() == tuple(i for i in range(n) if relevant[i])
+            assert f.first_irrelevant_index() == next(
+                (i for i in range(n) if not relevant[i]), None)
+            assert f.forceable_indices() == tuple(forceable)
+            assert f.is_forceful() == all(w is not None for w in forceable)

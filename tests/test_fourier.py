@@ -142,6 +142,14 @@ def test_dyadic_comparisons_and_hash():
     assert sorted([ONE, b, a, ZERO]) == [b, ZERO, a, ONE]
 
 
+def test_dyadic_equals_an_int_as_the_int_made_dyadic():
+    values = [Dyadic.make(num, exp) for num in range(-9, 10) for exp in range(4)]
+    for d in values:
+        for k in (*range(-9, 10), True, False):
+            assert (d == k) == (d == Dyadic.make(k)) == (k == d)
+            assert (d != k) == (not d == k)
+
+
 def test_dyadic_order_rejects_other_types():
     for op in ("__lt__", "__le__"):
         assert getattr(ONE, op)("x") is NotImplemented
