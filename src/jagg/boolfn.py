@@ -94,9 +94,6 @@ def set_bits(mask: int) -> list[int]:
 # largest arity of a set over all tables: at arity 5 one has 2**32 bits
 MAX_TABLE_SET_ARITY = 4
 
-# arities whose input lifts are kept once built: at 16 they take 264 KB, and
-# larger arities build them on every call
-_KEPT_LIFT_ARITY = 16
 _kept_lifts: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
 
 
@@ -106,15 +103,14 @@ def _input_lifts(n: int) -> tuple[tuple[int, int, int, int], ...]:
 
     So item 1 is the points where input i is F, ``full ^ variable_mask(i, n)``,
     and item 2 those where it is T.  Built on first use of an arity, never at
-    import, and kept up to ``_KEPT_LIFT_ARITY``.
+    import, and kept.
     """
     lifts = _kept_lifts.get(n)
     if lifts is None:
         full = (1 << (1 << n)) - 1
-        lifts = tuple((0, full ^ var, var, full)
-                      for var in [variable_mask(i, n) for i in range(n)])
-        if n <= _KEPT_LIFT_ARITY:
-            _kept_lifts[n] = lifts
+        lifts = _kept_lifts[n] = tuple(
+            (0, full ^ var, var, full)
+            for var in [variable_mask(i, n) for i in range(n)])
     return lifts
 
 
@@ -341,9 +337,7 @@ class BoolFn:
         return None
 
     def relevant_indices(self) -> tuple[int, ...]:
-        table = self.table
-        return tuple(i for i, (_, low, _, _) in enumerate(_input_lifts(self.n))
-                     if table & low != table >> (1 << i) & low)
+        return tuple(i for i in range(self.n) if self.is_relevant(i))
 
     def flip(self) -> "BoolFn":
         """The function s -> not f(not s_0, ..., not s_{n-1}); an involution."""
@@ -436,7 +430,7 @@ class BoolFn:
         that swapping inputs i and i+1 fixes the table: the points with
         (x_i, x_i+1) = (T, F) shift up by 2**i onto those with (F, T).
         """
-        masks = [variable_mask(i, self.n) for i in range(self.n)]
+        masks = [high for _, _, high, _ in _input_lifts(self.n)]
         return all((self.table & lo & ~hi) << (1 << i) == self.table & hi & ~lo
                    for i, (lo, hi) in enumerate(zip(masks, masks[1:])))
 

@@ -200,9 +200,10 @@ def _orbits(m: int) -> tuple[dict[int, list[int]], dict[int, int]]:
     (T, F) there with those that read (F, T), 2**i points higher.
     """
     width = 1 << m
+    highs = [high for _, _, high, _ in _input_lifts(m)]
     swaps = []
     for i in range(m - 1):
-        lo, hi = variable_mask(i, m), variable_mask(i + 1, m)
+        lo, hi = highs[i], highs[i + 1]
         up, down = lo & ~hi, hi & ~lo
         swaps.append(((1 << width) - 1 ^ up ^ down, up, down, 1 << i))
     orbits: dict[int, list[int]] = {}
