@@ -102,8 +102,10 @@ def _input_lifts(n: int) -> tuple[tuple[int, int, int, int], ...]:
     table c (F, not, identity, T) applied to input i.
 
     So item 1 is the points where input i is F, ``full ^ variable_mask(i, n)``,
-    and item 2 those where it is T.  Built on first use of an arity, never at
-    import, and kept.
+    and item 2 those where it is T.  At arity 2**k these are the candidate
+    columns of the arity-k tables: the sets of tables F and T at point i
+    (264 KB at k = 4).  Built on first use of an arity, never at import, and
+    kept.
     """
     lifts = _kept_lifts.get(n)
     if lifts is None:
@@ -131,7 +133,7 @@ def relevant_tables(n: int) -> int:
         raise BudgetError(f"all arity-{n} tables are refused at any budget: the arity "
                           f"must be at most {MAX_TABLE_SET_ARITY} (2**32 bits at 5)")
     points = 1 << n
-    cols = [variable_mask(x, points) for x in range(points)]
+    cols = [var for _, _, var, _ in _input_lifts(points)]
     mask = (1 << (1 << points)) - 1
     for i in range(n):
         step = 1 << i
@@ -554,9 +556,7 @@ def parse_fn_spec(text: str, *, config: Config = DEFAULT) -> BoolFn:
             n = int(parts[1])
             BoolFn._check_arity(n, config)
             return BoolFn(n, int(parts[2], 16))
-    except (ValueError, BudgetError) as exc:
-        if isinstance(exc, BudgetError):
-            raise
+    except ValueError as exc:
         raise ValueError(f"bad function spec {text!r}: {exc}") from None
     raise ValueError(f"bad function spec {text!r}")
 

@@ -28,6 +28,7 @@ from .agenda import Agenda, Judgment, RationalSet, build_agenda, rational_judgme
 from .boolfn import (BoolFn, FnClass, classify_on_relevant, compose, repeat_bits,
                      set_bits, variable_mask)
 from .config import DEFAULT, BudgetError, Config, charge
+from .formula import negate
 
 
 @dataclass(frozen=True)
@@ -198,7 +199,6 @@ def to_normal_form(jar: PiJar, *, config: Config = DEFAULT,
     if not agenda.is_symbol_complete() or not agenda.is_symbol_connected():
         raise ValueError("normal form needs a symbol-complete, symbol-connected agenda")
     base = jar.functions[0]
-    from .formula import negate
     new_basis = list(agenda.basis)
     flipped: list[int] = []
     for k, f in enumerate(jar.functions):

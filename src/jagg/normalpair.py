@@ -17,7 +17,8 @@ expansion (``boolfn.compose``).
 
 The enumeration runs the matrices on the outside and the surviving g on the
 inside.  Candidate f is bit ``f.table`` of a set over all 2**(2**n) tables,
-and "f is T at point x" is the set ``col[x] = variable_mask(x, 2**n)``.  For
+and "f is T at point x" is the set ``col[x] = variable_mask(x, 2**n)``, read
+from the kept ``_input_lifts(2**n)``.  For
 one matrix with row points r_i, ``across[x]`` is the set of f whose row
 outputs form the point x, and ``down[x]`` the columns j whose point is x;
 both are minterms (``boolfn.minterms``), built once per matrix and shared by
@@ -31,9 +32,10 @@ Three steps cut the sweep down.  Permuting g's inputs permutes the matrix
 rows, a bijection on the matrices, so every g in an orbit has the same
 partners.  Flipping both functions (``BoolFn.flip``, s -> not g(not s))
 keeps a pair normal, and it maps orbits onto orbits, so the partners of the
-flipped orbit are the flipped partners.  Only the smallest g of one orbit
-per flip-dual pair of orbits is swept, 4 of 10 at arity 2, 39 of 218 at
-arity 3 and 1 986 of 64 594 at arity 4, and both orbits are expanded after.
+flipped orbit are the flipped partners.  Only the smallest g of each class
+under both is swept, 4 of 10 at arity 2, 39 of 218 at arity 3 and 1 986 of
+64 594 at arity 4, picked as one set over all tables (``_class_keys``); a
+key with partners is expanded after into its orbit and the flipped orbit.
 And once few (g, f) candidates are left next to the matrices still to
 visit, the sweep stops and each candidate is certified by the two
 composites over all 2**(m*n) matrices, as ``check_normal_pair`` does.  The
@@ -42,11 +44,11 @@ result stays exact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .boolfn import (MAX_TABLE_SET_ARITY, BoolFn, _flip_table, _input_lifts, classify,
-                     compose, minterms, relevant_tables, repeat_bits, set_bits,
-                     variable_mask)
+                     compose, minterms, relevant_tables, repeat_bits, set_bits)
 from .config import DEFAULT, BudgetError, Config, charge
 
 
@@ -145,8 +147,7 @@ def check_normal_pair(g: BoolFn, f: BoolFn, *, config: Config = DEFAULT) -> Norm
     defects before commutation.  The composites are f over g's column tables
     (``_down``) and g over f's row tables (``_across``).  At 5x5, the largest
     the default budget admits, ``(xor:5, xor:5)`` takes 0.34-0.37 s and
-    96 MB max RSS (1.28-1.36 s and 201 MB when each cell was first made a
-    table and both functions were composed over the cells).
+    96 MB max RSS.
     """
     m, n = g.n, f.n
     if m < 1 or n < 1:
@@ -186,44 +187,42 @@ _MATRIX_STEP = 0x9E3779B1
 _HANDOFF_RATIO = 8
 
 
-def _orbits(m: int) -> tuple[dict[int, list[int]], dict[int, int]]:
-    """The all-relevant arity-m tables grouped by permuting g's inputs, and
-    the flip duality between the groups.
+def _point_perms(m: int) -> list[list[int]]:
+    """The permutations of the 2**m points that permuting g's m inputs
+    makes: under each, bit q of the moved table is bit ``perm[q]`` of g's."""
+    return [[sum((q >> i & 1) << s for i, s in enumerate(order)) for q in range(1 << m)]
+            for order in itertools.permutations(range(m))]
 
-    The first dict maps each orbit's smallest table, its key, to its members,
-    ascending.  The second maps each key to the key of the orbit of the
-    flipped tables (``BoolFn.flip``); flipping commutes with permuting the
-    inputs, so it maps orbits onto orbits, and the map is an involution.
 
-    The m - 1 adjacent input swaps generate every permutation.  Swapping
-    inputs i and i + 1 exchanges the table bits of the points that read
-    (T, F) there with those that read (F, T), 2**i points higher.
+def _orbit(table: int, perms: list[list[int]]) -> set[int]:
+    """The tables that permuting the inputs of ``table`` makes."""
+    return {sum(1 << q for q, p in enumerate(perm) if table >> p & 1) for perm in perms}
+
+
+def _class_keys(m: int, perms: list[list[int]]) -> int:
+    """The all-relevant arity-m tables, as a set over all tables, that are
+    the smallest of their class under input permutations and the flip.
+
+    Table t is kept iff t <= phi(t) for every image phi(t): bit q of phi(t)
+    is bit ``perm[q]`` of t, or, with the flip, not bit ``perm[top - q]``.
+    Each comparison runs over all tables at once, from the top point down:
+    ``same`` holds the tables equal to their image above point q, and
+    ``below`` those already smaller.
     """
-    width = 1 << m
-    highs = [high for _, _, high, _ in _input_lifts(m)]
-    swaps = []
-    for i in range(m - 1):
-        lo, hi = highs[i], highs[i + 1]
-        up, down = lo & ~hi, hi & ~lo
-        swaps.append(((1 << width) - 1 ^ up ^ down, up, down, 1 << i))
-    orbits: dict[int, list[int]] = {}
-    # home[t]: the key of table t's orbit, 0 while t is unseen (no key is 0,
-    # the constant F table)
-    home = [0] * (1 << width)
-    for t in set_bits(relevant_tables(m)):
-        if home[t]:
-            continue
-        home[t] = t
-        members = [t]
-        for u in members:  # visits the members appended on the way
-            for keep, up, down, s in swaps:
-                v = u & keep | (u & up) << s | (u & down) >> s
-                if not home[v]:
-                    home[v] = t
-                    members.append(v)
-        orbits[t] = sorted(members)
-    dual = {t: home[_flip_table(m, t)] for t in orbits}
-    return orbits, dual
+    top = (1 << m) - 1
+    lifts = _input_lifts(top + 1)  # items 1, 2 of entry x: the tables F, T at point x
+    keys = relevant_tables(m)
+    for perm in perms:
+        # the image is T at q where t reads item ``one`` at point ``reads[q]``
+        for reads, one in ((perm, 2), (perm[::-1], 1)):
+            same, below = keys, 0
+            for q in range(top, -1, -1):
+                _, f_q, t_q, _ = lifts[q]
+                lift = lifts[reads[q]]
+                below |= same & f_q & lift[one]
+                same &= t_q & lift[one] | f_q & lift[3 - one]
+            keys &= below | same
+    return keys
 
 
 def _certify(m: int, n: int, g_tables: list[int], alive: list[int],
@@ -254,11 +253,9 @@ def _partners(m: int, g_tables: list[int], n: int) -> list[int]:
     a pair is kept iff it commutes on every matrix.
     """
     points = 1 << n
-    col = [variable_mask(x, points) for x in range(points)]
-    # same[x]: the f tables F at point x, so same[a] ^ rhs keeps f with
-    # f(a) == rhs without a negative int
-    full = (1 << (1 << points)) - 1
-    same = [c ^ full for c in col]
+    # col[x], same[x]: the f tables T, F at point x, so same[a] ^ rhs keeps f
+    # with f(a) == rhs without a negative int
+    _, same, col, _ = zip(*_input_lifts(points))
     t_points = [set_bits(gt) for gt in g_tables]
     # alive[gi]: the f tables that commute with g_tables[gi] on every matrix so far
     alive = [relevant_tables(n)] * len(g_tables)
@@ -295,17 +292,16 @@ def enumerate_normal_pairs(m: int, n: int, *, config: Config = DEFAULT,
                            ) -> list[tuple[BoolFn, BoolFn]]:
     """All normal pairs with the given arities, ascending by (g, f) table.
 
-    ``_partners`` sweeps the smallest g of one orbit per flip-dual pair of
-    orbits (``_orbits``); the partners of the dual orbit are the flips of
-    the swept partners, and each orbit is expanded after.  Both arities must
-    be at most 4, at any budget: at arity 5 every set over all tables,
+    ``_partners`` sweeps the smallest g of each class under input
+    permutations and the flip (``_class_keys``), ascending.  A key with
+    partners is expanded into its orbit (``_orbit``) and, when it differs,
+    the flipped orbit with the flipped partners.  Both arities must be at
+    most 4, at any budget: at arity 5 every set over all tables,
     ``relevant_tables(5)`` among them, has 2**32 bits (512 MB), and there
     are about 4 * 10**9 all-relevant g.  Memory grows with the live f of
-    each swept g, at most (swept orbits) * 2**(2**n) bits, plus the orbits
-    and the table-to-orbit map.  The traced peak is under 0.1 MB at (3, 3),
-    0.9 MB at (3, 4), 6 MB at (4, 3), most of it the 64 594 arity-4 tables
-    in their orbits, and 21 MB at (4, 4).  The default budget refuses every
-    arity past (3, 3).
+    each swept g, at most (swept keys) * 2**(2**n) bits.  The traced peak is
+    under 0.1 MB at (3, 3), 0.9 MB at (3, 4), (4, 2) and (4, 3), and 18 MB
+    at (4, 4).  The default budget refuses every arity past (3, 3).
     """
     if m < 2 or n < 2:
         raise ValueError("enumeration needs both arities >= 2")
@@ -317,15 +313,17 @@ def enumerate_normal_pairs(m: int, n: int, *, config: Config = DEFAULT,
     work = (1 << (1 << m)) * (1 << (1 << n)) * (1 << (m * n))
     charge(config, work, f"enumerating {m}x{n} pairs",
            "(m, n) with 2**(2**m + 2**n + m*n) within budget, e.g. up to (3, 3)")
-    orbits, dual = _orbits(m)
-    swept = [t for t in orbits if t <= dual[t]]
+    perms = _point_perms(m)
+    keys = set_bits(_class_keys(m, perms))
     pairs = []
-    for t, fs in zip(swept, _partners(m, swept, n)):
-        f_tables = set_bits(fs)
-        pairs += [(gt, ft) for gt in orbits[t] for ft in f_tables]
-        if dual[t] != t:
-            flipped = [_flip_table(n, ft) for ft in f_tables]
-            pairs += [(gt, ft) for gt in orbits[dual[t]] for ft in flipped]
+    for t, fs in zip(keys, _partners(m, keys, n)):
+        if not fs:
+            continue
+        orbit = _orbit(t, perms)
+        swept = [(gt, ft) for gt in orbit for ft in set_bits(fs)]
+        pairs += swept
+        if {_flip_table(m, gt) for gt in orbit} != orbit:
+            pairs += [(_flip_table(m, gt), _flip_table(n, ft)) for gt, ft in swept]
     return [(BoolFn(m, gt), BoolFn(n, ft)) for gt, ft in sorted(pairs)]
 
 

@@ -428,7 +428,7 @@ def test_classify_at_raised_arity_cap():
 
 
 def test_input_lifts_match_variable_masks():
-    for n in range(7):
+    for n in [*range(7), 8, 16]:
         full = (1 << (1 << n)) - 1
         lifts = boolfn._input_lifts(n)
         assert len(lifts) == n

@@ -376,16 +376,49 @@ def test_both_ends_of_the_handoff(monkeypatch):
             assert handoffs == ([(m, n)] if expect_handoff else [])
 
 
+def walk_orbits(m):
+    """The input-permutation orbits of the all-relevant arity-m tables, by a
+    walk over the m - 1 adjacent input swaps, and the flip duality between
+    them: each orbit's smallest table maps to its members, ascending, and to
+    the key of the orbit of the flipped tables."""
+    width = 1 << m
+    highs = [high for _, _, high, _ in boolfn._input_lifts(m)]
+    swaps = []
+    for i in range(m - 1):
+        lo, hi = highs[i], highs[i + 1]
+        up, down = lo & ~hi, hi & ~lo
+        swaps.append(((1 << width) - 1 ^ up ^ down, up, down, 1 << i))
+    orbits, home = {}, {}
+    for t in set_bits(relevant_tables(m)):
+        if t in home:
+            continue
+        home[t] = t
+        members = [t]
+        for u in members:
+            for keep, up, down, s in swaps:
+                v = u & keep | (u & up) << s | (u & down) >> s
+                if v not in home:
+                    home[v] = t
+                    members.append(v)
+        orbits[t] = sorted(members)
+    dual = {t: home[boolfn._flip_table(m, t)] for t in orbits}
+    return orbits, dual
+
+
 def test_orbits():
-    for m, count in ((2, 8), (3, 68), (4, 3904)):
-        orbits, dual = normalpair._orbits(m)
-        assert len(orbits) == count
-        assert dual.keys() == orbits.keys()
+    # the keys are the walk's orbit keys that are at most their dual's, and
+    # each key's expanded orbit is the walk's orbit
+    for m, orbit_count, count in ((2, 8, 4), (3, 68, 39), (4, 3904, 1986)):
+        orbits, dual = walk_orbits(m)
+        assert len(orbits) == orbit_count
         members = [t for orbit in orbits.values() for t in orbit]
-        assert len(members) == len(set(members))
-        assert set(members) == set(set_bits(relevant_tables(m)))
-        for key, orbit in orbits.items():
-            assert orbit == sorted(orbit) and orbit[0] == key
+        assert sorted(members) == set_bits(relevant_tables(m))
+        perms = normalpair._point_perms(m)
+        keys = set_bits(normalpair._class_keys(m, perms))
+        assert len(keys) == count
+        assert keys == [t for t in orbits if t <= dual[t]]
+        for key in keys:
+            assert sorted(normalpair._orbit(key, perms)) == orbits[key]
         if m > 3:
             continue
         home = {t: key for key, orbit in orbits.items() for t in orbit}
@@ -396,13 +429,18 @@ def test_orbits():
 
 
 def test_flip_dual_orbits():
-    # the dual map is an involution on the orbit keys, and the flips of an
-    # orbit's members are exactly its dual's members
+    # the dual map is an involution on the walk's orbit keys, the flips of an
+    # orbit's members are exactly its dual's members, and so are the flips
+    # of each key's expanded orbit
     for m in (2, 3, 4):
-        orbits, dual = normalpair._orbits(m)
+        orbits, dual = walk_orbits(m)
         for key, orbit in orbits.items():
             assert dual[dual[key]] == key
             assert sorted(BoolFn(m, t).flip().table for t in orbit) == orbits[dual[key]]
+        perms = normalpair._point_perms(m)
+        for key in set_bits(normalpair._class_keys(m, perms)):
+            flipped = {BoolFn(m, t).flip().table for t in normalpair._orbit(key, perms)}
+            assert sorted(flipped) == orbits[dual[key]]
 
 
 def test_sweep_visits_one_orbit_per_dual_pair(monkeypatch):
@@ -433,7 +471,6 @@ def test_arity_five_refused_at_any_budget(monkeypatch):
         raise AssertionError("tables built for a refused enumeration")
 
     monkeypatch.setattr(boolfn, "variable_mask", no_tables)
-    monkeypatch.setattr(normalpair, "variable_mask", no_tables)
     for m, n in ((2, 5), (5, 2)):
         with pytest.raises(BudgetError, match="at any budget"):
             enumerate_normal_pairs(m, n, config=RAISED)
