@@ -157,6 +157,20 @@ def test_jars_enumerate_goldens(capsys):
         assert out == golden(name)
 
 
+def test_jars_enumerate_four_judge_goldens(capsys):
+    # four judges sweep 35 judge-sorted profiles, then close under relabelling
+    cases = [
+        (["--agenda", agenda("or_closure.agenda")], "uniform_or_closure_n4.json"),
+        (["--agenda", agenda("parity_closure.agenda"), "--no-up"],
+         "uniform_parity_n4_no_up.json"),
+    ]
+    for extra, name in cases:
+        code, out = run(capsys, "jars", "enumerate", *extra, "-n", "4",
+                        "--normal-form", "--json")
+        assert code == 0
+        assert out == golden(name)
+
+
 def test_jars_enumerate_anonymous(capsys):
     code, out = run(capsys, "jars", "enumerate", "--agenda",
                     agenda("or_closure.agenda"), "-n", "3", "--normal-form",

@@ -1,6 +1,7 @@
 """Per-proposition aggregation rules and their axioms."""
 
 import itertools
+import random
 
 import pytest
 
@@ -8,7 +9,7 @@ import jagg.jar as jar_module
 from jagg.agenda import build_agenda, rational_judgments
 from jagg.boolfn import (BoolFn, all_tables, compose, format_fn_spec, parse_fn_spec,
                          set_bits, variable_mask)
-from jagg.config import BudgetError, Config
+from jagg.config import BudgetError, Config, charge
 from jagg.jar import (PiJar, _profile_columns, _rational_fn, _solution_case, check_jar,
                       dependent_pair_relation, enumerate_independent_rules,
                       enumerate_uniform_rules, filter_axioms, restrict_jar,
@@ -485,6 +486,145 @@ def test_uniform_sweep_matches_full_table_space():
             assert want, (agenda.basis, judges, require_up)
             assert enumerate_uniform_rules(agenda, judges, require_up=require_up,
                                            config=raised) == want
+
+
+# --- judge-sorted profiles and the judge closure against the product loop ---
+
+def product_rule_sweep(agenda, judges, *, shared, flip, config):
+    """``_rule_sweep`` as it was before the judge-sorted profiles, kept as a
+    reference: the same candidates and columns, one ``compose`` per profile
+    over all |U|**judges profiles in ``product`` order, and no closure."""
+    if judges < 1:
+        raise ValueError("need at least one judge")
+    rs = rational_judgments(agenda)
+    rational = _rational_fn(rs, config)
+    size, positions = len(rs.judgments), len(agenda)
+    free, blocks = (1 << judges) - 2, 1 if shared else positions
+    edge = free * blocks
+    if shared and 1 << judges > config.arity_cap:
+        raise BudgetError(f"{judges} judges give 2**{1 << judges} candidate tables, "
+                          f"beyond 2**{config.arity_cap}")
+    if not shared and edge > config.arity_cap:
+        raise BudgetError(f"{judges} judges on {positions} basis entries give "
+                          f"2**{edge} candidate rules, beyond 2**{config.arity_cap}")
+    bits = edge + flip
+    work = size ** judges * (size + 1) * (positions + 1) * max(1, (1 << bits) >> 10)
+    charge(config, work, f"{'uniform' if shared else 'independent'}-rule sweep for "
+           f"{judges} judges", "|U|**judges * (|U| + 1) * (|basis| + 1) * 2**bits / "
+           "2**10 within budget, bits being 2**judges - 2 per swept table (one more "
+           "without unanimity), e.g. 4 shared or 3 independent judges on 3 entries")
+    alive = everyone = (1 << (1 << bits)) - 1
+    flipped = variable_mask(edge, bits) if flip else 0
+    offsets = [free * (blocks - 1 - k) for k in range(blocks)]
+    columns = [[flipped, *(variable_mask(at + x, bits) for x in range(free)),
+                everyone ^ flipped] for at in offsets]
+    if shared:
+        columns *= positions
+    # votes[i][u][k]: what judge i voting judgment u adds to the point at k
+    votes = [[tuple(b << i for b in u) for u in rs.judgments] for i in range(judges)]
+    for profile in itertools.product(*votes):
+        alive &= compose(rational, [col[sum(p)] for col, p in zip(columns, zip(*profile))],
+                         1 << bits)
+        if not alive:
+            break
+    low, top = (1 << free) - 1, 1 << (free + 1)
+    return sorted(tuple((c >> at & low) << 1 | (1 if c >> edge else top) for at in offsets)
+                  for c in set_bits(alive))
+
+
+def test_sorted_sweep_matches_product_loop():
+    generated = list(_generated_agendas(Config()))
+    assert len(generated) == 47
+    raised = Config(enumeration_budget=1 << 40)
+    cases = [(agenda, judges, True, flip) for agenda in SCENARIOS + generated
+             for judges in (1, 2, 3) for flip in (False, True)]
+    cases += [(agenda, 4, True, flip) for agenda in SCENARIOS for flip in (False, True)]
+    cases += [(agenda, judges, False, False) for agenda in SCENARIOS + generated
+              for judges in (1, 2, 3)
+              if ((1 << judges) - 2) * len(agenda) <= raised.arity_cap]
+    independent_3 = 0
+    for agenda, judges, shared, flip in cases:
+        kwargs = {"shared": shared, "flip": flip, "config": raised}
+        want = product_rule_sweep(agenda, judges, **kwargs)
+        assert want, (agenda.basis, judges, shared, flip)
+        assert jar_module._rule_sweep(agenda, judges, **kwargs) == want, (
+            agenda.basis, judges, shared, flip)
+        independent_3 += not shared and judges == 3
+    # the three-entry agendas: or-, parity and and-closure, and 6 generated
+    assert independent_3 == 9
+
+
+def permute_judges(table, judges, perm):
+    """The table of f(x_perm[0], ..., x_perm[judges-1]) for f of ``table``."""
+    def move(x):
+        return sum((x >> i & 1) << perm[i] for i in range(judges))
+    return sum((table >> move(x) & 1) << x for x in range(1 << judges))
+
+
+def judge_images(c, judges, blocks):
+    """Candidate c relabelled by every judge permutation, in ``_rule_sweep``'s
+    layout: each table decoded, permuted point by point, and encoded back."""
+    free = (1 << judges) - 2
+    edge, low = free * blocks, (1 << free) - 1
+    images = set()
+    for perm in itertools.permutations(range(judges)):
+        image = c >> edge << edge
+        for at in range(0, edge, free):
+            table = (c >> at & low) << 1 | (1 if c >> edge else 1 << free + 1)
+            image |= (permute_judges(table, judges, perm) >> 1 & low) << at
+        images.add(image)
+    return images
+
+
+@pytest.mark.parametrize("judges, blocks, flip", [
+    (2, 1, False), (2, 1, True), (3, 1, False), (3, 1, True), (4, 1, False),
+    (4, 1, True), (2, 3, False), (2, 5, False), (3, 2, False), (3, 3, False)])
+def test_judge_closure_matches_brute_force(judges, blocks, flip):
+    # brute force: keep a candidate iff all its judge relabellings are kept
+    rng = random.Random(judges * 100 + blocks * 10 + flip)
+    free = (1 << judges) - 2
+    bits = free * blocks + flip
+    var = [variable_mask(p, bits) for p in range(bits)]
+    offsets = [free * (blocks - 1 - k) for k in range(blocks)]
+    closed_seen = partial_seen = 0
+    for trial in range(12):
+        if bits <= 8 and trial % 2:
+            alive = rng.getrandbits(1 << bits)  # dense: every size of orbit is hit
+        else:
+            # whole orbits of random candidates, some with one member dropped,
+            # plus random strays
+            alive = 0
+            for seed in [rng.getrandbits(bits) for _ in range(rng.randrange(1, 12))]:
+                orbit = judge_images(seed, judges, blocks)
+                if rng.random() < 0.4:
+                    orbit.discard(min(orbit))
+                alive |= sum(1 << c for c in orbit)
+            for _ in range(rng.randrange(0, 8)):
+                alive |= 1 << rng.getrandbits(bits)
+        members = set(set_bits(alive))
+        want = sum(1 << c for c in members if judge_images(c, judges, blocks) <= members)
+        assert jar_module._judge_closure(alive, judges, offsets, var) == want
+        closed_seen += want != 0
+        partial_seen += want != alive
+    assert closed_seen and partial_seen
+
+
+def test_enumerated_rules_are_closed_under_judge_permutations():
+    raised = Config(enumeration_budget=1 << 40)
+    for agenda in SCENARIOS:
+        for judges in (2, 3, 4):
+            perms = list(itertools.permutations(range(judges)))
+            for require_up in (True, False):
+                tables = {s.fn.table for s in enumerate_uniform_rules(
+                    agenda, judges, require_up=require_up, config=raised)}
+                assert {permute_judges(t, judges, perm) for t in tables
+                        for perm in perms} == tables, (agenda.basis, judges, require_up)
+            if ((1 << judges) - 2) * len(agenda) > raised.arity_cap:
+                continue
+            rules = {tuple(f.table for f in rule.functions)
+                     for rule in enumerate_independent_rules(agenda, judges, config=raised)}
+            assert {tuple(permute_judges(t, judges, perm) for t in rule) for rule in rules
+                    for perm in perms} == rules, (agenda.basis, judges)
 
 
 def test_one_judge_candidates_are_the_two_unanimity_bits(monkeypatch):
