@@ -148,10 +148,17 @@ def relevant_tables(n: int) -> int:
 _INCREMENT = bytes(range(1, 256)) + b"\0"
 
 
-def _parity_table(n: int) -> int:
-    """Table of odd parity over ``n`` inputs, built by doubling: the upper
-    half (last input T) is the negated lower half."""
-    table, points = 0, 1
+def _named_table(kind: str, n: int) -> int:
+    """Table of "and", "or", "xor" or "nxor" at arity ``n``.  A parity doubles
+    from its arity-0 table (F for xor, T for nxor): the upper half (last
+    input T) is the negated lower half."""
+    if n < 1:
+        raise ValueError(f"{kind} needs arity >= 1")
+    if kind == "and":
+        return 1 << ((1 << n) - 1)
+    if kind == "or":
+        return (1 << (1 << n)) - 2
+    table, points = int(kind == "nxor"), 1
     for _ in range(n):
         table |= (table ^ ((1 << points) - 1)) << points
         points <<= 1
@@ -194,31 +201,25 @@ class BoolFn:
 
     @classmethod
     def and_(cls, n: int, *, config: Config = DEFAULT) -> "BoolFn":
-        if n < 1:
-            raise ValueError("and needs arity >= 1")
         cls._check_arity(n, config)
-        return cls(n, 1 << ((1 << n) - 1))
+        return cls(n, _named_table("and", n))
 
     @classmethod
     def or_(cls, n: int, *, config: Config = DEFAULT) -> "BoolFn":
-        if n < 1:
-            raise ValueError("or needs arity >= 1")
         cls._check_arity(n, config)
-        return cls(n, ((1 << (1 << n)) - 1) ^ 1)
+        return cls(n, _named_table("or", n))
 
     @classmethod
     def xor(cls, n: int, *, config: Config = DEFAULT) -> "BoolFn":
         """Odd parity: T iff an odd number of inputs are T."""
-        if n < 1:
-            raise ValueError("xor needs arity >= 1")
         cls._check_arity(n, config)
-        return cls(n, _parity_table(n))
+        return cls(n, _named_table("xor", n))
 
     @classmethod
     def nxor(cls, n: int, *, config: Config = DEFAULT) -> "BoolFn":
         """Even parity: the negation of xor."""
-        x = cls.xor(n, config=config)
-        return cls(n, x.table ^ ((1 << (1 << n)) - 1))
+        cls._check_arity(n, config)
+        return cls(n, _named_table("nxor", n))
 
     @classmethod
     def dictator(cls, n: int, i: int, *, config: Config = DEFAULT) -> "BoolFn":
@@ -231,6 +232,8 @@ class BoolFn:
     @classmethod
     def anti_dictator(cls, n: int, i: int, *, config: Config = DEFAULT) -> "BoolFn":
         """Negated projection onto input ``i`` (0-based)."""
+        if n < 1:
+            raise ValueError("anti_dictator needs arity >= 1")
         d = cls.dictator(n, i, config=config)
         return cls(n, d.table ^ ((1 << (1 << n)) - 1))
 
@@ -516,8 +519,8 @@ def classify(f: BoolFn) -> FnClass:
             return FnClass("anti_dictator", index=i)
     if f.n >= 1:
         # references built directly, so any arity the caller built is judged
-        parity = _parity_table(f.n)
-        for kind, table in (("and", 1 << (f.points - 1)), ("or", f.full ^ 1),
+        parity = _named_table("xor", f.n)
+        for kind, table in (("and", _named_table("and", f.n)), ("or", _named_table("or", f.n)),
                             ("xor", parity), ("nxor", parity ^ f.full)):
             if f.table == table:
                 return FnClass(kind)
@@ -545,9 +548,8 @@ def parse_fn_spec(text: str, *, config: Config = DEFAULT) -> BoolFn:
     try:
         if kind in ("and", "or", "xor", "nxor") and len(parts) == 2:
             n = int(parts[1])
-            maker = {"and": BoolFn.and_, "or": BoolFn.or_,
-                     "xor": BoolFn.xor, "nxor": BoolFn.nxor}[kind]
-            return maker(n, config=config)
+            BoolFn._check_arity(n, config)
+            return BoolFn(n, _named_table(kind, n))
         if kind == "const" and len(parts) == 3 and parts[2] in ("T", "F"):
             return BoolFn.constant(int(parts[1]), parts[2] == "T", config=config)
         if kind == "dictator" and len(parts) == 3:

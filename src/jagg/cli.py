@@ -238,6 +238,7 @@ def cmd_jars_check(args, config: Config) -> int:
         fns = [parse_fn_spec(args.all_fn, config=config)] * len(agenda)
     else:
         fns = [None] * len(agenda)
+    given = set()   # positions named by --fn, which may override --all-fn once
     for item in args.fn or []:
         pos_text, _, spec = item.partition("=")
         try:
@@ -247,6 +248,9 @@ def cmd_jars_check(args, config: Config) -> int:
         if not 0 <= pos < len(agenda):
             raise ValueError(f"--fn position {pos} out of range (basis has "
                              f"{len(agenda)} entries)")
+        if pos in given:
+            raise ValueError(f"--fn names basis position {pos} more than once")
+        given.add(pos)
         fns[pos] = parse_fn_spec(spec, config=config)
     missing = [k for k, f in enumerate(fns) if f is None]
     if missing:
@@ -377,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--agenda", required=True)
     q.add_argument("-n", "--judges", type=int, required=True)
     q.add_argument("--fn", action="append", metavar="POS=SPEC",
-                   help="function for one basis position (0-based), repeatable")
+                   help="function for one basis position (0-based), once per position")
     q.add_argument("--all-fn", metavar="SPEC",
                    help="one function for every basis position")
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import repeat
-from operator import mul
+from operator import mul, or_
 from typing import Callable, Iterable, Sequence
 
 from .boolfn import BoolFn, repeat_bits
@@ -55,21 +55,21 @@ class Dyadic:
         _set_exp(value, exp - shift)
         return value
 
-    @staticmethod
-    def _coerce(value: "Dyadic | int") -> "Dyadic":
-        if isinstance(value, Dyadic):
-            return value
-        if isinstance(value, int):
-            return Dyadic.make(value)
-        return NotImplemented  # type: ignore[return-value]
+    def _aligned(self, other: "Dyadic | int") -> "tuple[int, int, int] | None":
+        """Both numerators over their common exponent, and that exponent;
+        None when ``other`` is neither a ``Dyadic`` nor an int."""
+        if isinstance(other, Dyadic):
+            num, exp = other.num, other.exp
+        elif isinstance(other, int):   # an int is other / 2**0
+            num, exp = other, 0
+        else:
+            return None
+        common = max(self.exp, exp)
+        return self.num << (common - self.exp), num << (common - exp), common
 
     def __add__(self, other: "Dyadic | int") -> "Dyadic":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        exp = max(self.exp, o.exp)
-        num = (self.num << (exp - self.exp)) + (o.num << (exp - o.exp))
-        return Dyadic.make(num, exp)
+        both = self._aligned(other)
+        return NotImplemented if both is None else Dyadic.make(both[0] + both[1], both[2])
 
     __radd__ = __add__
 
@@ -77,19 +77,16 @@ class Dyadic:
         return Dyadic(-self.num, self.exp)
 
     def __sub__(self, other: "Dyadic | int") -> "Dyadic":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        both = self._aligned(other)
+        return NotImplemented if both is None else Dyadic.make(both[0] - both[1], both[2])
 
-    def __rsub__(self, other: int) -> "Dyadic":
-        return Dyadic.make(other) + (-self)
+    def __rsub__(self, other: "Dyadic | int") -> "Dyadic":
+        both = self._aligned(other)
+        return NotImplemented if both is None else Dyadic.make(both[1] - both[0], both[2])
 
     def __mul__(self, other: "Dyadic | int") -> "Dyadic":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Dyadic.make(self.num * o.num, self.exp + o.exp)
+        both = self._aligned(other)
+        return NotImplemented if both is None else Dyadic.make(both[0] * both[1], 2 * both[2])
 
     __rmul__ = __mul__
 
@@ -101,22 +98,13 @@ class Dyadic:
     def __bool__(self) -> bool:
         return self.num != 0
 
-    def _scaled(self, exp: int) -> int:
-        return self.num << (exp - self.exp)
-
     def __lt__(self, other: "Dyadic | int") -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        exp = max(self.exp, o.exp)
-        return self._scaled(exp) < o._scaled(exp)
+        both = self._aligned(other)
+        return NotImplemented if both is None else both[0] < both[1]
 
     def __le__(self, other: "Dyadic | int") -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        exp = max(self.exp, o.exp)
-        return self._scaled(exp) <= o._scaled(exp)
+        both = self._aligned(other)
+        return NotImplemented if both is None else both[0] <= both[1]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):  # an int is the canonical other / 2**0
@@ -156,9 +144,10 @@ ONE = Dyadic(1, 0)
 # chunks adds and subtracts chunk ints.  Every value a stage makes is a
 # signed sum of input values, so no lane can wrap while the sum of the
 # inputs' absolute values stays below the bias.  One cached plan per vector
-# size, width and skip holds a transform's chunk size, masks and chunk
-# starts, so a call does no size arithmetic; the masks are cached per chunk
-# size, so every vector larger than one chunk shares them.
+# size and width holds a transform's chunk size, every in-chunk stage's masks
+# and the chunk starts, so a call does no size arithmetic and only slices off
+# the stages it skips; the masks are cached per chunk size, so every vector
+# larger than one chunk shares them.
 #
 # The first three stages pair points inside one byte of a truth table, so a
 # table per byte value (``_byte_plan``) does them for ``spectrum`` and reads
@@ -185,21 +174,19 @@ def _lane_width(bound: int) -> int:
     return width
 
 
-@lru_cache(maxsize=None)   # keys: chunk bit counts, lane widths, skip 0 or 3
-def _chunk_masks(bits: int, width: int, skip: int
-                 ) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+@lru_cache(maxsize=None)   # keys: chunk bit counts, lane widths
+def _chunk_masks(bits: int, width: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     """Lane bias and in-chunk stages of a ``bits``-bit chunk of ``width``-bit
     lanes, shared by every vector whose chunks are that size.
 
-    The bias is 2**(width-1) in every lane of the chunk.  Each stage from
-    the ``skip``-th on whose lane pairs lie inside the chunk gives (shift,
-    keep, carry): ``keep`` covers the lanes whose index has the stage's bit
-    clear, and ``carry`` is ``(bias << shift) - bias`` for the lane bias on
-    those lanes.
+    The bias is 2**(width-1) in every lane of the chunk.  Each stage whose
+    lane pairs lie inside the chunk gives (shift, keep, carry): ``keep``
+    covers the lanes whose index has the stage's bit clear, and ``carry`` is
+    ``(bias << shift) - bias`` for the lane bias on those lanes.
     """
     lane_bias = repeat_bits(1 << (width - 1), width, bits)
     stages = []
-    shift = width << skip
+    shift = width
     while shift < bits:
         keep = repeat_bits((1 << shift) - 1, shift << 1, bits)
         bias = keep & lane_bias
@@ -208,22 +195,23 @@ def _chunk_masks(bits: int, width: int, skip: int
     return lane_bias, tuple(stages)
 
 
-@lru_cache(maxsize=None)   # keys: vector sizes, lane widths, skip 0 or 3
-def _chunk_plan(size: int, width: int, skip: int
+@lru_cache(maxsize=None)   # keys: vector sizes, lane widths
+def _chunk_plan(size: int, width: int
                 ) -> tuple[int, int, tuple[tuple[int, int, int], ...], int, range]:
     """Chunk size, lane bias, in-chunk stages, first chunk span and chunk
     starts for a ``size``-byte vector of ``width``-bit lanes.
 
     Chunks are ``step`` bytes: the whole vector if it fits _CHUNK_BITS, else
-    _CHUNK_BITS or one lane, whichever is wider.  The bias and stages come
+    _CHUNK_BITS or one byte's 8 lanes, whichever is wider, so the stages a
+    transform skips always lie inside a chunk.  The bias and stages come
     from ``_chunk_masks``.  The later stages pair whole chunks, the first
     one chunks ``span`` apart; ``span`` is 0 when the vector is one chunk.
     """
-    step = size if size <= _CHUNK_BITS // 8 else max(_CHUNK_BITS, width) // 8
+    step = size if size <= _CHUNK_BITS // 8 else max(_CHUNK_BITS, width << _BYTE_STAGES) // 8
     bits = step * 8
-    lane_bias, stages = _chunk_masks(bits, width, skip)
+    lane_bias, stages = _chunk_masks(bits, width)
     # the first stage past the in-chunk ones pairs lanes that many chunks apart
-    span = (width << skip << len(stages)) // bits if step < size else 0
+    span = (width << len(stages)) // bits if step < size else 0
     return step, lane_bias, stages, span, range(0, size, step)
 
 
@@ -235,7 +223,8 @@ def _transform(raw: bytes, width: int, inverse: bool, skip: int) -> bytes:
     to (with + without, with - without); inverse, to (without - with,
     without + with), which undoes the forward stage times 2.
     """
-    step, lane_bias, stages, span, starts = _chunk_plan(len(raw), width, skip)
+    step, lane_bias, stages, span, starts = _chunk_plan(len(raw), width)
+    stages = stages[skip:]
     chunks = []
     for start in starts:
         x = int.from_bytes(raw[start:start + step], "little") ^ lane_bias
@@ -421,7 +410,9 @@ def reconstruct(spec: FourierSpectrum) -> BoolFn:
         npts = 1 << n
         values = _unpack(_transform(packed, width, True, 0), width)
         p, v = next((p, v) for p, v in enumerate(values) if v != npts and v != -npts)
-        exp = max(c.exp for c in spec.coeffs)
+        # the largest exponent among the coefficients: the lowest set bit of
+        # any numerator over 2**n, read off their OR
+        exp = Dyadic.make(reduce(or_, spec.nums), n).exp
         raise ValueError(f"coefficients do not describe a Boolean function "
                          f"(value {v >> (n - exp)}/2**{exp} at point {p})") from None
     return BoolFn(n, int.from_bytes(table, "little"))
@@ -472,43 +463,30 @@ def cell_subset_identity(g: BoolFn, f: BoolFn,
 
     ghat = spectrum(g)
     fhat = spectrum(f)
-    col_rows = [0] * n   # per column j, mask of rows used by U
-    row_cols = [0] * m   # per row i, mask of columns used by U
-    for i in range(m):
-        for j in range(n):
-            if umask >> (i * n + j) & 1:
-                col_rows[j] |= 1 << i
-                row_cols[i] |= 1 << j
-    s_mask = 0           # columns touched by U, as a subset of f's inputs
-    for j in range(n):
-        if col_rows[j]:
-            s_mask |= 1 << j
-    r_mask = 0           # rows touched by U, as a subset of g's inputs
-    for i in range(m):
-        if row_cols[i]:
-            r_mask |= 1 << i
+    # row i's columns in U are the n-bit field of the mask at bit i*n, and
+    # column j's rows are gathered from bit j of every row's field
+    row_cols = [umask >> (i * n) & ((1 << n) - 1) for i in range(m)]
+    col_rows = [sum((cols >> j & 1) << i for i, cols in enumerate(row_cols)) for j in range(n)]
 
-    def side(outer: FourierSpectrum, inner: FourierSpectrum, touched: int,
+    def side(outer: FourierSpectrum, inner: FourierSpectrum,
              used_masks: list[int]) -> Dyadic:
         # outer[S] is outer.nums[S] / 2**a and inner[S] is inner.nums[S] / 2**b;
-        # every superset term is brought over 2**(a + b * spare) before the sum
+        # every superset term is brought over 2**(a + b * spare) before the sum,
+        # and each touched input's inner coefficient adds its 2**b
         a, b = outer.n, inner.n
+        touched = sum(1 << k for k, mask in enumerate(used_masks) if mask)
         spare = a - touched.bit_count()
         empty = inner.nums[0]
         total = 0
         for sup in _supersets(touched, (1 << a) - 1):
             extra = (sup & ~touched).bit_count()
             total += (outer.nums[sup] * empty ** extra) << (b * (spare - extra))
-        exp = a + b * spare
         for mask in used_masks:
             if mask:
                 total *= inner.nums[mask]
-                exp += b
-        return Dyadic.make(total, exp)
+        return Dyadic.make(total, a + b * a)
 
-    lhs = side(fhat, ghat, s_mask, col_rows)
-    rhs = side(ghat, fhat, r_mask, row_cols)
-    return lhs, rhs
+    return side(fhat, ghat, col_rows), side(ghat, fhat, row_cols)
 
 
 def rectangle_identity(g: BoolFn, f: BoolFn, rows: Iterable[int],

@@ -313,11 +313,10 @@ def _rule_sweep(agenda: Agenda, judges: int, *, shared: bool, flip: bool,
     profile's survivors onto another profile's, permuting the inner points
     of every table, so the consistent rules are the largest subset of the
     sorted profiles' survivors closed under judge permutations
-    (``_judge_closure``).  That made 4-judge shared sweeps on the three- and
-    four-entry scenario agendas about 4 times faster (0.46-0.51 ms against
-    1.94-2.24 ms), the three-atom agenda's about 12 times (4.8 against
-    57 ms), and 3-judge independent sweeps about twice (2.2-2.4 against
-    4.1-5.1 ms); in process, best of 50, on a shared 2-core machine.
+    (``_judge_closure``).  4-judge shared sweeps take 0.46-0.51 ms on the
+    three- and four-entry scenario agendas and 4.8 ms on the three-atom
+    agenda, and 3-judge independent sweeps 2.2-2.4 ms; in process, best of
+    50, on a shared 2-core machine.
 
     The charge is unchanged and still bounds the work.  It counts big-int
     operations on 1024 bits for all |U|**judges profiles: per profile,

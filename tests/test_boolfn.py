@@ -268,6 +268,16 @@ def test_fn_spec_errors():
             parse_fn_spec(bad)
 
 
+def test_arity_zero_errors_name_the_family():
+    for kind in ("and", "or", "xor", "nxor"):
+        with pytest.raises(ValueError) as err:
+            parse_fn_spec(f"{kind}:0")
+        assert str(err.value) == f"bad function spec '{kind}:0': {kind} needs arity >= 1"
+    with pytest.raises(ValueError) as err:
+        BoolFn.anti_dictator(0, 0)
+    assert str(err.value) == "anti_dictator needs arity >= 1"
+
+
 def test_arity_cap_enforced():
     small = Config(arity_cap=3)
     with pytest.raises(BudgetError):

@@ -274,6 +274,19 @@ def test_jars_check_mixed_fn_sources(capsys):
     assert json.loads(out)["consistent"] is False
 
 
+def test_jars_check_rejects_a_repeated_fn_position(capsys):
+    argv = ["jars", "check", "--agenda", agenda("or_closure.agenda"), "-n", "2",
+            "--fn", "1=and:2", "--fn", "2=or:2"]
+    for extra in (["--fn", "0=and:2", "--fn", "0=or:2"],
+                  ["--all-fn", "or:2", "--fn", "0=and:2", "--fn", "0=and:2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *extra])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "jagg: --fn names basis position 0 more than once\n"
+
+
 def test_usage_errors_exit_2(capsys):
     cases = [
         ["fourier", "bogus"],

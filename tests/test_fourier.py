@@ -7,6 +7,7 @@ slower second implementation rather than against itself.
 
 import dataclasses
 import itertools
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -159,6 +160,37 @@ def test_dyadic_order_rejects_other_types():
         Dyadic(1, 0) <= "x"
     with pytest.raises(TypeError):
         Dyadic(1, 0) > 0.5
+
+
+def test_dyadic_operators_match_fraction():
+    # each operator beside its mirror: with an int y, rop(y, x) falls back to
+    # x's reflected method (y - x to x.__rsub__, y > x to x.__lt__)
+    ops = [(operator.add, operator.add), (operator.sub, operator.sub),
+           (operator.mul, operator.mul), (operator.lt, operator.gt),
+           (operator.le, operator.ge), (operator.eq, operator.eq)]
+    dyadics = [Dyadic.make(num, exp) for num in range(-5, 6) for exp in range(3)]
+    ints = list(range(-3, 4))
+
+    def exact(value):
+        return as_fraction(value) if isinstance(value, Dyadic) else value
+
+    for op, rop in ops:
+        for x in dyadics:
+            for y in dyadics + ints:
+                assert exact(op(x, y)) == op(as_fraction(x), Fraction(exact(y))), (op, x, y)
+                assert exact(rop(y, x)) == rop(Fraction(exact(y)), as_fraction(x)), (rop, y, x)
+    foreign = (2.5, "x")
+    names = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+             "__lt__", "__le__")
+    for x in (ZERO, Dyadic.make(3, 2)):
+        for y in foreign:
+            for name in names:
+                assert getattr(x, name)(y) is NotImplemented, (name, y)
+            for op, rop in ops[:-1]:
+                with pytest.raises(TypeError):
+                    op(x, y)
+                with pytest.raises(TypeError):
+                    rop(y, x)
 
 
 def test_dyadic_make_is_canonical():

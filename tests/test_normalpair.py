@@ -466,6 +466,24 @@ def test_4x4_pairs():
     assert enumerate_normal_pairs(4, 4, config=RAISED) == expected
 
 
+# frozen from the sweep, which equals the matrix-outer reference at these
+# arities; each pair is named by its g and f
+TALL_AND_WIDE_PAIRS = {
+    (2, 4): [("and:2", "and:4"), ("or:2", "or:4"), ("xor:2", "xor:4"), ("nxor:2", "nxor:4")],
+    (4, 2): [("and:4", "and:2"), ("or:4", "or:2"), ("xor:4", "xor:2"), ("nxor:4", "nxor:2")],
+    (3, 4): [("and:3", "and:4"), ("or:3", "or:4"), ("xor:3", "xor:4"), ("xor:3", "nxor:4")],
+    (4, 3): [("and:4", "and:3"), ("or:4", "or:3"), ("xor:4", "xor:3"), ("nxor:4", "xor:3")],
+}
+
+
+def test_tall_and_wide_pairs():
+    # pinned at a raised budget until the default budget admits these arities
+    for (m, n), expected in TALL_AND_WIDE_PAIRS.items():
+        got = [(format_fn_spec(g), format_fn_spec(f))
+               for g, f in enumerate_normal_pairs(m, n, config=RAISED)]
+        assert got == sorted(canon(expected)), (m, n)
+
+
 def test_arity_five_refused_at_any_budget(monkeypatch):
     def no_tables(*args):
         raise AssertionError("tables built for a refused enumeration")
