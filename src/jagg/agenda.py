@@ -198,9 +198,10 @@ def _split(tables: Sequence[int], k: int) -> dict[int, int]:
     A point holds one bit per table, the first table's as the most
     significant, so sorted points are sorted judgments.  A cell is the set
     of assignments that agree on the tables split so far: each table splits
-    a cell into its T and F parts, and only non-empty parts go on.  Chunks of at most _CHUNK_POINTS assignments are split in
-    ascending order, so the lowest assignment of the first cell that reaches
-    a point is its first witness.
+    a cell into its T and F parts, and only non-empty parts go on.  Chunks
+    of at most _CHUNK_POINTS assignments are split in ascending order, so
+    the lowest assignment of the first cell that reaches a point is its
+    first witness.
     """
     size = 1 << k
     step = min(size, _CHUNK_POINTS)
@@ -226,14 +227,21 @@ def _split(tables: Sequence[int], k: int) -> dict[int, int]:
     return first
 
 
-_IS_ONE = "1".__eq__
+_BYTE_BITS: list[tuple[bool, ...]] = []   # entry b: the 8 bits of b, first on top
 
 
 def _bits(value: int, width: int) -> tuple[bool, ...]:
-    """The bits of ``value`` below 2**width, most significant first (the
-    bit set at 2**width keeps the leading zeros, and also gives ``()`` for
-    width 0)."""
-    return tuple(map(_IS_ONE, bin(value | 1 << width)[3:]))
+    """The bits of ``value`` (below 2**width), most significant first, read
+    a byte at a time from a table of the 256 bytes built on first use."""
+    if not _BYTE_BITS:
+        _BYTE_BITS.extend(tuple(b >> s & 1 == 1 for s in range(7, -1, -1))
+                          for b in range(256))
+    if width <= 8:
+        return _BYTE_BITS[value][8 - width:]
+    out: tuple[bool, ...] = ()
+    for byte in value.to_bytes((width + 7) >> 3, "big"):
+        out += _BYTE_BITS[byte]
+    return out[-width:]
 
 
 def _positions(agenda: Agenda, positions: Iterable[int]) -> tuple[int, ...]:

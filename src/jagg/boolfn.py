@@ -104,8 +104,10 @@ def _input_lifts(n: int) -> tuple[tuple[int, int, int, int], ...]:
     So item 1 is the points where input i is F, ``full ^ variable_mask(i, n)``,
     and item 2 those where it is T.  At arity 2**k these are the candidate
     columns of the arity-k tables: the sets of tables F and T at point i
-    (264 KB at k = 4).  Built on first use of an arity, never at import, and
-    kept.
+    (264 KB at k = 4).  It is the one source of variable columns for the
+    structure tests, ``from_formula``, the classifier and jar's rule sweep.
+    Built on first use of an arity, never at import, and kept: 2n + 1
+    tables of 2**n bits, about 5 MB at arity 20.
     """
     lifts = _kept_lifts.get(n)
     if lifts is None:
@@ -266,7 +268,7 @@ class BoolFn:
         missing = set(phi.symbols()) - set(symbol_order)
         if missing:
             raise ValueError(f"symbols {sorted(missing)} not in symbol_order")
-        masks = {s: variable_mask(i, n) for i, s in enumerate(symbol_order)}
+        masks = {s: var for s, (_, _, var, _) in zip(symbol_order, _input_lifts(n))}
         full = (1 << (1 << n)) - 1
 
         def fold(node: Formula) -> int:
@@ -342,7 +344,9 @@ class BoolFn:
         return None
 
     def relevant_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if self.is_relevant(i))
+        table = self.table
+        return tuple(i for i, (_, low, _, _) in enumerate(_input_lifts(self.n))
+                     if table & low != table >> (1 << i) & low)
 
     def flip(self) -> "BoolFn":
         """The function s -> not f(not s_0, ..., not s_{n-1}); an involution."""
@@ -501,30 +505,42 @@ class FnClass:
         return self.kind
 
 
+def _classify(f: BoolFn, inputs: Sequence[int]) -> FnClass:
+    """``classify`` of ``f`` restricted to ``inputs``, which must hold every
+    relevant input; a dictator's index is its position in ``inputs``.  The
+    named tables are built from those inputs' columns in ``_input_lifts``,
+    so each matches exactly where it would on the restriction.  No column
+    negates another, so one loop tries dictators and anti-dictators."""
+    table, full = f.table, f.full
+    if table == 0:
+        return FnClass("constant", value=False)
+    if table == full:
+        return FnClass("constant", value=True)
+    lifts = _input_lifts(f.n)
+    conj, disj, parity = full, 0, 0
+    for k, i in enumerate(inputs):
+        _, low, high, _ = lifts[i]
+        if table == high:
+            return FnClass("dictator", index=k)
+        if table == low:
+            return FnClass("anti_dictator", index=k)
+        conj &= high
+        disj |= high
+        parity ^= high
+    for kind, named in (("and", conj), ("or", disj), ("xor", parity),
+                        ("nxor", parity ^ full)):
+        if table == named:
+            return FnClass(kind)
+    return FnClass("other")
+
+
 def classify(f: BoolFn) -> FnClass:
     """Label ``f`` against the named families, checked on the full table.
 
     Precedence: constant, dictator, anti-dictator, and, or, xor, nxor; a
     table matching none is "other".
     """
-    if f.table == 0:
-        return FnClass("constant", value=False)
-    if f.table == f.full:
-        return FnClass("constant", value=True)
-    for i in range(f.n):
-        if f.table == variable_mask(i, f.n):
-            return FnClass("dictator", index=i)
-    for i in range(f.n):
-        if f.table == variable_mask(i, f.n) ^ f.full:
-            return FnClass("anti_dictator", index=i)
-    if f.n >= 1:
-        # references built directly, so any arity the caller built is judged
-        parity = _named_table("xor", f.n)
-        for kind, table in (("and", _named_table("and", f.n)), ("or", _named_table("or", f.n)),
-                            ("xor", parity), ("nxor", parity ^ f.full)):
-            if f.table == table:
-                return FnClass(kind)
-    return FnClass("other")
+    return _classify(f, range(f.n))
 
 
 def classify_on_relevant(f: BoolFn) -> tuple[FnClass, tuple[int, ...]]:
@@ -533,8 +549,8 @@ def classify_on_relevant(f: BoolFn) -> tuple[FnClass, tuple[int, ...]]:
     Returns the label of the restriction and the relevant indices of ``f``;
     a dictator label refers to position 0/1/... within that index tuple.
     """
-    sub, rel = f.on_relevant()
-    return classify(sub), rel
+    rel = f.relevant_indices()
+    return _classify(f, rel), rel
 
 
 # --- textual function specs -------------------------------------------------

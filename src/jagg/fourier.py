@@ -106,6 +106,14 @@ class Dyadic:
         both = self._aligned(other)
         return NotImplemented if both is None else both[0] <= both[1]
 
+    def __gt__(self, other: "Dyadic | int") -> bool:
+        both = self._aligned(other)
+        return NotImplemented if both is None else both[0] > both[1]
+
+    def __ge__(self, other: "Dyadic | int") -> bool:
+        both = self._aligned(other)
+        return NotImplemented if both is None else both[0] >= both[1]
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):  # an int is the canonical other / 2**0
             return self.exp == 0 and self.num == other

@@ -8,7 +8,7 @@ import pytest
 
 from jagg.agenda import (AgendaError, DegenerateProposition,
                          DuplicateProposition, NegationDuplicate, RationalSet,
-                         build_agenda, closure, cons, is_determined_by,
+                         _bits, build_agenda, closure, cons, is_determined_by,
                          is_symbol_closed, load_agenda, rational_judgments)
 from jagg.config import BudgetError, Config
 from jagg.formula import And, Atom, Not, Or, Xor, parse
@@ -294,3 +294,14 @@ def test_load_agenda_reports_line():
 def test_load_agenda_duplicate_keeps_error_type():
     with pytest.raises(DuplicateProposition):
         load_agenda("P & Q\nQ & P\n")
+
+
+def test_bits_match_the_bin_form():
+    # the byte-table decode against the string form it replaced
+    rng = random.Random(21)
+    for width in range(21):
+        values = range(1 << width) if width <= 12 else \
+            [0, (1 << width) - 1, *(rng.getrandbits(width) for _ in range(200))]
+        for value in values:
+            want = tuple(c == "1" for c in bin(value | 1 << width)[3:])
+            assert _bits(value, width) == want, (value, width)

@@ -1,6 +1,8 @@
 """Bit-packed Boolean functions."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -10,7 +12,7 @@ from jagg.boolfn import (BoolFn, FnClass, all_tables, classify,
                          classify_on_relevant, compose, format_fn_spec, minterms,
                          parse_fn_spec, relevant_tables, set_bits, variable_mask)
 from jagg.config import Config, BudgetError
-from jagg.formula import parse
+from jagg.formula import And, Atom, Not, Or, Xor, parse
 
 ALL2 = [BoolFn(2, t) for t in range(16)]
 
@@ -470,3 +472,104 @@ def test_relevance_and_forcing_match_a_point_loop():
                 (i for i in range(n) if not relevant[i]), None)
             assert f.forceable_indices() == tuple(forceable)
             assert f.is_forceful() == all(w is not None for w in forceable)
+
+
+# --- the cached-column paths against the per-call mask forms they replaced --
+
+def reference_classify(f):
+    """``classify`` as it was: every dictator mask rebuilt per call and the
+    named families from their closed-form tables."""
+    if f.table == 0:
+        return FnClass("constant", value=False)
+    if f.table == f.full:
+        return FnClass("constant", value=True)
+    for i in range(f.n):
+        if f.table == variable_mask(i, f.n):
+            return FnClass("dictator", index=i)
+    for i in range(f.n):
+        if f.table == variable_mask(i, f.n) ^ f.full:
+            return FnClass("anti_dictator", index=i)
+    if f.n >= 1:
+        parity = boolfn._named_table("xor", f.n)
+        for kind, table in (("and", boolfn._named_table("and", f.n)),
+                            ("or", boolfn._named_table("or", f.n)),
+                            ("xor", parity), ("nxor", parity ^ f.full)):
+            if f.table == table:
+                return FnClass(kind)
+    return FnClass("other")
+
+
+def lifted(n, inputs, sub):
+    """The arity-``n`` function that applies ``sub`` to ``inputs`` alone."""
+    table = 0
+    for p in range(1 << n):
+        q = sum((p >> i & 1) << j for j, i in enumerate(inputs))
+        table |= (sub.table >> q & 1) << p
+    return BoolFn(n, table)
+
+
+def test_classifier_matches_restriction_and_rebuilt_masks():
+    fns = [f for n in range(5) for f in all_tables(n)]
+    rng = random.Random(19)
+    for n in range(5, 9):
+        fns += [BoolFn(n, rng.getrandbits(1 << n)) for _ in range(20)]
+        # named shapes and random ones on a few inputs, the rest irrelevant
+        for _ in range(6):
+            inputs = sorted(rng.sample(range(n), rng.randint(1, 4)))
+            r = len(inputs)
+            subs = [BoolFn(r, boolfn._named_table(kind, r))
+                    for kind in ("and", "or", "xor", "nxor")]
+            subs += [BoolFn.dictator(r, r - 1), BoolFn.anti_dictator(r, 0),
+                     BoolFn(r, rng.getrandbits(1 << r))]
+            fns += [lifted(n, inputs, sub) for sub in subs]
+    kinds = set()
+    for f in fns:
+        assert classify(f) == reference_classify(f), f
+        rel = tuple(i for i in range(f.n) if f.is_relevant(i))
+        label, got = classify_on_relevant(f)
+        assert got == rel
+        assert label == reference_classify(f.restrict_to(rel)), f
+        kinds.add((label.kind, f.n > 4 and len(rel) < f.n))
+    assert {kind for kind, _ in kinds} == set(boolfn.CLASS_KINDS)
+    assert set(boolfn.CLASS_KINDS) - {"constant"} <= {kind for kind, narrow in kinds if narrow}
+
+
+def reference_from_formula(phi, symbol_order):
+    """``from_formula``'s fold with its variable masks built per call."""
+    n = len(symbol_order)
+    masks = {s: variable_mask(i, n) for i, s in enumerate(symbol_order)}
+    full = (1 << (1 << n)) - 1
+
+    def fold(node):
+        if isinstance(node, Atom):
+            return masks[node.name]
+        if isinstance(node, Not):
+            return full ^ fold(node.child)
+        parts = [fold(child) for child in node.args]
+        if isinstance(node, And):
+            return functools.reduce(operator.and_, parts, full)
+        if isinstance(node, Or):
+            return functools.reduce(operator.or_, parts, 0)
+        return functools.reduce(operator.xor, parts, 0)
+
+    return BoolFn(n, fold(phi))
+
+
+def test_from_formula_matches_per_call_masks():
+    rng = random.Random(20)
+
+    def formula(names, depth):
+        if depth == 0 or rng.random() < 0.25:
+            return Atom(rng.choice(names))
+        op = rng.choice([And, Or, Xor, Not])
+        if op is Not:
+            return Not(formula(names, depth - 1))
+        return op(*(formula(names, depth - 1) for _ in range(rng.randint(2, 3))))
+
+    for k in [*range(1, 13), 16, 20]:
+        names = [f"s{i}" for i in range(k)]
+        for _ in range(6 if k < 16 else 2):
+            phi = formula(names, 4)
+            order = names[:]
+            rng.shuffle(order)
+            assert BoolFn.from_formula(phi, order) == reference_from_formula(phi, order)

@@ -171,6 +171,32 @@ def test_jars_enumerate_four_judge_goldens(capsys):
         assert out == golden(name)
 
 
+def test_rules_benchmark_goldens(capsys):
+    # the rule sweeps and shapes the benchmark's rules questions ask for
+    cases = [
+        (["--agenda", agenda("and_closure.agenda"), "-n", "4"],
+         "uniform_and_closure_n4.json"),
+        (["--agenda", agenda("mixed_compounds.agenda"), "-n", "4"],
+         "uniform_mixed_compounds_n4.json"),
+        (["--agenda", agenda("three_atom.agenda"), "-n", "3"],
+         "uniform_three_atom_n3.json"),
+        (["--agenda", agenda("or_closure.agenda"), "-n", "3", "--anonymous"],
+         "uniform_or_closure_n3_anonymous.json"),
+        (["--agenda", agenda("and_closure.agenda"), "-n", "3", "--anonymous",
+          "--systematic"], "uniform_and_closure_n3_anonymous_systematic.json"),
+    ]
+    for extra, name in cases:
+        code, out = run(capsys, "jars", "enumerate", *extra, "--normal-form", "--json")
+        assert code == 0
+        assert out == golden(name), name
+    # inputs 1 and 2 irrelevant (and on 0, 3), and a shape of no family
+    for spec, name in (("tt:4:aa00", "classify_tt4_aa00.json"),
+                       ("tt:4:1234", "classify_tt4_1234.json")):
+        code, out = run(capsys, "classify", spec, "--json")
+        assert code == 0
+        assert out == golden(name), name
+
+
 def test_jars_enumerate_anonymous(capsys):
     code, out = run(capsys, "jars", "enumerate", "--agenda",
                     agenda("or_closure.agenda"), "-n", "3", "--normal-form",

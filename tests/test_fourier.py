@@ -164,10 +164,12 @@ def test_dyadic_order_rejects_other_types():
 
 def test_dyadic_operators_match_fraction():
     # each operator beside its mirror: with an int y, rop(y, x) falls back to
-    # x's reflected method (y - x to x.__rsub__, y > x to x.__lt__)
+    # x's reflected method (y - x to x.__rsub__, y > x to x.__lt__, y < x to
+    # x.__gt__), so all four comparisons meet an int on either side
     ops = [(operator.add, operator.add), (operator.sub, operator.sub),
            (operator.mul, operator.mul), (operator.lt, operator.gt),
-           (operator.le, operator.ge), (operator.eq, operator.eq)]
+           (operator.le, operator.ge), (operator.gt, operator.lt),
+           (operator.ge, operator.le), (operator.eq, operator.eq)]
     dyadics = [Dyadic.make(num, exp) for num in range(-5, 6) for exp in range(3)]
     ints = list(range(-3, 4))
 
@@ -181,7 +183,7 @@ def test_dyadic_operators_match_fraction():
                 assert exact(rop(y, x)) == rop(Fraction(exact(y)), as_fraction(x)), (rop, y, x)
     foreign = (2.5, "x")
     names = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-             "__lt__", "__le__")
+             "__lt__", "__le__", "__gt__", "__ge__")
     for x in (ZERO, Dyadic.make(3, 2)):
         for y in foreign:
             for name in names:

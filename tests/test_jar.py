@@ -10,8 +10,8 @@ from jagg.agenda import build_agenda, rational_judgments
 from jagg.boolfn import (BoolFn, all_tables, compose, format_fn_spec, parse_fn_spec,
                          set_bits, variable_mask)
 from jagg.config import BudgetError, Config, charge
-from jagg.jar import (PiJar, _profile_columns, _rational_fn, _solution_case, check_jar,
-                      dependent_pair_relation, enumerate_independent_rules,
+from jagg.jar import (PiJar, _axioms, _profile_columns, _rational_fn, _solution_case,
+                      check_jar, dependent_pair_relation, enumerate_independent_rules,
                       enumerate_uniform_rules, filter_axioms, restrict_jar,
                       to_normal_form, uniform_jar)
 from jagg.verify import SCENARIO_AGENDAS, _generated_agendas
@@ -309,6 +309,22 @@ def test_filter_axioms_impossibility_on_and_closure():
         sols = enumerate_uniform_rules(AND_CLOSURE, judges, require_up=False)
         kept = filter_axioms(sols, anonymous=True, systematic=True)
         assert kept == []
+
+
+def reference_axioms(functions):
+    """``_axioms`` with unanimity read by calling each function on all-F and
+    all-T inputs."""
+    up = all(f(*(c,) * f.n) == c for f in functions for c in (False, True))
+    anonymous = all(f.is_symmetric() for f in functions)
+    shared = all(f == functions[0] for f in functions)
+    return up, anonymous, shared and functions[0] == functions[0].flip()
+
+
+def test_axioms_match_calls_on_unanimous_inputs():
+    for n in range(4):
+        fns = list(all_tables(n))
+        for rule in itertools.chain(((f,) for f in fns), itertools.product(fns, repeat=2)):
+            assert _axioms(rule) == reference_axioms(rule), rule
 
 
 def test_require_up_scope():
@@ -663,7 +679,7 @@ def test_uniform_sweep_refuses_five_judges_before_building_columns(monkeypatch):
     def no_columns(*args):
         raise AssertionError("a candidate column was built")
 
-    monkeypatch.setattr(jar_module, "variable_mask", no_columns)
+    monkeypatch.setattr(jar_module, "_input_lifts", no_columns)
     with pytest.raises(BudgetError, match="2\\*\\*32 candidate tables"):
         enumerate_uniform_rules(OR_CLOSURE, 5, config=Config(enumeration_budget=1 << 62))
     with pytest.raises(BudgetError, match="work units"):
@@ -674,7 +690,7 @@ def test_independent_sweep_refuses_before_building_columns(monkeypatch):
     def no_columns(*args):
         raise AssertionError("a candidate column was built")
 
-    monkeypatch.setattr(jar_module, "variable_mask", no_columns)
+    monkeypatch.setattr(jar_module, "_input_lifts", no_columns)
     raised = Config(enumeration_budget=1 << 62)
     # 3 judges leave 6 free table bits per position: 24 bits over 4 entries
     with pytest.raises(BudgetError, match="2\\*\\*24 candidate rules"):
