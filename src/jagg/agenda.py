@@ -176,9 +176,6 @@ class RationalSet:
     judgments: tuple[Judgment, ...]
     witnesses: tuple[tuple[bool, ...], ...]
 
-    def __len__(self) -> int:
-        return len(self.judgments)
-
     def __contains__(self, judgment: Judgment) -> bool:
         judgment = tuple(judgment)
         i = bisect_left(self.judgments, judgment)
@@ -279,9 +276,7 @@ def is_determined_by(agenda: Agenda, target: int, positions: Iterable[int]) -> b
     pos = tuple(positions)
     if target in pos:
         raise ValueError("target must not be among the determining positions")
-    if not 0 <= target < len(agenda):
-        raise ValueError(f"basis position {target} out of range")
-    _positions(agenda, pos)
+    _positions(agenda, (target, *pos))
     first = _split([agenda.tables[p].table for p in (*pos, target)], len(agenda.symbols))
     return len({point >> 1 for point in first}) == len(first)
 

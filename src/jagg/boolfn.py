@@ -105,7 +105,9 @@ def _input_lifts(n: int) -> tuple[tuple[int, int, int, int], ...]:
     and item 2 those where it is T.  At arity 2**k these are the candidate
     columns of the arity-k tables: the sets of tables F and T at point i
     (264 KB at k = 4).  It is the one source of variable columns for the
-    structure tests, ``from_formula``, the classifier and jar's rule sweep.
+    structure tests, ``from_formula``, ``relevant_tables``, the classifier,
+    jar's rule sweep and normalpair's ``_down``, ``_class_keys`` and
+    ``_partners``.
     Built on first use of an arity, never at import, and kept: 2n + 1
     tables of 2**n bits, about 5 MB at arity 20.
     """
@@ -188,18 +190,9 @@ class BoolFn:
             raise BudgetError(f"arity {n} exceeds the cap of {config.arity_cap}")
 
     @classmethod
-    def all_true(cls, n: int, *, config: Config = DEFAULT) -> "BoolFn":
-        cls._check_arity(n, config)
-        return cls(n, (1 << (1 << n)) - 1)
-
-    @classmethod
-    def all_false(cls, n: int, *, config: Config = DEFAULT) -> "BoolFn":
-        cls._check_arity(n, config)
-        return cls(n, 0)
-
-    @classmethod
     def constant(cls, n: int, value: bool, *, config: Config = DEFAULT) -> "BoolFn":
-        return cls.all_true(n, config=config) if value else cls.all_false(n, config=config)
+        cls._check_arity(n, config)
+        return cls(n, (1 << (1 << n)) - 1 if value else 0)
 
     @classmethod
     def and_(cls, n: int, *, config: Config = DEFAULT) -> "BoolFn":
@@ -314,9 +307,6 @@ class BoolFn:
                 point |= 1 << i
         return self.value(point)
 
-    def apply(self, inputs: Sequence[bool]) -> bool:
-        return self(*inputs)
-
     # --- structure ----------------------------------------------------------
 
     def is_constant(self) -> bool:
@@ -332,8 +322,7 @@ class BoolFn:
         """True iff input ``i`` is pivotal at some point."""
         if not 0 <= i < self.n:
             raise ValueError(f"index {i} out of range for arity {self.n}")
-        low = _input_lifts(self.n)[i][1]   # points with input i = F
-        return (self.table & low) != (self.table >> (1 << i)) & low
+        return i in self.relevant_indices()
 
     def first_irrelevant_index(self) -> int | None:
         """The smallest input index that is not relevant, or None."""

@@ -11,7 +11,7 @@ environment variables.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 ENV_PREFIX = "JAGG_"
@@ -82,11 +82,6 @@ class Config:
         if raw is not None:
             overrides["output_format"] = raw
         return cls(**overrides)  # type: ignore[arg-type]
-
-    def with_overrides(self, **kwargs: object) -> "Config":
-        """Copy of this config with the given fields replaced (Nones ignored)."""
-        kept = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **kept) if kept else self  # type: ignore[arg-type]
 
 
 DEFAULT = Config()

@@ -149,7 +149,7 @@ _ATOM_START = frozenset({"IDENT", "'('", "'!'"})
 class _Token:
     kind: str       # "IDENT", "!", "&", "^", "|", "(", ")", "END"
     text: str
-    offset: int     # byte offset into the UTF-8 encoding of the input
+    offset: int     # character offset into the input
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -165,22 +165,24 @@ def _tokenize(text: str) -> list[_Token]:
             raise ParseError(f"unexpected character {rest[0]!r}",
                              _byte_offset(text, bad), _ATOM_START)
         if m.group("ident") is not None:
-            tokens.append(_Token("IDENT", m.group("ident"), _byte_offset(text, m.start("ident"))))
+            tokens.append(_Token("IDENT", m.group("ident"), m.start("ident")))
         else:
             p = m.group("punct")
-            tokens.append(_Token(p, p, _byte_offset(text, m.start("punct"))))
+            tokens.append(_Token(p, p, m.start("punct")))
         pos = m.end()
-    tokens.append(_Token("END", "", _byte_offset(text, len(text))))
+    tokens.append(_Token("END", "", len(text)))
     return tokens
 
 
 def _byte_offset(text: str, char_index: int) -> int:
+    """Offset into the UTF-8 encoding of ``text``; made only for an error."""
     return len(text[:char_index].encode("utf-8"))
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     def peek(self) -> _Token:
@@ -194,7 +196,8 @@ class _Parser:
     def fail(self, expected: frozenset[str]) -> ParseError:
         tok = self.peek()
         what = "end of input" if tok.kind == "END" else repr(tok.text)
-        return ParseError(f"unexpected {what}", tok.offset, expected)
+        return ParseError(f"unexpected {what}", _byte_offset(self.text, tok.offset),
+                          expected)
 
     def expr(self, level: int = 0) -> Formula:
         """Operands joined by ``_BINARY[level]``, each binding tighter."""
@@ -231,7 +234,7 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse a formula; empty input, trailing garbage and nesting deeper
     than the interpreter's recursion limit are errors."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     try:
         result = parser.expr()
     except RecursionError:

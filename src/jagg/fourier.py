@@ -363,15 +363,6 @@ class FourierSpectrum:
             raise ValueError(f"subset mask {subset} out of range for arity {self.n}")
         return Dyadic.make(self.nums[subset], self.n)
 
-    def coefficient(self, subset: Iterable[int]) -> Dyadic:
-        """Coefficient of the subset given as an iterable of input indices."""
-        mask = 0
-        for i in subset:
-            if not 0 <= i < self.n:
-                raise ValueError(f"index {i} out of range for arity {self.n}")
-            mask |= 1 << i
-        return self[mask]
-
     def parseval_sum(self) -> Dyadic:
         """Sum of squared coefficients; exactly 1 for any Boolean function."""
         return Dyadic.make(sum(map(mul, self.nums, self.nums)), 2 * self.n)

@@ -58,14 +58,8 @@ class PiJar:
         """Apply the rule position-wise to a tuple of judges' judgments."""
         if len(profile) != self.judges:
             raise ValueError(f"expected {self.judges} judgments, got {len(profile)}")
-        out = []
-        for k, f in enumerate(self.functions):
-            point = 0
-            for i, judgment in enumerate(profile):
-                if judgment[k]:
-                    point |= 1 << i
-            out.append(f.value(point))
-        return tuple(out)
+        return tuple(f(*votes) for f, votes
+                     in zip(self.functions, zip(*profile), strict=True))
 
 
 @dataclass(frozen=True)

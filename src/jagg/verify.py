@@ -208,8 +208,8 @@ def suite_identities(config: Config = DEFAULT) -> VerifyReport:
 
     def non_normal_witness():
         g, f = BoolFn.or_(2), BoolFn.and_(2)
-        bad = [U for U in range(16) if cell_subset_identity(g, f, U)[0]
-               != cell_subset_identity(g, f, U)[1]]
+        bad = [U for U in range(16)
+               for lhs, rhs in [cell_subset_identity(g, f, U)] if lhs != rhs]
         if not bad:
             return False, "(or2, and2) satisfied the identity on every cell set"
         return True, (f"(or2, and2) violates the identity on {len(bad)} cell sets, "

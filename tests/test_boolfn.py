@@ -49,13 +49,11 @@ def test_table_bit_convention():
     assert f.value(0b01) is False
     assert f(True, False) is False
     assert f(True, True) is True
-    assert f.apply([True, True]) is True
 
 
 def test_named_constructors():
-    assert BoolFn.all_true(2).table == 0b1111
-    assert BoolFn.all_false(3).table == 0
-    assert BoolFn.constant(2, True) == BoolFn.all_true(2)
+    assert BoolFn.constant(2, True).table == 0b1111
+    assert BoolFn.constant(3, False).table == 0
     assert BoolFn.or_(2).table == 0b1110
     assert BoolFn.xor(2).table == 0b0110
     assert BoolFn.nxor(2).table == 0b1001
@@ -130,7 +128,7 @@ def test_relevance_and_pivots():
     # pivotal at a specific point: index 0 at (T, T, F) for majority
     assert maj.is_pivotal(0, 0b011)
     assert not maj.is_pivotal(0, 0b111)
-    assert BoolFn.all_true(2).relevant_indices() == ()
+    assert BoolFn.constant(2, True).relevant_indices() == ()
 
 
 def test_flip_involution_and_fixed_points():
@@ -145,7 +143,7 @@ def test_flip_involution_and_fixed_points():
 
 def test_negate():
     assert BoolFn.and_(2).negate().table == 0b0111
-    assert BoolFn.all_true(2).negate() == BoolFn.all_false(2)
+    assert BoolFn.constant(2, True).negate() == BoolFn.constant(2, False)
 
 
 def test_forceable_indices():
@@ -162,7 +160,7 @@ def test_is_forceful():
     assert not BoolFn.majority(3).is_forceful()
     assert not BoolFn.dictator(2, 0).is_forceful()
     # constants force trivially everywhere
-    assert BoolFn.all_true(2).is_forceful()
+    assert BoolFn.constant(2, True).is_forceful()
 
 
 def test_forceful_decomposition_named_shapes():
@@ -185,7 +183,7 @@ def test_forceful_decomposition_roundtrip_exhaustive():
 
 def test_forceful_decomposition_rejects():
     with pytest.raises(ValueError):
-        BoolFn.all_true(2).forceful_decomposition()
+        BoolFn.constant(2, True).forceful_decomposition()
     with pytest.raises(ValueError):
         BoolFn.xor(2).forceful_decomposition()
     with pytest.raises(ValueError):
@@ -199,7 +197,7 @@ def test_restrict_to_and_on_relevant():
     sub, idx = f.on_relevant()
     assert idx == (1,)
     assert sub == BoolFn.dictator(1, 0)
-    g = BoolFn.all_false(2)
+    g = BoolFn.constant(2, False)
     sub, idx = g.on_relevant()
     assert idx == ()
     assert sub.n == 0 and sub.is_constant()
@@ -207,7 +205,7 @@ def test_restrict_to_and_on_relevant():
 
 def test_is_symmetric():
     for f in (BoolFn.and_(3), BoolFn.or_(3), BoolFn.xor(3),
-              BoolFn.majority(3), BoolFn.all_true(2)):
+              BoolFn.majority(3), BoolFn.constant(2, True)):
         assert f.is_symmetric()
     assert not BoolFn.dictator(2, 0).is_symmetric()
     assert not BoolFn.from_formula(parse("!a & b"), ["a", "b"]).is_symmetric()
@@ -220,7 +218,7 @@ def test_classify_named():
     assert classify(BoolFn.nxor(2)) == FnClass("nxor")
     assert classify(BoolFn.dictator(3, 2)) == FnClass("dictator", index=2)
     assert classify(BoolFn.anti_dictator(2, 1)) == FnClass("anti_dictator", index=1)
-    assert classify(BoolFn.all_true(2)) == FnClass("constant", value=True)
+    assert classify(BoolFn.constant(2, True)) == FnClass("constant", value=True)
     assert classify(BoolFn.majority(3)) == FnClass("other")
     # arity 1: identity is a dictator, negation an anti-dictator
     assert classify(BoolFn(1, 0b10)) == FnClass("dictator", index=0)

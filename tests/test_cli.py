@@ -413,3 +413,21 @@ def test_console_script_installed():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("jagg ")
+
+
+def test_readme_library_example_runs_as_printed():
+    # the README's "Library example" block, run as a reader would run it
+    root = HERE.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    code = block.split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=root, env={**os.environ, "PYTHONPATH": "src"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "1/2^1",
+        "commutation",
+        "False",
+        "(((False, True, False), (True, False, False), (True, True, True)), "
+        "(True, True, False))",
+    ]

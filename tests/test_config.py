@@ -46,13 +46,6 @@ def test_from_env_rejects_malformed():
         Config.from_env({"JAGG_OUTPUT_FORMAT": "xml"})
 
 
-def test_with_overrides():
-    cfg = DEFAULT.with_overrides(arity_cap=5)
-    assert cfg.arity_cap == 5
-    assert cfg.enumeration_budget == DEFAULT.enumeration_budget
-    assert DEFAULT.with_overrides(arity_cap=None) == DEFAULT
-
-
 def test_charge():
     cfg = Config(enumeration_budget=100)
     charge(cfg, 100, "small sweep", "anything this size")

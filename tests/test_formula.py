@@ -157,6 +157,14 @@ def test_byte_offsets_are_utf8():
     with pytest.raises(ParseError) as err:
         parse("µ & P")
     assert err.value.offset == 0
+    # U+3000 is whitespace to the tokenizer and three bytes in UTF-8; the
+    # parser's and the tokenizer's errors deep in a long formula count it
+    prefix = " | ".join(f"P{i}" for i in range(3000)) + " |\u3000"
+    for bad in ("&", "@"):
+        with pytest.raises(ParseError) as err:
+            parse(prefix + bad + " Q")
+        assert err.value.offset == len(prefix.encode())
+        assert err.value.offset == len(prefix) + 2
 
 
 def test_connectives_equality_hash_and_immutability():

@@ -282,8 +282,8 @@ def test_closed_forms():
         assert sp[full] == (-1) ** n
         assert sp.support() == (full,)
         # constants and dictators
-        assert spectrum(BoolFn.all_true(n)).support() == (0,)
-        assert spectrum(BoolFn.all_true(n))[0] == ONE
+        assert spectrum(BoolFn.constant(n, True)).support() == (0,)
+        assert spectrum(BoolFn.constant(n, True))[0] == ONE
         for i in range(n):
             sp = spectrum(BoolFn.dictator(n, i))
             assert sp.support() == (1 << i,)
@@ -294,14 +294,6 @@ def test_parseval_exhaustive():
     for n in (1, 2, 3):
         for f in all_tables(n):
             assert spectrum(f).parseval_sum() == 1
-
-
-def test_coefficient_by_indices():
-    sp = spectrum(BoolFn.and_(3))
-    assert sp.coefficient([0, 2]) == sp[0b101]
-    assert sp.coefficient([]) == sp[0]
-    with pytest.raises(ValueError):
-        sp.coefficient([3])
 
 
 def test_subset_mask_out_of_range():

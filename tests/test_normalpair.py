@@ -27,9 +27,8 @@ def first_failure(g, f):
     for bits in range(1 << (m * n)):
         rows = tuple(tuple(bool(bits >> (i * n + j) & 1) for j in range(n))
                      for i in range(m))
-        col_then_row = f.apply([g.apply([rows[i][j] for i in range(m)])
-                                for j in range(n)])
-        row_then_col = g.apply([f.apply(rows[i]) for i in range(m)])
+        col_then_row = f(*[g(*[rows[i][j] for i in range(m)]) for j in range(n)])
+        row_then_col = g(*[f(*rows[i]) for i in range(m)])
         if col_then_row != row_then_col:
             return rows, col_then_row, row_then_col
     return None
@@ -220,8 +219,8 @@ def test_5x5_checks_at_the_default_budget():
 
 def test_violation_precedence():
     or2, and2 = BoolFn.or_(2), BoolFn.and_(2)
-    assert check_normal_pair(BoolFn.all_true(2), and2).violation.kind == "g_constant"
-    assert check_normal_pair(or2, BoolFn.all_false(2)).violation.kind == "f_constant"
+    assert check_normal_pair(BoolFn.constant(2, True), and2).violation.kind == "g_constant"
+    assert check_normal_pair(or2, BoolFn.constant(2, False)).violation.kind == "f_constant"
     lazy = BoolFn.dictator(2, 0)
     rep = check_normal_pair(lazy, and2)
     assert (rep.violation.kind, rep.violation.index) == ("g_irrelevant_index", 1)
@@ -236,9 +235,8 @@ def test_commutation_counterexample_is_sound():
     assert not rep.is_normal
     rows = rep.counterexample
     g, f = BoolFn.or_(2), BoolFn.and_(2)
-    col_then_row = f.apply([g.apply([rows[i][j] for i in range(2)])
-                            for j in range(2)])
-    row_then_col = g.apply([f.apply(rows[i]) for i in range(2)])
+    col_then_row = f(*[g(*[rows[i][j] for i in range(2)]) for j in range(2)])
+    row_then_col = g(*[f(*rows[i]) for i in range(2)])
     assert col_then_row != row_then_col
     assert rep.column_then_row == col_then_row
     assert rep.row_then_column == row_then_col
