@@ -14,7 +14,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import __version__
 from .agenda import Agenda, AgendaError, load_agenda, rational_judgments
@@ -24,7 +24,7 @@ from .config import Config, BudgetError
 from .formula import ParseError
 from .jar import (PiJar, check_jar, enumerate_independent_rules,
                   enumerate_uniform_rules, filter_axioms)
-from .fourier import spectrum
+from .fourier import Dyadic, spectrum
 from .normalpair import check_normal_pair, classify_pair, enumerate_normal_pairs
 from .verify import SUITES, run_suites
 
@@ -51,24 +51,63 @@ def _bits(values: Sequence[bool]) -> str:
 
 # --- subcommand handlers ----------------------------------------------------
 
+_BLOCK_BITS = 12   # `jagg fourier` writes 2**12 coefficients at a time
+
+
+def _subset_blocks(n: int, item: str, sep: str, left: str, right: str,
+                   empty: str) -> Iterator[list[str]]:
+    """The renderings of all 2**n subsets of n inputs, in mask order, one
+    list per block of 2**_BLOCK_BITS masks (one list of 2**n below that).
+
+    A subset is ``left``, its inputs each formatted by ``item`` and joined
+    by ``sep``, then ``right``; the empty subset is ``empty``.  The subsets
+    of the low inputs are rendered once, and a block joins them to the
+    rendering of its subset of the high inputs.
+    """
+    def inners(inputs: range) -> list[str]:
+        out = [""]   # the joined inputs of subset R at index R, by doubling
+        for i in inputs:
+            out += [f"{s}{sep}{item.format(i)}" if s else item.format(i) for s in out]
+        return out
+
+    low = min(n, _BLOCK_BITS)
+    lows = inners(range(low))
+    whole = [left + s + right if s else empty for s in lows]
+    opened = [left + s + sep if s else left for s in lows]
+    for high in inners(range(low, n)):
+        yield [head + high + right for head in opened] if high else whole
+
+
 def cmd_fourier(args, config: Config) -> int:
     f = parse_fn_spec(args.fn, config=config)
-    sp = spectrum(f)
+    nums = spectrum(f).nums
+    n = f.n
     if args.json:
-        subsets: list[list[int]] = [[]]   # the inputs of subset R, by doubling
-        for i in range(f.n):
-            subsets += [subset + [i] for subset in subsets]
-        coeffs = [{"subset": subset, "num": c.num, "exp": c.exp}
-                  for subset, c in zip(subsets, sp.coeffs)]
-        sys.stdout.write(_dump({"spec": format_fn_spec(f), "arity": f.n,
-                                "coefficients": coeffs}))
+        # header and footer from json.dumps itself; each coefficient is an
+        # object at depth 2 of the indent-2 layout and each subset input an
+        # item at depth 4
+        outline = _dump({"spec": format_fn_spec(f), "arity": n, "coefficients": []})
+        head, _, tail = outline.partition('"coefficients": []')
+        start, joiner, end = head + '"coefficients": [\n', ",\n", "\n  ]" + tail
+        line = '    {{\n{1},\n      "subset": {0}\n    }}'
+        blocks = _subset_blocks(n, "        {}", ",\n", "[\n", "\n      ]", "[]")
+        value = '      "exp": {0.exp},\n      "num": {0.num}'
     else:
-        labels = [""]   # the inputs of subset R, by doubling over the inputs
-        for i in range(f.n):
-            labels += [f"{label},{i}" if label else str(i) for label in labels]
-        lines = [f"spectrum of {args.fn} (arity {f.n})\n"]
-        lines += [f"  {'{' + label + '}':12s} {c}\n" for label, c in zip(labels, sp.coeffs)]
-        sys.stdout.write("".join(lines))
+        start, joiner, end = f"spectrum of {args.fn} (arity {n})\n", "\n", "\n"
+        line = "  {0:12s} {1}"
+        blocks = _subset_blocks(n, "{}", ",", "{", "}", "{}")
+        value = "{}"
+    # one rendering per distinct coefficient; a Boolean spectrum has few
+    rendered = {num: value.format(Dyadic.make(num, n)) for num in set(nums)}
+    step = 1 << min(n, _BLOCK_BITS)
+    write = sys.stdout.write
+    write(start)
+    for first, subsets in zip(range(0, 1 << n, step), blocks):
+        if first:
+            write(joiner)
+        write(joiner.join(map(line.format, subsets,
+                              map(rendered.__getitem__, nums[first:first + step]))))
+    write(end)
     return 0
 
 

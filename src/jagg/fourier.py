@@ -354,8 +354,14 @@ class FourierSpectrum:
 
     @cached_property
     def coeffs(self) -> tuple[Dyadic, ...]:
-        """All coefficients as canonical ``Dyadic`` values."""
-        return tuple(map(Dyadic.make, self.nums, repeat(self.n)))
+        """All coefficients as canonical ``Dyadic`` values.
+
+        Equal coefficients share one object, as ``Dyadic`` is immutable and
+        a Boolean spectrum has few distinct values: two for ``and:n``, and
+        hundreds among the 2**16 coefficients of a random arity-16 table.
+        """
+        values = {num: Dyadic.make(num, self.n) for num in set(self.nums)}
+        return tuple(map(values.__getitem__, self.nums))
 
     def __getitem__(self, subset: int) -> Dyadic:
         """Coefficient of the subset given as an n-bit index mask."""

@@ -6,11 +6,15 @@ Run with ``pytest -v tests/test_acceptance.py`` for the per-criterion lines,
 or ``-s`` to see the printed summaries as well.
 """
 
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import jagg
 from jagg.cli import main
 from jagg.config import DEFAULT
 from jagg.verify import SUITES, run_suites
@@ -115,3 +119,24 @@ def test_criterion_8_structural_sweeps(reports):
     # restriction closure, dependent-pair relations, and the component
     # product decomposition across the generated agenda pool
     criterion(reports, 8, "structural sweeps", "structure", 120)
+
+
+def test_fourier_output_in_bounded_memory():
+    # the largest spectrum the default arity cap admits, written as JSON
+    # by a fresh process that reports its own peak resident set
+    pytest.importorskip("resource")
+    child = ("import contextlib, os, resource, sys\n"
+             "from jagg.cli import main\n"
+             "with open(os.devnull, 'w') as null, contextlib.redirect_stdout(null):\n"
+             "    code = main(['fourier', 'and:20', '--json'])\n"
+             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(jagg.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, maxrss = map(int, proc.stdout.split())
+    # ru_maxrss is in bytes on macOS and in kilobytes elsewhere
+    megabytes = maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    print(f"fourier and:20 --json: exit {code}, max RSS {megabytes:.0f} MB")
+    assert code == 0
+    assert megabytes < 200

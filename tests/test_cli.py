@@ -49,12 +49,23 @@ def test_fourier_text(capsys):
     assert "-1/2^1" in out and "{0,1}" in out
 
 
+def fourier_specs(seed):
+    """A random table and and, or, xor and nxor at arities 0-12, then a
+    random table at an arity that spans four output blocks."""
+    rng = random.Random(seed)
+    for n in range(13):
+        yield f"tt:{n}:{rng.getrandbits(1 << n):x}"
+        if n:
+            yield from (f"{kind}:{n}" for kind in ("and", "or", "xor", "nxor"))
+    n = cli._BLOCK_BITS + 2
+    yield f"tt:{n}:{rng.getrandbits(1 << n):x}"
+
+
 def test_fourier_text_matches_print_loop(capsys):
     # the reference is the former output loop: one print per subset
-    rng = random.Random(60)
-    for n in range(7):
-        fn = f"tt:{n}:{rng.getrandbits(1 << n):x}"
+    for fn in fourier_specs(60):
         sp = spectrum(parse_fn_spec(fn))
+        n = sp.n
         lines = [f"spectrum of {fn} (arity {n})"]
         for R, c in enumerate(sp.coeffs):
             subset = "{" + ",".join(str(i) for i in range(n) if R >> i & 1) + "}"
@@ -66,10 +77,9 @@ def test_fourier_text_matches_print_loop(capsys):
 
 def test_fourier_json_matches_subset_scan(capsys):
     # the reference scans the n bits of each subset mask for its inputs
-    rng = random.Random(61)
-    for n in range(7):
-        fn = f"tt:{n}:{rng.getrandbits(1 << n):x}"
+    for fn in fourier_specs(61):
         f = parse_fn_spec(fn)
+        n = f.n
         coeffs = [{"subset": [i for i in range(n) if R >> i & 1],
                    "num": c.num, "exp": c.exp}
                   for R, c in enumerate(spectrum(f).coeffs)]
@@ -346,8 +356,9 @@ def test_deeply_nested_agenda_exits_2(capsys, tmp_path):
 def test_budget_errors_exit_2(capsys):
     code, _ = run(capsys, "enumerate-pairs", "-m", "2", "-n", "4")
     assert code == 2
-    code, _ = run(capsys, "fourier", "and:21")
+    code, out = run(capsys, "fourier", "and:21")
     assert code == 2
+    assert out == ""
 
 
 def test_verify_single_suite(capsys):

@@ -235,6 +235,8 @@ def test_spectrum_matches_definition_at_random_arities():
         f = BoolFn(n, rng.getrandbits(1 << n))
         sp = spectrum(f)
         assert sp.coeffs == tuple(Dyadic.make(v, n) for v in loop_spectrum(f))
+        # equal coefficients share one object
+        assert len({id(c) for c in sp.coeffs}) == len(set(sp.nums))
         full = (1 << n) - 1
         subsets = (range(1 << n) if n <= 8 else
                    [0, full, 1 << rng.randrange(n)]
@@ -388,6 +390,11 @@ def test_pickled_spectrum_reconstructs():
     back = pickle.loads(pickle.dumps(spec))
     assert back == spec
     assert reconstruct(back) == f
+    assert back.coeffs == spec.coeffs
+    # a spectrum pickled with its coefficients keeps them, shared as before
+    back = pickle.loads(pickle.dumps(spec))
+    assert back.coeffs == spec.coeffs
+    assert len({id(c) for c in back.coeffs}) == len(set(spec.nums))
 
 
 @pytest.mark.parametrize("n, coeffs, message", [
