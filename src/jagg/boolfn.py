@@ -192,7 +192,8 @@ class BoolFn:
     @classmethod
     def constant(cls, n: int, value: bool, *, config: Config = DEFAULT) -> "BoolFn":
         cls._check_arity(n, config)
-        return cls(n, (1 << (1 << n)) - 1 if value else 0)
+        zero = cls(n, 0)
+        return cls(n, zero.full) if value else zero
 
     @classmethod
     def and_(cls, n: int, *, config: Config = DEFAULT) -> "BoolFn":
@@ -576,5 +577,5 @@ def format_fn_spec(f: BoolFn) -> str:
 
 def all_tables(n: int) -> Iterable[BoolFn]:
     """Every function of arity ``n``, in ascending table order."""
-    for table in range(1 << (1 << n)):
+    for table in range(BoolFn(n, 0).full + 1):
         yield BoolFn(n, table)

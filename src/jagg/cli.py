@@ -13,15 +13,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Any, Iterator, Sequence
 
 from . import __version__
-from .agenda import Agenda, AgendaError, load_agenda, rational_judgments
+from .agenda import Agenda, load_agenda, rational_judgments
 from .boolfn import (FnClass, classify, classify_on_relevant, format_fn_spec,
                      parse_fn_spec)
 from .config import Config, BudgetError
-from .formula import ParseError
 from .jar import (PiJar, check_jar, enumerate_independent_rules,
                   enumerate_uniform_rules, filter_axioms)
 from .fourier import Dyadic, spectrum
@@ -447,8 +447,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.json is None:
         args.json = config.output_format == "json"
     try:
-        return args.handler(args, config)
-    except (ParseError, AgendaError, BudgetError, ValueError, OSError) as exc:
+        status = args.handler(args, config)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so that the flush at
+        # exit cannot fail again, and end as a finished write would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
+    except (BudgetError, ValueError, OSError) as exc:
         parser.exit(2, f"jagg: {exc}\n")
 
 

@@ -140,37 +140,28 @@ def _print(f: Formula, parent_level: int) -> str:
 
 # --- parsing ----------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[!&^|()]))")
+# one match per token, each starting where the last one ended; without the
+# end-of-text alternative, finditer would retry trailing space from each of
+# its positions, quadratic in its length
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<IDENT>{SYMBOL_RE.pattern})|(?P<punct>[!&^|()])"
+                       r"|(?P<bad>\S)|(?P<END>\Z))")
 
 _ATOM_START = frozenset({"IDENT", "'('", "'!'"})
 
 
-@dataclass
-class _Token:
-    kind: str       # "IDENT", "!", "&", "^", "|", "(", ")", "END"
-    text: str
-    offset: int     # character offset into the input
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            bad = len(text) - len(rest)
-            raise ParseError(f"unexpected character {rest[0]!r}",
-                             _byte_offset(text, bad), _ATOM_START)
-        if m.group("ident") is not None:
-            tokens.append(_Token("IDENT", m.group("ident"), m.start("ident")))
-        else:
-            p = m.group("punct")
-            tokens.append(_Token(p, p, m.start("punct")))
-        pos = m.end()
-    tokens.append(_Token("END", "", len(text)))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, character offset)`` per token, where kind is "IDENT",
+    a punctuation mark, or "END" for the last token."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        word, offset = m[kind], m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {word!r}",
+                             _byte_offset(text, offset), _ATOM_START)
+        tokens.append((word if kind == "punct" else kind, word, offset))
+        if kind == "END":
+            break
     return tokens
 
 
@@ -185,19 +176,10 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def fail(self, expected: frozenset[str]) -> ParseError:
-        tok = self.peek()
-        what = "end of input" if tok.kind == "END" else repr(tok.text)
-        return ParseError(f"unexpected {what}", _byte_offset(self.text, tok.offset),
-                          expected)
+        kind, word, offset = self.tokens[self.pos]
+        what = "end of input" if kind == "END" else repr(word)
+        return ParseError(f"unexpected {what}", _byte_offset(self.text, offset), expected)
 
     def expr(self, level: int = 0) -> Formula:
         """Operands joined by ``_BINARY[level]``, each binding tighter."""
@@ -206,27 +188,27 @@ class _Parser:
         while True:
             terms.append(self.expr(level + 1) if level + 1 < len(_BINARY)
                          else self.unary())
-            if self.peek().kind != op:
+            if self.tokens[self.pos][0] != op:
                 return terms[0] if len(terms) == 1 else node(*terms)
-            self.take()
+            self.pos += 1
 
     def unary(self) -> Formula:
-        if self.peek().kind == "!":
-            self.take()
+        if self.tokens[self.pos][0] == "!":
+            self.pos += 1
             return Not(self.unary())
         return self.atom()
 
     def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            self.take()
-            return Atom(tok.text)
-        if tok.kind == "(":
-            self.take()
+        kind, word, _ = self.tokens[self.pos]
+        if kind == "IDENT":
+            self.pos += 1
+            return Atom(word)
+        if kind == "(":
+            self.pos += 1
             inner = self.expr()
-            if self.peek().kind != ")":
+            if self.tokens[self.pos][0] != ")":
                 raise self.fail(frozenset({"')'", "'&'", "'^'", "'|'"}))
-            self.take()
+            self.pos += 1
             return inner
         raise self.fail(_ATOM_START)
 
@@ -239,6 +221,6 @@ def parse(text: str) -> Formula:
         result = parser.expr()
     except RecursionError:
         raise ParseError("formula nested too deeply", 0, frozenset()) from None
-    if parser.peek().kind != "END":
+    if parser.tokens[parser.pos][0] != "END":
         raise parser.fail(frozenset({"'&'", "'^'", "'|'", "end of input"}))
     return result

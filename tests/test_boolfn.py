@@ -278,6 +278,18 @@ def test_arity_zero_errors_name_the_family():
     assert str(err.value) == "anti_dictator needs arity >= 1"
 
 
+def test_negative_arity_errors_match_the_constructor():
+    want = "arity must be non-negative, got -1"
+    for make in (lambda: BoolFn(-1, 0), lambda: BoolFn.constant(-1, True),
+                 lambda: list(all_tables(-1))):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == want
+    with pytest.raises(ValueError) as err:
+        parse_fn_spec("const:-1:T")
+    assert str(err.value) == f"bad function spec 'const:-1:T': {want}"
+
+
 def test_arity_cap_enforced():
     small = Config(arity_cap=3)
     with pytest.raises(BudgetError):

@@ -417,6 +417,46 @@ def test_env_cap_respected(capsys, monkeypatch):
     assert code == 2
 
 
+def test_missing_agenda_file_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["agenda", "check", str(DATA / "missing.agenda")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("jagg: [Errno 2] ")
+
+
+def _buffered_child_env():
+    """The child imports jagg from where this process found it, and buffers
+    stdout as it does by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(Path(jagg.__file__).parents[1])}
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_closed_stdout_ends_quietly(fmt):
+    # the reader takes one line and goes, long before the spectrum is written
+    proc = subprocess.Popen([sys.executable, "-m", "jagg.cli", "fourier", "and:16", *fmt],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_buffered_child_env())
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def test_stdout_closed_before_a_short_answer_ends_quietly():
+    # the whole answer fits stdout's buffer, so only the flush meets the pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "wb") as stdout:
+        proc = subprocess.run([sys.executable, "-m", "jagg.cli", "classify", "and:2"],
+                              stdout=stdout, stderr=subprocess.PIPE,
+                              env=_buffered_child_env())
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+
+
 def test_console_script_installed():
     # the child imports jagg from where this process found it
     env = {**os.environ, "PYTHONPATH": str(Path(jagg.__file__).parents[1])}

@@ -2,8 +2,10 @@
 
 import itertools
 import os
+import re
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,127 @@ import jagg
 from jagg.formula import And, Atom, Not, Or, ParseError, Xor, negate, parse
 
 P, Q, R = Atom("P"), Atom("Q"), Atom("R")
+
+
+# --- reference parser: a token object per token and a peek/take cursor ------
+
+_REF_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[!&^|()]))")
+_REF_BINARY = (("|", Or), ("^", Xor), ("&", And))
+_REF_ATOM_START = frozenset({"IDENT", "'('", "'!'"})
+
+
+@dataclass
+class _Token:
+    kind: str       # "IDENT", "!", "&", "^", "|", "(", ")", "END"
+    text: str
+    offset: int     # character offset into the input
+
+
+def _ref_byte_offset(text, char_index):
+    return len(text[:char_index].encode("utf-8"))
+
+
+def _ref_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None:
+            rest = text[pos:].lstrip()
+            if not rest:
+                break
+            bad = len(text) - len(rest)
+            raise ParseError(f"unexpected character {rest[0]!r}",
+                             _ref_byte_offset(text, bad), _REF_ATOM_START)
+        if m.group("ident") is not None:
+            tokens.append(_Token("IDENT", m.group("ident"), m.start("ident")))
+        else:
+            p = m.group("punct")
+            tokens.append(_Token(p, p, m.start("punct")))
+        pos = m.end()
+    tokens.append(_Token("END", "", len(text)))
+    return tokens
+
+
+class _RefParser:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _ref_tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, expected):
+        tok = self.peek()
+        what = "end of input" if tok.kind == "END" else repr(tok.text)
+        return ParseError(f"unexpected {what}", _ref_byte_offset(self.text, tok.offset),
+                          expected)
+
+    def expr(self, level=0):
+        op, node = _REF_BINARY[level]
+        terms = []
+        while True:
+            terms.append(self.expr(level + 1) if level + 1 < len(_REF_BINARY)
+                         else self.unary())
+            if self.peek().kind != op:
+                return terms[0] if len(terms) == 1 else node(*terms)
+            self.take()
+
+    def unary(self):
+        if self.peek().kind == "!":
+            self.take()
+            return Not(self.unary())
+        return self.atom()
+
+    def atom(self):
+        tok = self.peek()
+        if tok.kind == "IDENT":
+            self.take()
+            return Atom(tok.text)
+        if tok.kind == "(":
+            self.take()
+            inner = self.expr()
+            if self.peek().kind != ")":
+                raise self.fail(frozenset({"')'", "'&'", "'^'", "'|'"}))
+            self.take()
+            return inner
+        raise self.fail(_REF_ATOM_START)
+
+
+def _ref_parse(text):
+    parser = _RefParser(text)
+    try:
+        result = parser.expr()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", 0, frozenset()) from None
+    if parser.peek().kind != "END":
+        raise parser.fail(frozenset({"'&'", "'^'", "'|'", "end of input"}))
+    return result
+
+
+def _outcome(parser, text):
+    """The formula, or the error's text, byte offset and expected set."""
+    try:
+        return parser(text)
+    except ParseError as err:
+        return str(err), err.offset, err.expected
+
+
+def _roundtrip_pool():
+    """Every formula over {P, Q} of depth <= 2."""
+    depth1 = [P, Q, Not(P), And(P, Q), Or(P, Q), Xor(P, Q)]
+    pool = list(depth1)
+    for a, b in itertools.product(depth1, repeat=2):
+        for cls in (And, Or, Xor):
+            pool.append(cls(a, b))
+        pool.append(Not(a))
+    return pool
 
 
 def test_atom_names():
@@ -116,15 +239,31 @@ def test_print_minimal_parens():
 
 
 def test_print_parse_roundtrip_exhaustive():
-    # every formula over {P, Q} of depth <= 2 survives str -> parse
-    depth1 = [P, Q, Not(P), And(P, Q), Or(P, Q), Xor(P, Q)]
-    pool = list(depth1)
-    for a, b in itertools.product(depth1, repeat=2):
-        for cls in (And, Or, Xor):
-            pool.append(cls(a, b))
-        pool.append(Not(a))
-    for phi in pool:
+    for phi in _roundtrip_pool():
         assert parse(str(phi)) == phi
+
+
+def test_parse_matches_reference_on_all_short_strings():
+    # identifiers, digits, ASCII and non-ASCII space, every operator, and
+    # characters the tokenizer rejects (one ASCII, one two-byte)
+    alphabet = ["P", "Q", "_", "1", " ", "\u3000", "!", "&", "^", "|", "(", ")", "@", "µ"]
+    texts = ["".join(chars) for k in range(5)
+             for chars in itertools.product(alphabet, repeat=k)]
+    assert len(texts) == 41_371
+    for text in texts:
+        assert _outcome(parse, text) == _outcome(_ref_parse, text), text
+
+
+def test_parse_matches_reference_on_roundtrip_pool():
+    for phi in _roundtrip_pool():
+        for text in (str(phi), f" ( {phi} ) ", f"{phi} @", f"{phi} &"):
+            assert _outcome(parse, text) == _outcome(_ref_parse, text), text
+
+
+def test_trailing_whitespace_is_scanned_once():
+    # a tokenizer that retries the tail at each trailing position is
+    # quadratic here and takes minutes
+    assert parse("P" + " " * 200_000) == P
 
 
 def test_parse_errors_report_offset():
