@@ -169,18 +169,22 @@ def _named_table(kind: str, n: int) -> int:
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolFn:
     """A Boolean function of arity ``n`` with its truth table packed in ``table``."""
 
     n: int
     table: int
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"arity must be non-negative, got {self.n}")
-        if not 0 <= self.table < (1 << (1 << self.n)):
-            raise ValueError(f"table {self.table:#x} out of range for arity {self.n}")
+    def __init__(self, n: int, table: int) -> None:
+        # checked here and set through the slot descriptors, past the frozen
+        # __setattr__, so construction costs no __post_init__ round trip
+        if n < 0:
+            raise ValueError(f"arity must be non-negative, got {n}")
+        if not 0 <= table < (1 << (1 << n)):
+            raise ValueError(f"table {table:#x} out of range for arity {n}")
+        _set_n(self, n)
+        _set_table(self, table)
 
     # --- constructors -------------------------------------------------------
 
@@ -432,6 +436,10 @@ class BoolFn:
         masks = [high for _, _, high, _ in _input_lifts(self.n)]
         return all((self.table & lo & ~hi) << (1 << i) == self.table & hi & ~lo
                    for i, (lo, hi) in enumerate(zip(masks, masks[1:])))
+
+
+_set_n = BoolFn.n.__set__
+_set_table = BoolFn.table.__set__
 
 
 @dataclass(frozen=True)

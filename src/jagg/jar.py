@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .agenda import Agenda, Judgment, RationalSet, build_agenda, rational_judgments
+from .agenda import (Agenda, Judgment, RationalSet, _positions, build_agenda,
+                     rational_judgments)
 from .boolfn import (BoolFn, FnClass, _input_lifts, classify_on_relevant, compose,
                      repeat_bits, set_bits)
 from .config import DEFAULT, BudgetError, Config, charge
@@ -417,6 +418,6 @@ def filter_axioms(solutions: Iterable[UniformSolution | PiJar], *,
 def restrict_jar(jar: PiJar, positions: Sequence[int], *,
                  config: Config = DEFAULT) -> PiJar:
     """The rule induced on a sub-basis (same judges, functions carried over)."""
-    pos = tuple(positions)
+    pos = _positions(jar.agenda, positions)
     sub = build_agenda([jar.agenda.basis[k] for k in pos], config=config)
     return PiJar(sub, jar.judges, tuple(jar.functions[k] for k in pos))

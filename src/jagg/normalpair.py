@@ -11,7 +11,8 @@ truth tables over the matrix space.  The argument tables are lifted straight
 from the truth tables of f and g.  "f across row i" reads only row i's
 n-bit field, so it is f's table with each bit stretched over the 2**(i*n)
 settings of the rows below, tiled over the rows above (``_across``).  "g
-down column j" is built one row at a time from g's cofactors (``_down``).
+down column j" is built one row at a time from g's cofactors, all n columns
+in each pass (``_down``).
 The composites are then f and g applied to these through their minterm
 expansion (``boolfn.compose``).
 
@@ -27,6 +28,12 @@ T points, where a, the point of g's column outputs, is the OR of ``down``
 over the same points.  The kept set is an AND over all matrices, so the
 order of the matrices does not change the result; the order used fails most
 g within a few matrices.
+
+Transposing the matrices swaps "down the columns" and "across the rows", so
+(g, f) is normal at (m, n) exactly when (f, g) is normal at (n, m).  A tall
+enumeration, m > n, sweeps (n, m) and swaps its pairs, so the g swept is
+always the side of smaller arity, and the arity-4 keys are swept only at
+(4, 4).
 
 Three steps cut the sweep down.  Permuting g's inputs permutes the matrix
 rows, a bijection on the matrices, so every g in an orbit has the same
@@ -79,9 +86,28 @@ class NormalPairReport:
     row_then_column: bool | None = None
 
 
+# the violations without an index, shared: a Violation is frozen
+_G_CONSTANT = Violation("g_constant")
+_F_CONSTANT = Violation("f_constant")
+_COMMUTATION = Violation("commutation")
+
+
+def _report(g: BoolFn, f: BoolFn, is_normal: bool, violation: Violation | None = None,
+            counterexample: tuple[tuple[bool, ...], ...] | None = None,
+            column_then_row: bool | None = None,
+            row_then_column: bool | None = None) -> NormalPairReport:
+    """``NormalPairReport(...)`` of valid fields, filled without going
+    through the frozen dataclass's ``__setattr__`` once per field."""
+    report = object.__new__(NormalPairReport)
+    report.__dict__.update(g=g, f=f, is_normal=is_normal, violation=violation,
+                           counterexample=counterexample, column_then_row=column_then_row,
+                           row_then_column=row_then_column)
+    return report
+
+
 def _matrix_rows(mask: int, m: int, n: int) -> tuple[tuple[bool, ...], ...]:
-    cells = list(map("1".__eq__, format(mask, f"0{m * n}b")[::-1]))
-    return tuple(tuple(cells[i:i + n]) for i in range(0, m * n, n))
+    cells = tuple(map("1".__eq__, format(mask, f"0{m * n}b")[::-1]))
+    return tuple(cells[i:i + n] for i in range(0, m * n, n))
 
 
 def _stretch(table: int, points: int, block: int) -> int:
@@ -105,6 +131,8 @@ def _across(f: BoolFn, m: int) -> list[int]:
     table with each bit stretched over the 2**(i*n) settings of the rows
     below, tiled over the rows above.
     """
+    if m == 1:  # a single row reads the matrix as f's input point
+        return [f.table]
     n, width = f.n, 1 << (m * f.n)
     return [repeat_bits(_stretch(f.table, 1 << n, 1 << i * n), 1 << (i + 1) * n, width)
             for i in range(m)]
@@ -113,29 +141,30 @@ def _across(f: BoolFn, m: int) -> list[int]:
 def _down(g: BoolFn, n: int) -> list[int]:
     """Entry j: the matrices of n columns on which g down column j is T.
 
-    Built one row at a time from g's arity-1 cofactors.  After row k, entry
-    u of the level is the table, over the settings of rows 0..k, of g down
-    column j with its inputs above k fixed to the bits of u.  Row 0 lifts
-    each arity-1 cofactor (F, not, identity or T) to bit j of its field.
-    Each later row k picks the cofactor with input k false or true by bit j
-    of its field, so the new table is runs of 2**j blocks of the one and of
-    the other, alternating.
+    Built one row at a time from g's arity-1 cofactors, all n columns in
+    each pass.  After row k, entry u of the level holds, for every column
+    j, the table over the settings of rows 0..k of g down column j with its
+    inputs above k fixed to the bits of u.  Row 0 lifts each arity-1
+    cofactor (F, not, identity or T) to bit j of its field.  Each later row
+    k picks the cofactor with input k false or true by bit j of its field,
+    so the new table is runs of 2**j blocks of the one and of the other,
+    alternating.
     """
     m = g.n
     if n == 1:  # a single column reads the matrix as g's input point
         return [g.table]
-    tables = []
-    for j, lift in enumerate(_input_lifts(n)):
-        level = [lift[g.table >> t & 3] for t in range(0, 1 << m, 2)]
-        block = 1 << n
-        for _ in range(m - 1):
-            run = block << j
-            level = [repeat_bits(repeat_bits(lo, block, run)
-                                 | repeat_bits(hi, block, run) << run, run << 1, block << n)
-                     for lo, hi in zip(level[::2], level[1::2])]
-            block <<= n
-        tables.append(level[0])
-    return tables
+    table, lifts = g.table, _input_lifts(n)
+    level = [[lift[table >> t & 3] for lift in lifts] for t in range(0, 1 << m, 2)]
+    block = 1 << n
+    for _ in range(m - 1):
+        width = block << n
+        runs = [block << j for j in range(n)]
+        level = [[repeat_bits(repeat_bits(lo, block, run) | repeat_bits(hi, block, run) << run,
+                              run << 1, width)
+                  for lo, hi, run in zip(los, his, runs)]
+                 for los, his in zip(level[::2], level[1::2])]
+        block = width
+    return level[0]
 
 
 def check_normal_pair(g: BoolFn, f: BoolFn, *, config: Config = DEFAULT) -> NormalPairReport:
@@ -154,26 +183,25 @@ def check_normal_pair(g: BoolFn, f: BoolFn, *, config: Config = DEFAULT) -> Norm
         raise ValueError("both functions need arity >= 1")
     charge(config, 1 << (m * n), lambda: f"checking a {m}x{n} pair",
            lambda: f"m*n <= {config.enumeration_budget.bit_length() - 1}")
-    if g.is_constant():
-        return NormalPairReport(g, f, False, Violation("g_constant"))
-    if f.is_constant():
-        return NormalPairReport(g, f, False, Violation("f_constant"))
+    if g.table in (0, (1 << (1 << m)) - 1):
+        return _report(g, f, False, _G_CONSTANT)
+    if f.table in (0, (1 << (1 << n)) - 1):
+        return _report(g, f, False, _F_CONSTANT)
     i = g.first_irrelevant_index()
     if i is not None:
-        return NormalPairReport(g, f, False, Violation("g_irrelevant_index", i))
+        return _report(g, f, False, Violation("g_irrelevant_index", i))
     j = f.first_irrelevant_index()
     if j is not None:
-        return NormalPairReport(g, f, False, Violation("f_irrelevant_index", j))
+        return _report(g, f, False, Violation("f_irrelevant_index", j))
     width = 1 << (m * n)
     lhs = compose(f, _down(g, n), width)
     rhs = compose(g, _across(f, m), width)
     diff = lhs ^ rhs
     if diff == 0:
-        return NormalPairReport(g, f, True)
+        return _report(g, f, True)
     first = (diff & -diff).bit_length() - 1
-    return NormalPairReport(
-        g, f, False, Violation("commutation"), _matrix_rows(first, m, n),
-        bool(lhs >> first & 1), bool(rhs >> first & 1))
+    return _report(g, f, False, _COMMUTATION, _matrix_rows(first, m, n),
+                   bool(lhs >> first & 1), bool(rhs >> first & 1))
 
 
 # the enumeration visits matrix k * _MATRIX_STEP mod 2**(m*n) at step k; the
@@ -288,31 +316,9 @@ def _partners(m: int, g_tables: list[int], n: int) -> list[int]:
     return partners
 
 
-def enumerate_normal_pairs(m: int, n: int, *, config: Config = DEFAULT,
-                           ) -> list[tuple[BoolFn, BoolFn]]:
-    """All normal pairs with the given arities, ascending by (g, f) table.
-
-    ``_partners`` sweeps the smallest g of each class under input
-    permutations and the flip (``_class_keys``), ascending.  A key with
-    partners is expanded into its orbit (``_orbit``) and, when it differs,
-    the flipped orbit with the flipped partners.  Both arities must be at
-    most 4, at any budget: at arity 5 every set over all tables,
-    ``relevant_tables(5)`` among them, has 2**32 bits (512 MB), and there
-    are about 4 * 10**9 all-relevant g.  Memory grows with the live f of
-    each swept g, at most (swept keys) * 2**(2**n) bits.  The traced peak is
-    under 0.1 MB at (3, 3), 0.9 MB at (3, 4), (4, 2) and (4, 3), and 18 MB
-    at (4, 4).  The default budget refuses every arity past (3, 3).
-    """
-    if m < 2 or n < 2:
-        raise ValueError("enumeration needs both arities >= 2")
-    if max(m, n) > MAX_TABLE_SET_ARITY:
-        raise BudgetError(
-            f"enumerating {m}x{n} pairs is refused at any budget: both arities "
-            f"must be at most {MAX_TABLE_SET_ARITY}, since at arity 5 a set "
-            f"over all tables has 2**32 bits (512 MB)")
-    work = (1 << (1 << m)) * (1 << (1 << n)) * (1 << (m * n))
-    charge(config, work, f"enumerating {m}x{n} pairs",
-           "(m, n) with 2**(2**m + 2**n + m*n) within budget, e.g. up to (3, 3)")
+def _table_pairs(m: int, n: int) -> list[tuple[int, int]]:
+    """The normal pairs at (m, n) as (g.table, f.table), unsorted: the
+    partners of each class key, expanded over its orbit and its flip."""
     perms = _point_perms(m)
     keys = set_bits(_class_keys(m, perms))
     pairs = []
@@ -324,6 +330,42 @@ def enumerate_normal_pairs(m: int, n: int, *, config: Config = DEFAULT,
         pairs += swept
         if {_flip_table(m, gt) for gt in orbit} != orbit:
             pairs += [(_flip_table(m, gt), _flip_table(n, ft)) for gt, ft in swept]
+    return pairs
+
+
+def enumerate_normal_pairs(m: int, n: int, *, config: Config = DEFAULT,
+                           ) -> list[tuple[BoolFn, BoolFn]]:
+    """All normal pairs with the given arities, ascending by (g, f) table.
+
+    The charge and the arity checks read (m, n) as given; the charge is
+    symmetric in m and n.  For m > n the pairs are those of (n, m),
+    swapped, since transposing a matrix swaps its rows and columns.
+    ``_partners`` sweeps the smallest g of each class under input
+    permutations and the flip (``_class_keys``), ascending.  A key with
+    partners is expanded into its orbit (``_orbit``) and, when it differs,
+    the flipped orbit with the flipped partners.  So arity-4 keys are swept
+    only at (4, 4).  Both arities must be at most 4, at any budget: at
+    arity 5 every set over all tables, ``relevant_tables(5)`` among them,
+    has 2**32 bits (512 MB), and there are about 4 * 10**9 all-relevant g.
+    Memory grows with the live f of each swept g, at most (swept keys) *
+    2**(2**max(m, n)) bits.  The traced peak is under 0.1 MB at (3, 3),
+    0.5 MB at (2, 4) and (4, 2), 0.9 MB at (3, 4) and (4, 3), and 18 MB at
+    (4, 4).  The default budget refuses every arity past (3, 3).
+    """
+    if m < 2 or n < 2:
+        raise ValueError("enumeration needs both arities >= 2")
+    if max(m, n) > MAX_TABLE_SET_ARITY:
+        raise BudgetError(
+            f"enumerating {m}x{n} pairs is refused at any budget: both arities "
+            f"must be at most {MAX_TABLE_SET_ARITY}, since at arity 5 a set "
+            f"over all tables has 2**32 bits (512 MB)")
+    work = (1 << (1 << m)) * (1 << (1 << n)) * (1 << (m * n))
+    charge(config, work, f"enumerating {m}x{n} pairs",
+           "(m, n) with 2**(2**m + 2**n + m*n) within budget, e.g. up to (3, 3)")
+    if m > n:  # the transposed matrices: (f, g) is normal at (n, m)
+        pairs = [(gt, ft) for ft, gt in _table_pairs(n, m)]
+    else:
+        pairs = _table_pairs(m, n)
     return [(BoolFn(m, gt), BoolFn(n, ft)) for gt, ft in sorted(pairs)]
 
 

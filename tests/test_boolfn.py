@@ -1,8 +1,10 @@
 """Bit-packed Boolean functions."""
 
+import dataclasses
 import functools
 import itertools
 import operator
+import pickle
 import random
 
 import pytest
@@ -101,6 +103,28 @@ def test_table_range_checked():
     assert BoolFn(0, 1).is_constant()
     with pytest.raises(ValueError):
         BoolFn(0, 2)
+
+
+def test_constructor_keeps_the_dataclass_behaviour():
+    f = BoolFn(n=2, table=6)
+    assert f == BoolFn(2, 6) and hash(f) == hash(BoolFn(2, 6))
+    assert f != BoolFn(2, 9) and f != BoolFn(3, 6)
+    assert repr(f) == "BoolFn(n=2, table=6)"
+    assert dataclasses.replace(f, table=9) == BoolFn(2, 9)
+    with pytest.raises(ValueError, match="out of range"):
+        dataclasses.replace(f, n=1)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(f, protocol)) == f
+    for field in ("n", "table"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, field, 1)
+    assert len({BoolFn(2, 6), BoolFn(2, 6), BoolFn(2, 9)}) == 2
+    with pytest.raises(ValueError) as err:
+        BoolFn(-1, 0)
+    assert str(err.value) == "arity must be non-negative, got -1"
+    with pytest.raises(ValueError) as err:
+        BoolFn(2, 16)
+    assert str(err.value) == "table 0x10 out of range for arity 2"
 
 
 def test_from_formula():

@@ -231,6 +231,15 @@ def test_restrict_jar():
     assert len(sub.functions) == 2
 
 
+def test_restrict_jar_rejects_positions_out_of_range():
+    # a negative position would otherwise index from the end of the basis
+    jar = uniform_jar(OR_CLOSURE, BoolFn.or_(2))
+    assert len(jar.agenda) == 3
+    for positions in ([-1], [5], (0, 3)):
+        with pytest.raises(ValueError, match=r"basis position -?\d+ out of range"):
+            restrict_jar(jar, positions)
+
+
 # --- enumeration, frozen from the exhaustive sweeps -------------------------
 
 def test_enumerate_uniform_or_closure_n2():

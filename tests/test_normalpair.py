@@ -1,6 +1,8 @@
 """Commutation checks on matrices and exhaustive pair enumeration."""
 
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -10,7 +12,7 @@ from jagg.boolfn import (BoolFn, all_tables, compose, format_fn_spec, minterms,
                          parse_fn_spec, relevant_tables, set_bits, variable_mask)
 from jagg.config import BudgetError, Config
 import jagg.normalpair as normalpair
-from jagg.normalpair import (Violation, check_normal_pair, classify_pair,
+from jagg.normalpair import (NormalPairReport, Violation, check_normal_pair, classify_pair,
                              enumerate_normal_pairs)
 
 RAISED = Config(enumeration_budget=1 << 62)
@@ -167,6 +169,28 @@ def test_check_matches_brute_force_at_2x2():
                        and f.relevant_indices() == (0, 1)
                        and brute_force_commutes(g, f))
             assert report.is_normal == by_hand
+            # a report built by the public constructor from the same fields
+            # is the same value, with the same hash and repr
+            public = NormalPairReport(*(getattr(report, field.name)
+                                        for field in dataclasses.fields(NormalPairReport)))
+            assert report == public and hash(report) == hash(public)
+            assert repr(report) == repr(public)
+
+
+def test_report_keeps_the_dataclass_behaviour():
+    g, f = BoolFn.or_(2), BoolFn.and_(2)
+    report = check_normal_pair(g, f)
+    assert report == NormalPairReport(g, f, False, Violation("commutation"),
+                                      ((False, True), (True, False)), True, False)
+    assert report != NormalPairReport(g, f, False, Violation("commutation"))
+    normal = NormalPairReport(g=BoolFn.xor(2), f=BoolFn.xor(2), is_normal=True)
+    assert normal == check_normal_pair(BoolFn.xor(2), BoolFn.xor(2))
+    assert dataclasses.replace(report, is_normal=True).is_normal
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(report, protocol)) == report
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.is_normal = True
+    assert len({report, check_normal_pair(g, f), normal}) == 2
 
 
 def test_check_matches_cell_composites_and_brute_force():
@@ -371,7 +395,9 @@ def test_both_ends_of_the_handoff(monkeypatch):
         for m, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
             handoffs.clear()
             assert enumerate_normal_pairs(m, n) == matrix_outer_enumerate_normal_pairs(m, n)
-            assert handoffs == ([(m, n)] if expect_handoff else [])
+            # a tall enumeration sweeps the transposed arities
+            swept = (min(m, n), max(m, n))
+            assert handoffs == ([swept] if expect_handoff else [])
 
 
 def walk_orbits(m):
@@ -441,27 +467,36 @@ def test_flip_dual_orbits():
             assert sorted(flipped) == orbits[dual[key]]
 
 
-def test_sweep_visits_one_orbit_per_dual_pair(monkeypatch):
-    # 4 of 8 orbits at arity 2, 39 of 68 at 3 and 1 986 of 3 904 at 4
+def counted_sweeps(monkeypatch):
+    """The (m, number of g swept) of each ``_partners`` call from now on."""
     swept = []
     partners = normalpair._partners
 
     def counted_partners(m, g_tables, n):
-        swept.append(len(g_tables))
+        swept.append((m, len(g_tables)))
         return partners(m, g_tables, n)
 
     monkeypatch.setattr(normalpair, "_partners", counted_partners)
-    for m in (2, 3, 4):
-        enumerate_normal_pairs(m, 2, config=RAISED)
-    assert swept == [4, 39, 1986]
+    return swept
 
 
-def test_4x4_pairs():
+def test_sweep_visits_one_orbit_per_dual_pair(monkeypatch):
+    # 4 of 8 orbits at arity 2 and 39 of 68 at 3 (1 986 of 3 904 at 4 are
+    # counted in test_4x4_pairs); a tall enumeration sweeps its short side
+    swept = counted_sweeps(monkeypatch)
+    for m, n in ((2, 2), (3, 3), (3, 2), (4, 2)):
+        enumerate_normal_pairs(m, n, config=RAISED)
+    assert swept == [(2, 4), (3, 39), (2, 4), (2, 4)]
+
+
+def test_4x4_pairs(monkeypatch):
     # 0.6-0.9 s on a shared 2-core machine
+    swept = counted_sweeps(monkeypatch)
     expected = sorted([(BoolFn.and_(4), BoolFn.and_(4)), (BoolFn.or_(4), BoolFn.or_(4)),
                        (BoolFn.xor(4), BoolFn.xor(4)), (BoolFn.nxor(4), BoolFn.nxor(4))],
                       key=lambda p: (p[0].table, p[1].table))
     assert enumerate_normal_pairs(4, 4, config=RAISED) == expected
+    assert swept == [(4, 1986)]
 
 
 # frozen from the sweep, which equals the matrix-outer reference at these
@@ -500,11 +535,18 @@ def test_matrix_order_does_not_change_the_pairs(monkeypatch):
 
 
 def test_transposition():
-    # (g, f) is normal at (m, n) iff (f, g) is normal at (n, m)
-    for m, n in ((2, 3), (2, 4), (3, 4)):
-        pairs = {(g.table, f.table) for g, f in enumerate_normal_pairs(m, n, config=RAISED)}
-        swapped = {(f.table, g.table) for g, f in enumerate_normal_pairs(n, m, config=RAISED)}
-        assert pairs == swapped
+    # (g, f) is normal at (m, n) iff (f, g) is normal at (n, m), by the
+    # check, which does not transpose, on every table pair at 2x3
+    for gt in range(16):
+        for ft in range(256):
+            g, f = BoolFn(2, gt), BoolFn(3, ft)
+            assert check_normal_pair(g, f).is_normal == check_normal_pair(f, g).is_normal
+    # and the enumeration of each tall shape through (4, 3) is the wide one's
+    # pairs swapped, in (g, f) table order
+    for m, n in ((3, 2), (4, 2), (4, 3)):
+        pairs = enumerate_normal_pairs(m, n, config=RAISED)
+        swapped = [(f, g) for g, f in enumerate_normal_pairs(n, m, config=RAISED)]
+        assert pairs == sorted(swapped, key=lambda p: (p[0].table, p[1].table)), (m, n)
 
 
 def test_flip_duality():
