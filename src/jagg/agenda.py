@@ -182,6 +182,10 @@ class RationalSet:
         return i < len(self.judgments) and self.judgments[i] == judgment
 
     def witness_assignment(self, index: int) -> dict[str, bool]:
+        """The symbol assignment that induces judgment ``index``."""
+        if not 0 <= index < len(self.witnesses):
+            raise ValueError(f"judgment index {index} out of range for "
+                             f"{len(self.witnesses)} judgments")
         return dict(zip(self.agenda.symbols, self.witnesses[index]))
 
 

@@ -10,6 +10,7 @@ integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 from .config import DEFAULT, BudgetError, Config
@@ -25,6 +26,24 @@ def repeat_bits(pattern: int, period: int, width: int) -> int:
         pattern |= pattern << period
         period <<= 1
     return pattern if period == width else pattern & ((1 << width) - 1)
+
+
+def stretch_bits(table: int, points: int, block: int) -> int:
+    """The ``points``-bit ``table`` with each bit repeated ``block`` times.
+
+    Whole-byte blocks are joined as bytes; other blocks are placed one set
+    bit at a time.
+    """
+    if block == 1:
+        return table
+    if block & 7:
+        ones, out = (1 << block) - 1, 0
+        for x in set_bits(table):
+            out |= ones << x * block
+        return out
+    on, off = b"\xff" * (block >> 3), bytes(block >> 3)
+    return int.from_bytes(b"".join([on if table >> x & 1 else off for x in range(points)]),
+                          "little")
 
 
 def variable_mask(i: int, n: int) -> int:
@@ -94,9 +113,8 @@ def set_bits(mask: int) -> list[int]:
 # largest arity of a set over all tables: at arity 5 one has 2**32 bits
 MAX_TABLE_SET_ARITY = 4
 
-_kept_lifts: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
 
-
+@cache
 def _input_lifts(n: int) -> tuple[tuple[int, int, int, int], ...]:
     """Entry i, item c: the arity-``n`` table of the arity-1 function of
     table c (F, not, identity, T) applied to input i.
@@ -111,13 +129,8 @@ def _input_lifts(n: int) -> tuple[tuple[int, int, int, int], ...]:
     Built on first use of an arity, never at import, and kept: 2n + 1
     tables of 2**n bits, about 5 MB at arity 20.
     """
-    lifts = _kept_lifts.get(n)
-    if lifts is None:
-        full = (1 << (1 << n)) - 1
-        lifts = _kept_lifts[n] = tuple(
-            (0, full ^ var, var, full)
-            for var in [variable_mask(i, n) for i in range(n)])
-    return lifts
+    full = (1 << (1 << n)) - 1
+    return tuple((0, full ^ var, var, full) for var in [variable_mask(i, n) for i in range(n)])
 
 
 def _flip_table(n: int, table: int) -> int:

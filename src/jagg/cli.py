@@ -444,8 +444,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = Config.from_env()
     except ValueError as exc:
         parser.exit(2, f"jagg: {exc}\n")
+    output_format = os.environ.get("JAGG_OUTPUT_FORMAT", "text")
+    if output_format not in ("text", "json"):
+        parser.exit(2, f"jagg: JAGG_OUTPUT_FORMAT must be text or json, "
+                       f"got {output_format!r}\n")
     if args.json is None:
-        args.json = config.output_format == "json"
+        args.json = output_format == "json"
     try:
         status = args.handler(args, config)
         sys.stdout.flush()

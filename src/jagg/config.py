@@ -1,11 +1,11 @@
-"""Resource limits and output settings shared by the library and the CLI.
+"""Resource limits shared by the library and the CLI.
 
 Two limits bound the work of a request, both checked before any work starts:
 ``arity_cap`` bounds the size of a single truth table, and
 ``enumeration_budget`` bounds every exhaustive sweep through ``charge``.  A
 request over either fails with a ``BudgetError``; a charge refusal names
 what would fit.  Limits can be overridden per call or via ``JAGG_*``
-environment variables.
+environment variables.  Output settings are the CLI's alone.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 ENV_PREFIX = "JAGG_"
-
-OUTPUT_FORMATS = ("text", "json")
 
 LIMITS = ("arity_cap", "enumeration_budget")
 
@@ -46,21 +44,16 @@ class Config:
                         shared-function rule sweeps up to 4 judges and
                         independent-rule sweeps up to 3 judges on agendas
                         of at most three entries
-    output_format       default CLI rendering, "text" or "json"
     """
 
     arity_cap: int = 20
     enumeration_budget: int = 1 << 25
-    output_format: str = "text"
 
     def __post_init__(self) -> None:
         for field in LIMITS:
             value = getattr(self, field)
-            if not isinstance(value, int) or value < 1:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{field} must be a positive integer, got {value!r}")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ValueError(f"output_format must be one of {OUTPUT_FORMATS}, "
-                             f"got {self.output_format!r}")
 
     @classmethod
     def from_env(cls, environ: dict[str, str] | None = None) -> "Config":
@@ -69,7 +62,7 @@ class Config:
         Unset variables keep their defaults; malformed values raise ValueError.
         """
         env = os.environ if environ is None else environ
-        overrides: dict[str, object] = {}
+        overrides: dict[str, int] = {}
         for field in LIMITS:
             raw = env.get(ENV_PREFIX + field.upper())
             if raw is not None:
@@ -78,10 +71,7 @@ class Config:
                 except ValueError:
                     raise ValueError(f"{ENV_PREFIX + field.upper()} must be an "
                                      f"integer, got {raw!r}") from None
-        raw = env.get(ENV_PREFIX + "OUTPUT_FORMAT")
-        if raw is not None:
-            overrides["output_format"] = raw
-        return cls(**overrides)  # type: ignore[arg-type]
+        return cls(**overrides)
 
 
 DEFAULT = Config()

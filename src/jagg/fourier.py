@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, reduce, total_ordering
 from itertools import repeat
 from operator import mul, or_
 from typing import Callable, Iterable, Sequence
@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Sequence
 from .boolfn import BoolFn, repeat_bits
 
 
+@total_ordering
 @dataclass(frozen=True, slots=True)
 class Dyadic:
     """Exact rational num / 2**exp with num odd or zero (then exp == 0)."""
@@ -101,18 +102,6 @@ class Dyadic:
     def __lt__(self, other: "Dyadic | int") -> bool:
         both = self._aligned(other)
         return NotImplemented if both is None else both[0] < both[1]
-
-    def __le__(self, other: "Dyadic | int") -> bool:
-        both = self._aligned(other)
-        return NotImplemented if both is None else both[0] <= both[1]
-
-    def __gt__(self, other: "Dyadic | int") -> bool:
-        both = self._aligned(other)
-        return NotImplemented if both is None else both[0] > both[1]
-
-    def __ge__(self, other: "Dyadic | int") -> bool:
-        both = self._aligned(other)
-        return NotImplemented if both is None else both[0] >= both[1]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):  # an int is the canonical other / 2**0
@@ -340,6 +329,8 @@ class FourierSpectrum:
             raise ValueError(f"arity must be non-negative, got {self.n}")
         if len(self.nums) != 1 << self.n:
             raise ValueError(f"expected {1 << self.n} coefficients, got {len(self.nums)}")
+        if not all(isinstance(num, int) for num in self.nums):
+            raise ValueError("coefficient numerators must be integers")
 
     @cached_property
     def _lanes(self) -> tuple[int, bytes]:

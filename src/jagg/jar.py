@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 from .agenda import (Agenda, Judgment, RationalSet, _positions, build_agenda,
                      rational_judgments)
 from .boolfn import (BoolFn, FnClass, _input_lifts, classify_on_relevant, compose,
-                     repeat_bits, set_bits)
+                     repeat_bits, set_bits, stretch_bits)
 from .config import DEFAULT, BudgetError, Config, charge
 from .formula import negate
 
@@ -107,14 +107,12 @@ def _profile_columns(rs: RationalSet, judges: int, config: Config,
     rational = _rational_fn(rs, config)
     size = len(rs.judgments)
     width = size ** judges
-    cols: list[list[int]] = []
+    blocks = [size ** (judges - 1 - i) for i in range(judges)]
+    cols = []
     for k in range(len(rs.agenda)):
-        cols.append([])
-        for i in range(judges):
-            block = size ** (judges - 1 - i)
-            pattern = sum(((1 << block) - 1) << (u * block)
-                          for u, j in enumerate(rs.judgments) if j[k])
-            cols[k].append(repeat_bits(pattern, size * block, width))
+        column = sum(1 << u for u, j in enumerate(rs.judgments) if j[k])
+        cols.append([repeat_bits(stretch_bits(column, size, block), size * block, width)
+                     for block in blocks])
     return width, cols, rational
 
 

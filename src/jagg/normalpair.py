@@ -55,7 +55,8 @@ import itertools
 from dataclasses import dataclass
 
 from .boolfn import (MAX_TABLE_SET_ARITY, BoolFn, _flip_table, _input_lifts, classify,
-                     compose, minterms, relevant_tables, repeat_bits, set_bits)
+                     compose, minterms, relevant_tables, repeat_bits, set_bits,
+                     stretch_bits)
 from .config import DEFAULT, BudgetError, Config, charge
 
 
@@ -110,20 +111,6 @@ def _matrix_rows(mask: int, m: int, n: int) -> tuple[tuple[bool, ...], ...]:
     return tuple(cells[i:i + n] for i in range(0, m * n, n))
 
 
-def _stretch(table: int, points: int, block: int) -> int:
-    """The ``points``-bit ``table`` with each bit repeated ``block`` times."""
-    if block == 1:
-        return table
-    if block < 8:  # the rows above the first have block >= points, so points < 8
-        ones, out = (1 << block) - 1, 0
-        for x in set_bits(table):
-            out |= ones << x * block
-        return out
-    on, off = b"\xff" * (block >> 3), bytes(block >> 3)
-    return int.from_bytes(b"".join([on if table >> x & 1 else off for x in range(points)]),
-                          "little")
-
-
 def _across(f: BoolFn, m: int) -> list[int]:
     """Entry i: the matrices of m rows on which f across row i is T.
 
@@ -134,7 +121,7 @@ def _across(f: BoolFn, m: int) -> list[int]:
     if m == 1:  # a single row reads the matrix as f's input point
         return [f.table]
     n, width = f.n, 1 << (m * f.n)
-    return [repeat_bits(_stretch(f.table, 1 << n, 1 << i * n), 1 << (i + 1) * n, width)
+    return [repeat_bits(stretch_bits(f.table, 1 << n, 1 << i * n), 1 << (i + 1) * n, width)
             for i in range(m)]
 
 
@@ -344,9 +331,10 @@ def enumerate_normal_pairs(m: int, n: int, *, config: Config = DEFAULT,
     permutations and the flip (``_class_keys``), ascending.  A key with
     partners is expanded into its orbit (``_orbit``) and, when it differs,
     the flipped orbit with the flipped partners.  So arity-4 keys are swept
-    only at (4, 4).  Both arities must be at most 4, at any budget: at
-    arity 5 every set over all tables, ``relevant_tables(5)`` among them,
-    has 2**32 bits (512 MB), and there are about 4 * 10**9 all-relevant g.
+    only at (4, 4).  Both arities must be within the arity cap, and at
+    most 4 at any budget: at arity 5 every set over all tables,
+    ``relevant_tables(5)`` among them, has 2**32 bits (512 MB), and there
+    are about 4 * 10**9 all-relevant g.
     Memory grows with the live f of each swept g, at most (swept keys) *
     2**(2**max(m, n)) bits.  The traced peak is under 0.1 MB at (3, 3),
     0.5 MB at (2, 4) and (4, 2), 0.9 MB at (3, 4) and (4, 3), and 18 MB at
@@ -359,6 +347,7 @@ def enumerate_normal_pairs(m: int, n: int, *, config: Config = DEFAULT,
             f"enumerating {m}x{n} pairs is refused at any budget: both arities "
             f"must be at most {MAX_TABLE_SET_ARITY}, since at arity 5 a set "
             f"over all tables has 2**32 bits (512 MB)")
+    BoolFn._check_arity(max(m, n), config)
     work = (1 << (1 << m)) * (1 << (1 << n)) * (1 << (m * n))
     charge(config, work, f"enumerating {m}x{n} pairs",
            "(m, n) with 2**(2**m + 2**n + m*n) within budget, e.g. up to (3, 3)")

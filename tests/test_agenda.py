@@ -277,6 +277,17 @@ def test_rational_set_membership_matches_set():
                 assert (list(bits) in rs) == (bits in judgments)
 
 
+def test_witness_assignment_checks_its_index():
+    rs = rational_judgments(AND_CLOSURE)
+    assert [rs.witness_assignment(k) for k in range(len(rs.judgments))] == [
+        dict(zip(AND_CLOSURE.symbols, w)) for w in rs.witnesses]
+    for index in (-1, -len(rs.judgments), len(rs.judgments), 99):
+        with pytest.raises(ValueError) as err:
+            rs.witness_assignment(index)
+        assert str(err.value) == (f"judgment index {index} out of range for "
+                                  f"{len(rs.judgments)} judgments")
+
+
 def test_load_agenda():
     text = "# or closure\nP\nQ\n\nP | Q  # trailing comment\n"
     a = load_agenda(text)

@@ -12,7 +12,8 @@ import pytest
 import jagg.boolfn as boolfn
 from jagg.boolfn import (BoolFn, FnClass, all_tables, classify,
                          classify_on_relevant, compose, format_fn_spec, minterms,
-                         parse_fn_spec, relevant_tables, set_bits, variable_mask)
+                         parse_fn_spec, relevant_tables, set_bits, stretch_bits,
+                         variable_mask)
 from jagg.config import Config, BudgetError
 from jagg.formula import And, Atom, Not, Or, Xor, parse
 
@@ -333,6 +334,20 @@ def test_set_bits():
         assert set_bits(1 << i) == [i]
     mask = random.Random(6).getrandbits(5000)
     assert set_bits(mask) == [i for i in range(5000) if mask >> i & 1]
+
+
+def test_stretch_bits_matches_a_bit_loop():
+    # blocks that are and are not whole bytes, powers of 3 among them
+    rng = random.Random(24)
+    for block in range(1, 41):
+        for points in range(17):
+            for table in {0, (1 << points) - 1, rng.getrandbits(points) if points else 0}:
+                expected = 0
+                for x in range(points):
+                    if table >> x & 1:
+                        for k in range(block):
+                            expected |= 1 << (x * block + k)
+                assert stretch_bits(table, points, block) == expected, (table, points, block)
 
 
 def test_relevant_tables_match_is_relevant():

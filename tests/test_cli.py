@@ -408,6 +408,47 @@ def test_env_output_format(capsys, monkeypatch):
     assert out.startswith("tt:2:8:")
 
 
+def test_env_output_format_matches_the_flag(capsys, monkeypatch):
+    argv = ["enumerate-pairs", "-m", "3", "-n", "3"]
+    flagged = run(capsys, *argv, "--json")
+    monkeypatch.setenv("JAGG_OUTPUT_FORMAT", "json")
+    assert run(capsys, *argv) == flagged
+    monkeypatch.setenv("JAGG_OUTPUT_FORMAT", "text")
+    assert run(capsys, *argv) == run(capsys, *argv, "--text")
+
+
+def test_invalid_env_output_format_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("JAGG_OUTPUT_FORMAT", "xml")
+    # an explicit flag does not hide a bad setting
+    for flag in ("--json", "--text", None):
+        argv = ["classify", "and:2"] + ([flag] if flag else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "jagg: JAGG_OUTPUT_FORMAT must be text or json, got 'xml'\n"
+    # a bad limit is reported before a bad output format
+    monkeypatch.setenv("JAGG_ARITY_CAP", "wide")
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "and:2", "--json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == ("jagg: JAGG_ARITY_CAP must be an integer, "
+                                       "got 'wide'\n")
+
+
+def test_env_cap_bounds_pair_enumeration(capsys, monkeypatch):
+    monkeypatch.setenv("JAGG_ARITY_CAP", "2")
+    assert run(capsys, "enumerate-pairs", "-m", "2", "-n", "2")[0] == 0
+    for m, n in ((3, 3), (2, 3), (3, 2)):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate-pairs", "-m", str(m), "-n", str(n)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "jagg: arity 3 exceeds the cap of 2\n"
+
+
 def test_env_cap_respected(capsys, monkeypatch):
     monkeypatch.setenv("JAGG_ARITY_CAP", "3")
     code, _ = run(capsys, "fourier", "and:4")

@@ -10,9 +10,7 @@ from jagg.config import BudgetError, Config, DEFAULT, charge
 def test_defaults():
     assert DEFAULT.arity_cap == 20
     assert DEFAULT.enumeration_budget == 1 << 25
-    assert DEFAULT.output_format == "text"
-    assert [f.name for f in fields(Config)] == ["arity_cap", "enumeration_budget",
-                                                 "output_format"]
+    assert [f.name for f in fields(Config)] == ["arity_cap", "enumeration_budget"]
 
 
 def test_validation():
@@ -20,30 +18,35 @@ def test_validation():
         Config(arity_cap=0)
     with pytest.raises(ValueError):
         Config(enumeration_budget=-1)
-    for removed in ("worker_count", "matrix_cap", "profile_cap"):
+    for removed in ("worker_count", "matrix_cap", "profile_cap", "output_format"):
         with pytest.raises(TypeError):
             Config(**{removed: 1})
-    with pytest.raises(ValueError):
-        Config(output_format="yaml")
+
+
+def test_limits_must_be_positive_ints_not_bools():
+    for field in ("arity_cap", "enumeration_budget"):
+        for bad in (True, False, 2.0, "3", None, 0, -1):
+            with pytest.raises(ValueError) as err:
+                Config(**{field: bad})
+            assert str(err.value) == f"{field} must be a positive integer, got {bad!r}"
+        assert getattr(Config(**{field: 1}), field) == 1
 
 
 def test_from_env():
-    cfg = Config.from_env({"JAGG_ARITY_CAP": "8", "JAGG_OUTPUT_FORMAT": "json",
-                           "UNRELATED": "x"})
+    cfg = Config.from_env({"JAGG_ARITY_CAP": "8", "UNRELATED": "x"})
     assert cfg.arity_cap == 8
-    assert cfg.output_format == "json"
     assert cfg.enumeration_budget == DEFAULT.enumeration_budget
     assert Config.from_env({}) == DEFAULT
-    # removed knobs are ignored like any unknown variable
+    # removed knobs are ignored like any unknown variable; the output format
+    # is the CLI's to read, so the library ignores it too, valid or not
     assert Config.from_env({"JAGG_MATRIX_CAP": "1", "JAGG_PROFILE_CAP": "x",
-                            "JAGG_WORKER_COUNT": "1"}) == DEFAULT
+                            "JAGG_WORKER_COUNT": "1", "JAGG_OUTPUT_FORMAT": "json"}) == DEFAULT
+    assert Config.from_env({"JAGG_OUTPUT_FORMAT": "xml"}) == DEFAULT
 
 
 def test_from_env_rejects_malformed():
     with pytest.raises(ValueError):
         Config.from_env({"JAGG_ENUMERATION_BUDGET": "lots"})
-    with pytest.raises(ValueError):
-        Config.from_env({"JAGG_OUTPUT_FORMAT": "xml"})
 
 
 def test_charge():

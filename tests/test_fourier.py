@@ -170,8 +170,10 @@ def test_dyadic_operators_match_fraction():
            (operator.mul, operator.mul), (operator.lt, operator.gt),
            (operator.le, operator.ge), (operator.gt, operator.lt),
            (operator.ge, operator.le), (operator.eq, operator.eq)]
-    dyadics = [Dyadic.make(num, exp) for num in range(-5, 6) for exp in range(3)]
-    ints = list(range(-3, 4))
+    # values far apart in exponent and bools as ints among them
+    dyadics = [Dyadic.make(num, exp) for num in (*range(-5, 6), 1 << 70)
+               for exp in (0, 1, 2, 80)]
+    ints = [*range(-3, 4), -(1 << 80), 1 << 80, True, False]
 
     def exact(value):
         return as_fraction(value) if isinstance(value, Dyadic) else value
@@ -181,7 +183,7 @@ def test_dyadic_operators_match_fraction():
             for y in dyadics + ints:
                 assert exact(op(x, y)) == op(as_fraction(x), Fraction(exact(y))), (op, x, y)
                 assert exact(rop(y, x)) == rop(Fraction(exact(y)), as_fraction(x)), (rop, y, x)
-    foreign = (2.5, "x")
+    foreign = (2.5, "x", None, Fraction(1, 2))
     names = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
              "__lt__", "__le__", "__gt__", "__ge__")
     for x in (ZERO, Dyadic.make(3, 2)):
@@ -310,6 +312,14 @@ def test_spectrum_rejects_negative_arity():
     with pytest.raises(ValueError) as err:
         FourierSpectrum(-1, ())
     assert str(err.value) == "arity must be non-negative, got -1"
+
+
+def test_spectrum_rejects_non_int_numerators():
+    for nums in ((2.0, 0.0), (2, 0.0), (Fraction(2), 0), ("2", 0), (None, 0)):
+        with pytest.raises(ValueError) as err:
+            FourierSpectrum(1, nums)
+        assert str(err.value) == "coefficient numerators must be integers"
+    assert reconstruct(FourierSpectrum(1, (2, 0))) == BoolFn(1, 0b11)
 
 
 def test_reconstruct_roundtrip():

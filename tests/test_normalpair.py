@@ -527,6 +527,24 @@ def test_arity_five_refused_at_any_budget(monkeypatch):
             enumerate_normal_pairs(m, n, config=RAISED)
 
 
+def test_enumeration_respects_the_arity_cap(monkeypatch):
+    # the cap is checked after the arity floor and the table-set ceiling,
+    # and before the charge and any table
+    assert enumerate_normal_pairs(2, 2, config=Config(arity_cap=2))
+    monkeypatch.setattr(boolfn, "variable_mask", lambda *args: pytest.fail("tables built"))
+    capped = Config(arity_cap=2, enumeration_budget=1)
+    for m, n in ((3, 3), (2, 3), (3, 2), (4, 2)):
+        with pytest.raises(BudgetError) as err:
+            enumerate_normal_pairs(m, n, config=capped)
+        assert str(err.value) == f"arity {max(m, n)} exceeds the cap of 2"
+    with pytest.raises(ValueError):
+        enumerate_normal_pairs(1, 3, config=capped)
+    with pytest.raises(BudgetError, match="at any budget"):
+        enumerate_normal_pairs(5, 2, config=capped)
+    with pytest.raises(BudgetError, match="enumeration budget"):
+        enumerate_normal_pairs(2, 2, config=capped)
+
+
 def test_matrix_order_does_not_change_the_pairs(monkeypatch):
     expected = enumerate_normal_pairs(3, 3)
     for step in (1, 3, (1 << 9) - 1):
