@@ -2,11 +2,12 @@
 
 Truth values are encoded T -> +1, F -> -1.  The coefficient of a subset R of
 inputs is the average of f(x) * prod_{i in R} x_i over all points, always an
-integer multiple of 2**-n.  Spectra are computed by a packed-lane integer
-Walsh-Hadamard transform over cache-sized chunks, with the first three
-stages read from a per-byte table, and kept as integer numerators over
-2**n; ``Dyadic`` values are made only at the API and JSON boundary.
-Nothing here uses floats.
+integer multiple of 2**-n.  Spectra are kept as integer numerators over 2**n
+and computed by an integer Walsh-Hadamard transform.  Up to arity 4 it works
+on int tuples: a cached table lookup, and one stage more at arity 4.  Above
+that it runs on packed lanes over cache-sized chunks, with the first three
+stages read from a per-byte table.  ``Dyadic`` values are made only at the
+API and JSON boundary.  Nothing here uses floats.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce, total_ordering
 from itertools import repeat
-from operator import mul, or_
+from operator import add, mul, or_, sub
 from typing import Callable, Iterable, Sequence
 
 from .boolfn import BoolFn, repeat_bits
@@ -50,8 +51,10 @@ class Dyadic:
             return ZERO
         if exp < 0:
             raise ValueError("exponent must be non-negative")
-        shift = min((num & -num).bit_length() - 1, exp)
-        value = object.__new__(cls)
+        shift = (num & -num).bit_length() - 1
+        if shift > exp:
+            shift = exp
+        value = _new(cls)
         _set_num(value, num >> shift)
         _set_exp(value, exp - shift)
         return value
@@ -121,6 +124,7 @@ class Dyadic:
         return str(self.num) if self.exp == 0 else f"{self.num}/2^{self.exp}"
 
 
+_new = object.__new__
 _set_num = Dyadic.num.__set__   # the slot descriptors, past the frozen __setattr__
 _set_exp = Dyadic.exp.__set__
 ZERO = Dyadic(0, 0)
@@ -150,6 +154,12 @@ ONE = Dyadic(1, 0)
 # table per byte value (``_byte_plan``) does them for ``spectrum`` and reads
 # them back for ``reconstruct``.
 #
+# Up to _SMALL_ARITY the lanes cost more than the butterflies: a spectrum
+# there is at most two byte entries and one stage.  So those arities take
+# the byte plan's entries as int tuples (``_small_plan``) and join the two
+# bytes of an arity-4 table by that one stage on the tuples; the packed
+# path starts at arity 5.
+#
 # ``spectrum`` leaves its lanes on the spectrum, at the forward width that
 # holds +/-2**n, and ``reconstruct`` runs the inverse on them.  That width
 # holds every inverse value: the inverse stages commute, and each undoes its
@@ -161,6 +171,7 @@ ONE = Dyadic(1, 0)
 _LANE_CODES = {16: "h", 32: "i", 64: "q"}   # struct codes of the fixed lane widths
 _CHUNK_BITS = 1 << 16   # 8 KB; 2**12 to 2**18 bits time alike at arities 16 and 17
 _BYTE_STAGES = 3        # the stages inside one byte of a truth table
+_SMALL_ARITY = _BYTE_STAGES + 1   # the int-tuple path: the byte plan and one stage
 
 
 def _lane_width(bound: int) -> int:
@@ -233,7 +244,7 @@ def _transform(raw: bytes, width: int, inverse: bool, skip: int) -> bytes:
         else:
             for shift, keep, carry in stages:
                 x += ((x >> shift) & keep) - ((x & keep) << shift) + carry
-        if not span:   # one chunk, as at arity 4: nothing to pair or join
+        if not span:   # one chunk, as up to arity 12: nothing to pair or join
             return (x ^ lane_bias).to_bytes(step, "little")
         chunks.append(x)
     count = len(chunks)
@@ -303,6 +314,21 @@ def _byte_plan(n: int, width: int) -> tuple[tuple[bytes, ...], dict[bytes, int],
     return tuple(forward), back, split
 
 
+@lru_cache(maxsize=None)   # keys: arities 0 to _SMALL_ARITY
+def _small_plan(n: int) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
+    """The arity-n byte plan at 16-bit lanes as int tuples: each byte value's
+    entry, and the reverse map back to the byte.
+
+    Below arity 4 a byte is the whole table, so its entry is its spectrum's
+    numerators and the map inverts ``spectrum``.  At arity 4 the entries
+    are the two table bytes' arity-3 spectra, and the map is keyed by each
+    entry times 2, what the inverse of the last stage leaves in each half.
+    """
+    forward, back, _ = _byte_plan(n, 16)
+    return (tuple(_unpack(entry, 16) for entry in forward),
+            {_unpack(entry, 16): byte for entry, byte in back.items()})
+
+
 @lru_cache(maxsize=None)   # keys: arities up to the arity cap
 def _forward_plan(n: int) -> tuple[int, int, tuple[bytes, ...]]:
     """Lane width, table byte count and byte-plan entries of ``spectrum`` at
@@ -336,9 +362,9 @@ class FourierSpectrum:
     def _lanes(self) -> tuple[int, bytes]:
         """Lane width and the numerators packed as lanes, for ``reconstruct``.
 
-        ``spectrum`` fills this with the lanes it made; otherwise the width
-        holds the sum of the numerators' absolute values, which bounds every
-        value an inverse stage can make.
+        ``spectrum`` fills this above arity 4 with the lanes it made;
+        otherwise the width holds the sum of the numerators' absolute values,
+        which bounds every value an inverse stage can make.
         """
         width = _lane_width(sum(map(abs, self.nums)))
         return width, _pack(self.nums, width)
@@ -370,7 +396,29 @@ class FourierSpectrum:
 
 
 def spectrum(f: BoolFn) -> FourierSpectrum:
-    """Exact spectrum by the chunked packed-lane transform, O(n * 2**n) bit work.
+    """Exact spectrum by the Walsh-Hadamard transform, O(n * 2**n) bit work.
+
+    Up to arity 3 the numerators are the table's entry in the small plan;
+    at arity 4 the two table bytes' entries are joined by the last
+    butterfly stage.  Above that see ``_packed_spectrum``.
+    """
+    n = f.n
+    if n > _SMALL_ARITY:
+        return _packed_spectrum(f)
+    forward = _small_plan(n)[0]
+    if n < _SMALL_ARITY:
+        nums = forward[f.table]
+    else:
+        lo, hi = forward[f.table & 0xFF], forward[f.table >> 8]
+        nums = (*map(add, hi, lo), *map(sub, hi, lo))
+    # valid by construction, so filled without the constructor's checks
+    spec = _new(FourierSpectrum)
+    spec.__dict__.update(n=n, nums=nums)
+    return spec
+
+
+def _packed_spectrum(f: BoolFn) -> FourierSpectrum:
+    """``spectrum`` by the chunked packed-lane transform, at any arity.
 
     Each byte of the table becomes its entry in the byte plan, 8 lanes of
     16 or 32 bits already through the first three butterfly stages; the
@@ -380,14 +428,37 @@ def spectrum(f: BoolFn) -> FourierSpectrum:
     width, nbytes, forward = _forward_plan(f.n)
     raw = b"".join(map(forward.__getitem__, f.table.to_bytes(nbytes, "little")))
     raw = _transform(raw, width, False, _BYTE_STAGES)
-    # valid by construction, so filled without the constructor's checks
-    spec = object.__new__(FourierSpectrum)
+    spec = _new(FourierSpectrum)
     spec.__dict__.update(n=f.n, nums=_unpack(raw, width), _lanes=(width, raw))
     return spec
 
 
 def reconstruct(spec: FourierSpectrum) -> BoolFn:
     """Inverse transform; errors if the coefficients are not a Boolean function.
+
+    Up to arity 3 the numerators are looked up in the small plan's reverse
+    map; at arity 4 the inverse of the last stage splits them into each
+    table byte's entry times 2, each looked up alike.  The transform is a
+    bijection, so the lookups hit exactly on a Boolean spectrum.  Above
+    arity 4, and on a miss to name the first bad point, see
+    ``_packed_reconstruct``.
+    """
+    n = spec.n
+    if n <= _SMALL_ARITY:
+        back, nums = _small_plan(n)[1], spec.nums
+        try:
+            if n < _SMALL_ARITY:
+                return BoolFn(n, back[tuple(nums)])
+            without, with_ = nums[:8], nums[8:]
+            return BoolFn(n, back[(*map(sub, without, with_),)]
+                          | back[(*map(add, without, with_),)] << 8)
+        except KeyError:   # not Boolean
+            pass
+    return _packed_reconstruct(spec)
+
+
+def _packed_reconstruct(spec: FourierSpectrum) -> BoolFn:
+    """``reconstruct`` by the chunked packed-lane transform, at any arity.
 
     All inverse stages but the first three run on the spectrum's lanes; for
     a Boolean function each byte's lanes are then 2**(n-3) times its

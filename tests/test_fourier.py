@@ -16,8 +16,9 @@ import pytest
 
 from jagg.boolfn import BoolFn, all_tables, compose, repeat_bits
 from jagg.fourier import (_CHUNK_BITS, Dyadic, FourierSpectrum, ONE, ZERO,
-                          _lane_width, cell_subset_identity, rectangle_identity,
-                          reconstruct, spectrum)
+                          _lane_width, _packed_reconstruct, _packed_spectrum,
+                          cell_subset_identity, rectangle_identity, reconstruct,
+                          spectrum)
 
 
 def oracle_coeff(f: BoolFn, subset: int) -> Fraction:
@@ -101,6 +102,19 @@ def reconstruct_outcome(rebuild, spec: FourierSpectrum) -> "BoolFn | str":
         return rebuild(spec)
     except ValueError as exc:
         return str(exc)
+
+
+def perturbed(spec: FourierSpectrum) -> list[FourierSpectrum]:
+    """``spec`` with each numerator in turn raised by 1 and by 2, none of
+    them Boolean, and with the coefficients of inputs 0 and 1 swapped, which
+    is Boolean for some spectra (a dictator of input 0 becomes one of input
+    1) and not for others."""
+    n, nums = spec.n, spec.nums
+    specs = [FourierSpectrum(n, nums[:r] + (nums[r] + delta,) + nums[r + 1:])
+             for r in range(len(nums)) for delta in (1, 2)]
+    if n >= 2:
+        specs.append(FourierSpectrum(n, (nums[0], nums[2], nums[1]) + nums[3:]))
+    return specs
 
 
 RANDOM_ARITIES = (5, 8, 11, 12, 13, 15, 16)
@@ -222,7 +236,7 @@ def test_dyadic_str():
 # --- spectra ----------------------------------------------------------------
 
 def test_spectrum_matches_definition_exhaustive():
-    for n in (1, 2, 3):
+    for n in (0, 1, 2, 3):
         for f in all_tables(n):
             sp = spectrum(f)
             for subset in range(1 << n):
@@ -245,9 +259,11 @@ def test_spectrum_matches_definition_at_random_arities():
                    + [rng.getrandbits(n) for _ in range(5)])
         for subset in subsets:
             assert as_fraction(sp[subset]) == oracle_coeff(f, subset)
-    # arity 4 is where the byte table meets the first packed stage
-    for table in random.Random(4096).sample(range(1 << 16), 4096):
-        f = BoolFn(4, table)
+    # arity 5 is where the packed path starts: the byte table meets the
+    # first packed stage
+    rng = random.Random(4096)
+    for _ in range(4096):
+        f = BoolFn(5, rng.getrandbits(1 << 5))
         assert spectrum(f).nums == tuple(loop_spectrum(f))
 
 
@@ -323,7 +339,7 @@ def test_spectrum_rejects_non_int_numerators():
 
 
 def test_reconstruct_roundtrip():
-    for n in (1, 2, 3):
+    for n in (0, 1, 2, 3, 4):
         for f in all_tables(n):
             assert reconstruct(spectrum(f)) == f
     rng = random.Random(1810)
@@ -337,10 +353,11 @@ def test_reconstruct_matches_one_int_kernel():
     specs = []
     for n in (0, 1, 2, 3):
         for f in all_tables(n):
-            nums = spectrum(f).nums
-            specs.append(FourierSpectrum(n, nums))
-            specs += [FourierSpectrum(n, nums[:r] + (nums[r] + 1,) + nums[r + 1:])
-                      for r in range(len(nums))]
+            spec = spectrum(f)
+            specs += [FourierSpectrum(n, spec.nums), *perturbed(spec)]
+    # arity 4 joins two byte entries by one stage on int tuples
+    for table in random.Random(1604).sample(range(1 << 16), 64):
+        specs += perturbed(spectrum(BoolFn(4, table)))
     rng = random.Random(1115)
     specs += [spectrum(BoolFn(n, rng.getrandbits(1 << n))) for n in range(11, 16)]
     # all zero: the narrowest lanes, too narrow to hold the value 2**15 at all
@@ -369,10 +386,11 @@ def test_reconstruct_names_bad_point_in_second_chunk():
 
 def test_carried_lanes_match_default_lanes():
     # spectrum's own lanes, at the width that holds 2**n, against lanes packed
-    # afresh from the numerators at the width their absolute sum needs; the
-    # seeded arities cross the chunk boundary and the 16- to 32-bit switch
-    fns = [f for n in range(4) for f in all_tables(n)]
+    # afresh from the numerators at the width their absolute sum needs; lanes
+    # are carried from arity 5, where the packed path starts, and the seeded
+    # arities cross the chunk boundary and the 16- to 32-bit switch
     rng = random.Random(1915)
+    fns = [BoolFn(5, rng.getrandbits(1 << 5)) for _ in range(256)]
     fns += [BoolFn(n, rng.getrandbits(1 << n)) for n in RANDOM_ARITIES + (17,)]
     for f in fns:
         carried = spectrum(f)
@@ -380,6 +398,29 @@ def test_carried_lanes_match_default_lanes():
         assert reconstruct(carried) == f
         assert reconstruct(fresh) == f
         assert one_int_reconstruct(fresh) == f
+
+
+def test_small_path_matches_packed_path():
+    # up to arity 4 spectrum and reconstruct work on int tuples; the packed
+    # path they skip there is the reference, on every table, on perturbed
+    # spectra and on random integer ones, error text included
+    specs = []
+    for n in range(5):
+        for f in all_tables(n):
+            small, packed = spectrum(f), _packed_spectrum(f)
+            assert small.nums == packed.nums
+            assert reconstruct(small) == _packed_reconstruct(packed) == f
+            if n < 4 or f.table % 251 == 0:
+                specs += perturbed(small)
+    rng = random.Random(2504)
+    for n in range(5):
+        specs += [FourierSpectrum(n, tuple(rng.randrange(-(1 << n), (1 << n) + 1)
+                                           for _ in range(1 << n)))
+                  for _ in range(200)]
+    outcomes = [reconstruct_outcome(reconstruct, spec) for spec in specs]
+    assert outcomes == [reconstruct_outcome(_packed_reconstruct, spec) for spec in specs]
+    # both hits and misses are among them
+    assert {type(outcome) for outcome in outcomes} == {BoolFn, str}
 
 
 def test_replaced_spectrum_does_not_keep_lanes():
@@ -395,16 +436,19 @@ def test_replaced_spectrum_does_not_keep_lanes():
 
 
 def test_pickled_spectrum_reconstructs():
-    f = BoolFn(9, random.Random(9).getrandbits(1 << 9))
-    spec = spectrum(f)
-    back = pickle.loads(pickle.dumps(spec))
-    assert back == spec
-    assert reconstruct(back) == f
-    assert back.coeffs == spec.coeffs
-    # a spectrum pickled with its coefficients keeps them, shared as before
-    back = pickle.loads(pickle.dumps(spec))
-    assert back.coeffs == spec.coeffs
-    assert len({id(c) for c in back.coeffs}) == len(set(spec.nums))
+    # arity 9 carries packed lanes; arity 4 is an int-tuple spectrum
+    rng = random.Random(9)
+    for n in (9, 4):
+        f = BoolFn(n, rng.getrandbits(1 << n))
+        spec = spectrum(f)
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec
+        assert reconstruct(back) == f
+        assert back.coeffs == spec.coeffs
+        # a spectrum pickled with its coefficients keeps them, shared as before
+        back = pickle.loads(pickle.dumps(spec))
+        assert back.coeffs == spec.coeffs
+        assert len({id(c) for c in back.coeffs}) == len(set(spec.nums))
 
 
 @pytest.mark.parametrize("n, coeffs, message", [
