@@ -36,10 +36,11 @@ class Config:
                         single pair or rule check is one candidate times its
                         2**(m*n) matrices or |U|**judges profiles; for both
                         rule sweeps, big-int operations on 1024 bits across
-                        the candidates, for all |U|**judges profiles although
-                        only the judge-sorted ones are composed, which
-                        leaves room for the closure under judge
-                        permutations); the default of 2**25 admits pair
+                        the candidates: |U|**judges profiles' worth, which
+                        covers the distinct profiles composed at every judge
+                        count, plus the lift from one judge fewer and the
+                        closure under judge permutations at each count);
+                        the default of 2**25 admits pair
                         checks up to m*n = 25, the 3x3 pair enumeration,
                         shared-function rule sweeps up to 4 judges and
                         independent-rule sweeps up to 3 judges on agendas

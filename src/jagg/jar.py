@@ -16,16 +16,19 @@ candidate sweep and layout: a candidate holds the 2**n - 2 points of each
 table that unanimity leaves free, a column per position and point holds the
 candidates T there, and each profile composes the rational set onto the
 columns the judges vote, which leaves the candidates still consistent.
-Relabelling the judges turns one profile into another, so only the
-judge-sorted profiles are composed (35 of 256 at 4 judges on four
-judgments), and the survivors are then cut to their largest subset closed
-under judge permutations, with delta swaps over the whole candidate set.
+The sweep lifts the rules from one judge fewer: a profile where two judges
+vote alike is a profile of the rule with those judges made one, so each
+level starts from the candidates whose such minor is a lower rule, and
+composes only the judge-sorted profiles of distinct judgments (15 over
+all levels at 4 judges on four judgments, for 256 profiles).  The
+survivors are then cut to their largest subset closed under judge
+permutations, with delta swaps over the whole candidate set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .agenda import (Agenda, Judgment, RationalSet, _positions, build_agenda,
@@ -302,65 +305,110 @@ def _rule_sweep(agenda: Agenda, judges: int, *, shared: bool, flip: bool,
     function is T at point x, and a profile voting x_k at each position k
     keeps the candidates in ``compose(rational, [columns[k][x_k] ...])``.
 
-    Only the judge-sorted profiles are composed (judge i votes the i-th
-    smallest judgment), C(|U| + judges - 1, judges) of the |U|**judges: 35 of
-    256 at 4 judges on four judgments.  Relabelling the judges maps each
-    profile's survivors onto another profile's, permuting the inner points
-    of every table, so the consistent rules are the largest subset of the
-    sorted profiles' survivors closed under judge permutations
-    (``_judge_closure``).  The candidate columns are read from the kept
-    ``_input_lifts(bits)``.  4-judge shared sweeps take 0.38-0.42 ms on the
-    three- and four-entry scenario agendas and 4.4 ms on the three-atom
-    agenda, and 3-judge independent sweeps 1.9-2.1 ms; in process, best of
-    50, on a shared 2-core machine (Python 3.11).
+    The sweep recurses on the judge count, with the same ``shared`` and
+    ``flip``.  A profile in which judges i and j vote alike is a profile of
+    the (i, j) minor, the rule with those two judges made one, which has
+    n - 1 judges.  So level n starts from the candidates whose minor with
+    judges 0 and 1 made one is an (n-1)-judge rule: minor point y reads
+    candidate point (y & 1) | y << 1, and that set is an OR, over the lower
+    rules, of ANDs of the columns or their negations, as in ``compose``.
+    Then only the judge-sorted profiles of pairwise distinct judgments are
+    composed, C(|U|, n) of the |U|**n: 15 over the four levels of a 4-judge
+    sweep on four judgments, and none past level |U|.  The survivors are
+    cut to their largest subset closed under judge permutations
+    (``_judge_closure``).  That is exact: a rule in a closed subset passes
+    a profile with a repeated judgment, since relabelling the judges moves
+    the repeat to judges 0 and 1 and keeps the rule in the subset, and a
+    distinct profile, since it sorts into a composed one.  The candidate
+    columns are read from the kept ``_input_lifts(bits)``.  4-judge shared
+    sweeps take 0.25-0.57 ms on the three- and four-entry scenario agendas
+    and 2.0-3.1 ms on the three-atom agenda, and 3-judge independent sweeps
+    1.5-3.2 ms; in process, best of 50, on a shared 2-core machine whose
+    load varied about 2x between runs (Python 3.11).
 
-    The charge is unchanged and still bounds the work.  It counts big-int
-    operations on 1024 bits for all |U|**judges profiles: per profile,
-    compose ANDs |basis| columns into each of |U| terms and ORs it in,
-    negates each column at most once, and ANDs into the survivors.  The
-    closure adds at most judges - 1 rounds of (judges - 1) * 2**(judges - 2)
-    * blocks delta swaps, 6 operations each: 216 at 4 shared judges, where
-    the 221 profiles left out were charged 221 * (|U| + 1) * (|basis| + 1).
+    The charge bounds the work of all levels in big-int operations on 1024
+    bits, each on at most 2**bits bits.  At level m:
+    - each composed profile costs (|U| + 1) * (|basis| + 1): compose ANDs
+      |basis| columns into each of |U| terms and ORs it in, negates each
+      column at most once, and ANDs into the survivors.  The C(|U|, m)
+      summed over all levels are at most |U|**judges: a set of m judgments
+      written ascending, its last one repeated up to ``judges`` votes, is a
+      profile, and no two sets give the same one;
+    - the lift costs at most (|R| + 1) * (M + 1), with M = blocks * 2**(m-1)
+      minor points and |R| lower rules, at most the 2**bits candidates of
+      level m - 1: one negation per point, then per rule M ANDs and an OR;
+    - the closure costs at most m * (m - 1) * (3M + 1): 2 operations per
+      delta swap to build the generators, then m - 1 rounds of m - 1
+      generators of M / 2 delta swaps, 6 operations each, with an AND per
+      generator and a comparison per round.
+    Lift and closure grow with m, so the charge counts them judges - 1 times
+    at the top level's size.  Without them ``["P"]`` at 4 judges would be
+    charged 96 operations, fewer than its closure's 216.
     """
     if judges < 1:
         raise ValueError("need at least one judge")
     rs = rational_judgments(agenda)
     rational = _rational_fn(rs, config)
     size, positions = len(rs.judgments), len(agenda)
-    free, blocks = (1 << judges) - 2, 1 if shared else positions
-    edge = free * blocks
+    blocks = 1 if shared else positions
+    edge = ((1 << judges) - 2) * blocks
     if shared and 1 << judges > config.arity_cap:
         raise BudgetError(f"{judges} judges give 2**{1 << judges} candidate tables, "
                           f"beyond 2**{config.arity_cap}")
     if not shared and edge > config.arity_cap:
         raise BudgetError(f"{judges} judges on {positions} basis entries give "
                           f"2**{edge} candidate rules, beyond 2**{config.arity_cap}")
-    bits = edge + flip
-    work = size ** judges * (size + 1) * (positions + 1) * max(1, (1 << bits) >> 10)
+    # M minor points, and the candidate count one judge down, which bounds |R|
+    minor = blocks << judges - 1
+    lower = 1 << (edge // 2 - blocks + flip) if judges > 1 else 0
+    steps = (lower + 1) * (minor + 1) + judges * (judges - 1) * (3 * minor + 1)
+    work = ((size ** judges * (size + 1) * (positions + 1) + (judges - 1) * steps)
+            * max(1, (1 << edge + flip) >> 10))
     charge(config, work, f"{'uniform' if shared else 'independent'}-rule sweep for "
-           f"{judges} judges", "|U|**judges * (|U| + 1) * (|basis| + 1) * 2**bits / "
-           "2**10 within budget, bits being 2**judges - 2 per swept table (one more "
-           "without unanimity), e.g. 4 shared or 3 independent judges on 3 entries")
-    lifts = _input_lifts(bits)
-    alive = everyone = lifts[0][3] if lifts else 1
-    var = [high for _, _, high, _ in lifts]
-    flipped = var[edge] if flip else 0
-    offsets = [free * (blocks - 1 - k) for k in range(blocks)]
-    columns = [[flipped, *var[at:at + free], everyone ^ flipped] for at in offsets]
-    if shared:
-        columns *= positions
+           f"{judges} judges", "(|U|**judges * (|U| + 1) * (|basis| + 1) + (judges - 1) "
+           "* (lift + closure)) * 2**bits / 2**10 within budget, bits being "
+           "2**judges - 2 per swept table (one more without unanimity), e.g. 4 shared "
+           "or 3 independent judges on 3 entries")
     # votes[i][u][k]: what judge i voting judgment u adds to the point at k
     votes = [[tuple(b << i for b in u) for u in rs.judgments] for i in range(judges)]
-    for us in combinations_with_replacement(range(size), judges):
-        profile = zip(*(votes[i][u] for i, u in enumerate(us)))
-        alive &= compose(rational, [col[sum(p)] for col, p in zip(columns, profile)],
-                         1 << bits)
-        if not alive:
-            break
-    alive = _judge_closure(alive, judges, offsets, var)
-    low, top = (1 << free) - 1, 1 << (free + 1)
-    return sorted(tuple((c >> at & low) << 1 | (1 if c >> edge else top) for at in offsets)
-                  for c in set_bits(alive))
+
+    def level(n: int) -> list[tuple[int, ...]]:
+        free = (1 << n) - 2
+        edge = free * blocks
+        bits = edge + flip
+        lifts = _input_lifts(bits)
+        everyone = lifts[0][3] if lifts else 1
+        var = [high for _, _, high, _ in lifts]
+        flipped = var[edge] if flip else 0
+        offsets = [free * (blocks - 1 - k) for k in range(blocks)]
+        columns = [[flipped, *var[at:at + free], everyone ^ flipped] for at in offsets]
+        alive = everyone
+        if n > 1:
+            # minors[k][y]: column k at minor point y as (F, T) literals
+            minors = [[(everyone ^ c, c) for c in (col[(y & 1) | y << 1]
+                                                   for y in range(1 << n - 1))]
+                      for col in columns]
+            alive = 0
+            for tables in level(n - 1):
+                term = everyone
+                for literals, table in zip(minors, tables):
+                    for y, literal in enumerate(literals):
+                        term &= literal[table >> y & 1]
+                alive |= term
+        if shared:
+            columns *= positions
+        for us in combinations(range(size), n):
+            profile = zip(*(votes[i][u] for i, u in enumerate(us)))
+            alive &= compose(rational, [col[sum(p)] for col, p in zip(columns, profile)],
+                             1 << bits)
+            if not alive:
+                break
+        alive = _judge_closure(alive, n, offsets, var)
+        low, top = (1 << free) - 1, 1 << (free + 1)
+        return sorted(tuple((c >> at & low) << 1 | (1 if c >> edge else top)
+                            for at in offsets) for c in set_bits(alive))
+
+    return level(judges)
 
 
 def enumerate_uniform_rules(agenda: Agenda, judges: int, *,

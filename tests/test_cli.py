@@ -168,7 +168,8 @@ def test_jars_enumerate_goldens(capsys):
 
 
 def test_jars_enumerate_four_judge_goldens(capsys):
-    # four judges sweep 35 judge-sorted profiles, then close under relabelling
+    # four judges lift the 3-judge rules and compose the one profile of four
+    # distinct judgments (15 over all judge counts), then close under relabelling
     cases = [
         (["--agenda", agenda("or_closure.agenda")], "uniform_or_closure_n4.json"),
         (["--agenda", agenda("parity_closure.agenda"), "--no-up"],

@@ -7,8 +7,8 @@ import pytest
 
 import jagg.jar as jar_module
 from jagg.agenda import build_agenda, rational_judgments
-from jagg.boolfn import (BoolFn, all_tables, compose, format_fn_spec, parse_fn_spec,
-                         set_bits, variable_mask)
+from jagg.boolfn import (BoolFn, _input_lifts, all_tables, compose, format_fn_spec,
+                         parse_fn_spec, set_bits, variable_mask)
 from jagg.config import BudgetError, Config, charge
 from jagg.jar import (PiJar, _axioms, _profile_columns, _rational_fn, _solution_case,
                       check_jar, dependent_pair_relation, enumerate_independent_rules,
@@ -114,23 +114,44 @@ def test_rule_check_budget():
 
 
 def test_rule_sweeps_share_one_charge():
-    # |U|**judges * (|U| + 1) * (|basis| + 1) * max(1, 2**bits >> 10), with
-    # |U| = 4 and |basis| = 3 on the or-closure: bits is 14 (15 without
-    # unanimity) for 4 shared-function judges, and 6 * 3 for 3 independent ones
+    # (|U|**judges * (|U| + 1) * (|basis| + 1) + (judges - 1) * (lift + closure))
+    # * max(1, 2**bits >> 10), with |U| = 4 and |basis| = 3 on the or-closure:
+    # bits is 14 (15 without unanimity) for 4 shared-function judges, and 6 * 3
+    # for 3 independent ones.  With M = blocks * 2**(judges-1) minor points,
+    # lift = (2**lower_bits + 1) * (M + 1) and closure = judges * (judges - 1)
+    # * (3M + 1), lower_bits being bits at judges - 1: 6 (7), and 2 * 3
     for sweep, work in ((lambda c: enumerate_uniform_rules(OR_CLOSURE, 4, config=c),
-                         4 ** 4 * 5 * 4 * 16),
+                         (4 ** 4 * 5 * 4 + 3 * ((2 ** 6 + 1) * 9 + 12 * 25)) * 16),
                         (lambda c: enumerate_uniform_rules(OR_CLOSURE, 4, require_up=False,
                                                            config=c),
-                         4 ** 4 * 5 * 4 * 32),
+                         (4 ** 4 * 5 * 4 + 3 * ((2 ** 7 + 1) * 9 + 12 * 25)) * 32),
                         (lambda c: enumerate_independent_rules(OR_CLOSURE, 3, config=c),
-                         4 ** 3 * 5 * 4 * 256),
+                         (4 ** 3 * 5 * 4 + 2 * ((2 ** 6 + 1) * 13 + 6 * 37)) * 256),
                         (lambda c: enumerate_independent_rules(OR_CLOSURE, 2, config=c),
-                         4 ** 2 * 5 * 4)):
+                         4 ** 2 * 5 * 4 + (2 ** 0 + 1) * 7 + 2 * 19)):
         with pytest.raises(BudgetError, match=f"needs {work} work units"):
             sweep(Config(enumeration_budget=work - 1))
         assert sweep(Config(enumeration_budget=work))
     # the default budget admits 3 independent judges on a three-entry basis
     assert len(enumerate_independent_rules(OR_CLOSURE, 3)) == 7
+
+
+def test_rule_sweep_charge_covers_lift_and_closure_on_one_entry():
+    # on ["P"] (|U| = 2) every unanimity-preserving table is a rule, so the
+    # 4-judge lift ANDs the 8 minor points of each of the 2**6 3-judge rules,
+    # and the closure runs 3 rounds of 3 generators of 4 delta swaps, 6
+    # operations each, all on 2**14 bits (16 units).  The |U|**judges term
+    # alone, 2**4 * 3 * 2 operations, is less than the closure's 216.
+    agenda = build_agenda(["P"])
+    assert len(enumerate_uniform_rules(agenda, 3)) == 2 ** 6
+    charges = {1: 2 * 3 * 2, 2: 4 * 3 * 2 + (2 ** 0 + 1) * 3 + 2 * 7,
+               3: 8 * 3 * 2 + 2 * ((2 ** 2 + 1) * 5 + 6 * 13),
+               4: (16 * 3 * 2 + 3 * ((2 ** 6 + 1) * 9 + 12 * 25)) * 16}
+    for judges, work in charges.items():
+        with pytest.raises(BudgetError, match=f"needs {work} work units"):
+            enumerate_uniform_rules(agenda, judges,
+                                    config=Config(enumeration_budget=work - 1))
+        assert enumerate_uniform_rules(agenda, judges, config=Config(enumeration_budget=work))
 
 
 def test_dependent_pair_relation():
@@ -577,6 +598,85 @@ def test_sorted_sweep_matches_product_loop():
         independent_3 += not shared and judges == 3
     # the three-entry agendas: or-, parity and and-closure, and 6 generated
     assert independent_3 == 9
+
+
+# --- the minor lift against the judge-sorted loop ----------------------------
+
+def sorted_rule_sweep(agenda, judges, *, shared, flip, config):
+    """``_rule_sweep`` as it was before the minor lift, kept as a reference:
+    one level, every judge-sorted profile composed, C(|U| + judges - 1,
+    judges) of them, then ``_judge_closure``.  Caps and charge are left out."""
+    rs = rational_judgments(agenda)
+    rational = _rational_fn(rs, config)
+    size, positions = len(rs.judgments), len(agenda)
+    free, blocks = (1 << judges) - 2, 1 if shared else positions
+    edge = free * blocks
+    bits = edge + flip
+    lifts = _input_lifts(bits)
+    alive = everyone = lifts[0][3] if lifts else 1
+    var = [high for _, _, high, _ in lifts]
+    flipped = var[edge] if flip else 0
+    offsets = [free * (blocks - 1 - k) for k in range(blocks)]
+    columns = [[flipped, *var[at:at + free], everyone ^ flipped] for at in offsets]
+    if shared:
+        columns *= positions
+    votes = [[tuple(b << i for b in u) for u in rs.judgments] for i in range(judges)]
+    for us in itertools.combinations_with_replacement(range(size), judges):
+        profile = zip(*(votes[i][u] for i, u in enumerate(us)))
+        alive &= compose(rational, [col[sum(p)] for col, p in zip(columns, profile)],
+                         1 << bits)
+    alive = jar_module._judge_closure(alive, judges, offsets, var)
+    low, top = (1 << free) - 1, 1 << (free + 1)
+    return sorted(tuple((c >> at & low) << 1 | (1 if c >> edge else top) for at in offsets)
+                  for c in set_bits(alive))
+
+
+def test_lifted_sweep_matches_sorted_loop():
+    # the grid of test_sorted_sweep_matches_product_loop, with 4 shared judges
+    # on the generated agendas too
+    generated = list(_generated_agendas(Config()))
+    raised = Config(enumeration_budget=1 << 40)
+    cases = [(agenda, judges, True, flip) for agenda in SCENARIOS + generated
+             for judges in (1, 2, 3, 4) for flip in (False, True)]
+    cases += [(agenda, judges, False, False) for agenda in SCENARIOS + generated
+              for judges in (1, 2, 3)
+              if ((1 << judges) - 2) * len(agenda) <= raised.arity_cap]
+    assert len(cases) == 529
+    for agenda, judges, shared, flip in cases:
+        kwargs = {"shared": shared, "flip": flip, "config": raised}
+        assert (jar_module._rule_sweep(agenda, judges, **kwargs)
+                == sorted_rule_sweep(agenda, judges, **kwargs)), (
+            agenda.basis, judges, shared, flip)
+
+
+def test_lift_composes_only_profiles_of_distinct_judgments(monkeypatch):
+    # C(|U|, m) profiles per level m: 4 + 6 + 4 + 1 = 15 on the or-closure's
+    # four judgments, where the judge-sorted sweep composed C(7, 4) = 35, and
+    # 8 + 28 + 56 = 92 on the three-atom agenda's eight, where it composed 120
+    calls = []
+
+    def counting_compose(f, arg_tables, width):
+        calls.append(width)
+        return compose(f, arg_tables, width)
+
+    monkeypatch.setattr(jar_module, "compose", counting_compose)
+    raised = Config(enumeration_budget=1 << 40)
+    three_atom = build_agenda(SCENARIO_AGENDAS["three-atom-conjunction"])
+    for agenda, judges, composed in ((OR_CLOSURE, 4, 15), (three_atom, 3, 92)):
+        for require_up in (True, False):
+            enumerate_uniform_rules(agenda, judges, require_up=require_up, config=raised)
+            assert len(calls) == composed, (agenda.basis, judges, require_up)
+            calls.clear()
+    # ["P"] has two judgments, so no profile past 2 judges has distinct ones:
+    # every level above 2 only lifts and closes, and at 4 judges every
+    # unanimity-preserving table is left
+    agenda = build_agenda(["P"])
+    for judges in (1, 2, 3, 4):
+        tables = jar_module._rule_sweep(agenda, judges, shared=True, flip=False,
+                                        config=Config())
+        assert len(calls) == 2 + (judges > 1), judges
+        calls.clear()
+    assert tables == [(x << 1 | 1 << 15,) for x in range(1 << 14)]
 
 
 def permute_judges(table, judges, perm):
