@@ -131,17 +131,21 @@ def build_agenda(basis: Sequence[Formula | str], *, config: Config = DEFAULT) ->
     if len(symbols) > config.arity_cap:
         raise BudgetError(f"{len(symbols)} symbols exceed the cap of {config.arity_cap}")
     tables = tuple(BoolFn.from_formula(phi, symbols, config=config) for phi in formulas)
-    for k, t in enumerate(tables):
-        if t.is_constant():
-            kind = "tautology" if t.table else "contradiction"
+    # plain table ints, all of one arity, against one full mask
+    ints = [t.table for t in tables]
+    full = (1 << (1 << len(symbols))) - 1
+    for k, t in enumerate(ints):
+        if t == 0 or t == full:
+            kind = "tautology" if t else "contradiction"
             raise DegenerateProposition(f"basis[{k}] ({formulas[k]}) is a {kind}")
-    for a in range(len(tables)):
-        for b in range(a + 1, len(tables)):
-            if tables[a] == tables[b]:
+    for a, ta in enumerate(ints):
+        negation = ta ^ full
+        for b in range(a + 1, len(ints)):
+            if ints[b] == ta:
                 raise DuplicateProposition(
                     f"basis[{b}] ({formulas[b]}) is equivalent to basis[{a}] "
                     f"({formulas[a]})")
-            if tables[a].table ^ tables[b].table == tables[a].full:
+            if ints[b] == negation:
                 raise NegationDuplicate(
                     f"basis[{b}] ({formulas[b]}) is the negation of basis[{a}] "
                     f"({formulas[a]})")

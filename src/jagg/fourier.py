@@ -3,11 +3,12 @@
 Truth values are encoded T -> +1, F -> -1.  The coefficient of a subset R of
 inputs is the average of f(x) * prod_{i in R} x_i over all points, always an
 integer multiple of 2**-n.  Spectra are kept as integer numerators over 2**n
-and computed by an integer Walsh-Hadamard transform.  Up to arity 4 it works
-on int tuples: a cached table lookup, and one stage more at arity 4.  Above
-that it runs on packed lanes over cache-sized chunks, with the first three
-stages read from a per-byte table.  ``Dyadic`` values are made only at the
-API and JSON boundary.  Nothing here uses floats.
+and computed by an integer Walsh-Hadamard transform.  Up to arity 3 a
+spectrum is one cached int tuple per table.  It carries packed lanes from
+arity 4: there the two table bytes' cached entries are joined by one stage on
+one int, and above that the lanes run over cache-sized chunks, with the
+first three stages read from a per-byte table.  ``Dyadic`` values are made
+only at the API and JSON boundary.  Nothing here uses floats.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce, total_ordering
 from itertools import repeat
-from operator import add, mul, or_, sub
+from operator import mul, or_
 from typing import Callable, Iterable, Sequence
 
 from .boolfn import BoolFn, repeat_bits
@@ -154,11 +155,13 @@ ONE = Dyadic(1, 0)
 # table per byte value (``_byte_plan``) does them for ``spectrum`` and reads
 # them back for ``reconstruct``.
 #
-# Up to _SMALL_ARITY the lanes cost more than the butterflies: a spectrum
-# there is at most two byte entries and one stage.  So those arities take
-# the byte plan's entries as int tuples (``_small_plan``) and join the two
-# bytes of an arity-4 table by that one stage on the tuples; the packed
-# path starts at arity 5.
+# Up to _TUPLE_ARITY a table is one byte and its spectrum is its byte
+# plan entry, so those arities take the entries as int tuples
+# (``_small_plan``) and carry no lanes.  At arity 4 a spectrum is two byte
+# entries and one stage, too little for the chunked transform: the entries
+# are cached as ints (``_join_plan``) and joined by one add, and the
+# inverse of that stage splits the lanes again.  So lanes are carried from
+# arity 4, and the chunked transform runs from arity 5.
 #
 # ``spectrum`` leaves its lanes on the spectrum, at the forward width that
 # holds +/-2**n, and ``reconstruct`` runs the inverse on them.  That width
@@ -171,7 +174,8 @@ ONE = Dyadic(1, 0)
 _LANE_CODES = {16: "h", 32: "i", 64: "q"}   # struct codes of the fixed lane widths
 _CHUNK_BITS = 1 << 16   # 8 KB; 2**12 to 2**18 bits time alike at arities 16 and 17
 _BYTE_STAGES = 3        # the stages inside one byte of a truth table
-_SMALL_ARITY = _BYTE_STAGES + 1   # the int-tuple path: the byte plan and one stage
+_TUPLE_ARITY = _BYTE_STAGES   # up to here a spectrum is one byte plan entry, as an int tuple
+_JOIN_ARITY = _TUPLE_ARITY + 1   # two byte entries and one stage, joined on one int
 
 
 def _lane_width(bound: int) -> int:
@@ -314,19 +318,54 @@ def _byte_plan(n: int, width: int) -> tuple[tuple[bytes, ...], dict[bytes, int],
     return tuple(forward), back, split
 
 
-@lru_cache(maxsize=None)   # keys: arities 0 to _SMALL_ARITY
+@lru_cache(maxsize=None)   # keys: arities 0 to _TUPLE_ARITY
 def _small_plan(n: int) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
-    """The arity-n byte plan at 16-bit lanes as int tuples: each byte value's
-    entry, and the reverse map back to the byte.
-
-    Below arity 4 a byte is the whole table, so its entry is its spectrum's
-    numerators and the map inverts ``spectrum``.  At arity 4 the entries
-    are the two table bytes' arity-3 spectra, and the map is keyed by each
-    entry times 2, what the inverse of the last stage leaves in each half.
-    """
+    """The arity-n byte plan at 16-bit lanes as int tuples, where a byte is
+    the whole table: each byte value's entry, which is its spectrum's
+    numerators, and the reverse map back to the byte, which inverts
+    ``spectrum``."""
     forward, back, _ = _byte_plan(n, 16)
     return (tuple(_unpack(entry, 16) for entry in forward),
             {_unpack(entry, 16): byte for entry, byte in back.items()})
+
+
+_JOIN_HALF = 16 << _TUPLE_ARITY   # bits of one byte's 8 lanes, half an arity-4 spectrum
+_JOIN_LOW = (1 << _JOIN_HALF) - 1
+_JOIN_BIAS = repeat_bits(1 << 15, 16, 2 * _JOIN_HALF)
+
+
+@lru_cache(maxsize=None)   # one entry, made on the first arity-4 call
+def _join_plan() -> tuple[tuple[int, ...], tuple[int, ...], Callable[[bytes], tuple[int, ...]],
+                          dict[int, int], dict[int, int]]:
+    """The arity-4 byte plan at 16-bit lanes as ints: what the high and the
+    low table byte add to the spectrum's biased lanes, the lane reader, and
+    the reverse maps of the low and the high byte.
+
+    Let e be a byte's entry as one int, each of its 8 lanes plus 2**15, B
+    that bias in all 8 lanes, and h and l the high and low bytes' entries.
+    The last stage puts h + l in the lanes without input 3 and h - l in
+    those with it, which as biased lanes is
+    h * (1 + 2**128) + (l - B) * (1 - 2**128): the high byte's biased entry
+    in both halves, and the low byte's unbiased entry added to one and taken
+    from the other.  So the join is one add, and as every lane stays within
+    2**15 +/- 16 none carries.
+
+    Read back as biased halves w and x, the inverse of that stage gives
+    w - x, with the low byte's lanes 2l unbiased, and w + x, with the high
+    byte's lanes 2h biased by 2B; so the maps are keyed by 2 * (e - B) and
+    by 2 * e.  When the lanes are 16 bits wide the numerators' absolute sum
+    is below 2**15, so every lane of w - x and of w + x - 2B lies within
+    +/-2**15 and is read back uniquely from the int: a hit means every lane
+    equals the entry's, that is the spectrum is exactly Boolean.
+    """
+    bias = _JOIN_BIAS & _JOIN_LOW
+    entries = [int.from_bytes(entry, "little") ^ bias
+               for entry in _byte_plan(_JOIN_ARITY, 16)[0]]
+    return (tuple(e | e << _JOIN_HALF for e in entries),
+            tuple((e - bias) - ((e - bias) << _JOIN_HALF) for e in entries),
+            _lane_struct(1 << _JOIN_ARITY, 16).unpack,
+            {2 * (e - bias): byte for byte, e in enumerate(entries)},
+            {2 * e: byte << 8 for byte, e in enumerate(entries)})
 
 
 @lru_cache(maxsize=None)   # keys: arities up to the arity cap
@@ -362,7 +401,7 @@ class FourierSpectrum:
     def _lanes(self) -> tuple[int, bytes]:
         """Lane width and the numerators packed as lanes, for ``reconstruct``.
 
-        ``spectrum`` fills this above arity 4 with the lanes it made;
+        ``spectrum`` fills this from arity 4 with the lanes it made;
         otherwise the width holds the sum of the numerators' absolute values,
         which bounds every value an inverse stage can make.
         """
@@ -398,22 +437,23 @@ class FourierSpectrum:
 def spectrum(f: BoolFn) -> FourierSpectrum:
     """Exact spectrum by the Walsh-Hadamard transform, O(n * 2**n) bit work.
 
-    Up to arity 3 the numerators are the table's entry in the small plan;
-    at arity 4 the two table bytes' entries are joined by the last
-    butterfly stage.  Above that see ``_packed_spectrum``.
+    Up to arity 3 the numerators are the table's entry in the small plan.
+    At arity 4 one add of the two table bytes' join plan ints runs the last
+    butterfly stage, the numerators are read off its lanes, and the spectrum
+    keeps the lanes for ``reconstruct``.  Above that see ``_packed_spectrum``.
     """
     n = f.n
-    if n > _SMALL_ARITY:
+    if n > _JOIN_ARITY:
         return _packed_spectrum(f)
-    forward = _small_plan(n)[0]
-    if n < _SMALL_ARITY:
-        nums = forward[f.table]
-    else:
-        lo, hi = forward[f.table & 0xFF], forward[f.table >> 8]
-        nums = (*map(add, hi, lo), *map(sub, hi, lo))
     # valid by construction, so filled without the constructor's checks
     spec = _new(FourierSpectrum)
-    spec.__dict__.update(n=n, nums=nums)
+    if n <= _TUPLE_ARITY:
+        spec.__dict__.update(n=n, nums=_small_plan(n)[0][f.table])
+    else:
+        high, low, read, _, _ = _join_plan()
+        table = f.table
+        raw = (high[table >> 8] + low[table & 0xFF] ^ _JOIN_BIAS).to_bytes(32, "little")
+        spec.__dict__.update(n=n, nums=read(raw), _lanes=(16, raw))
     return spec
 
 
@@ -437,23 +477,28 @@ def reconstruct(spec: FourierSpectrum) -> BoolFn:
     """Inverse transform; errors if the coefficients are not a Boolean function.
 
     Up to arity 3 the numerators are looked up in the small plan's reverse
-    map; at arity 4 the inverse of the last stage splits them into each
-    table byte's entry times 2, each looked up alike.  The transform is a
-    bijection, so the lookups hit exactly on a Boolean spectrum.  Above
-    arity 4, and on a miss to name the first bad point, see
-    ``_packed_reconstruct``.
+    map.  At arity 4, on 16-bit lanes, the inverse of the last stage splits
+    the lanes into each table byte's entry times 2, each looked up in the
+    join plan.  The transform is a bijection, so the lookups hit exactly on
+    a Boolean spectrum.  Above arity 4, on wider lanes, and on a miss to
+    name the first bad point, see ``_packed_reconstruct``.
     """
     n = spec.n
-    if n <= _SMALL_ARITY:
-        back, nums = _small_plan(n)[1], spec.nums
+    if n <= _TUPLE_ARITY:
         try:
-            if n < _SMALL_ARITY:
-                return BoolFn(n, back[tuple(nums)])
-            without, with_ = nums[:8], nums[8:]
-            return BoolFn(n, back[(*map(sub, without, with_),)]
-                          | back[(*map(add, without, with_),)] << 8)
+            return BoolFn(n, _small_plan(n)[1][tuple(spec.nums)])
         except KeyError:   # not Boolean
             pass
+    elif n == _JOIN_ARITY:
+        width, raw = spec._lanes
+        if width == 16:
+            back_low, back_high = _join_plan()[3:]
+            x = int.from_bytes(raw, "little") ^ _JOIN_BIAS
+            without, with_ = x & _JOIN_LOW, x >> _JOIN_HALF
+            try:
+                return BoolFn(n, back_low[without - with_] | back_high[without + with_])
+            except KeyError:   # not Boolean
+                pass
     return _packed_reconstruct(spec)
 
 

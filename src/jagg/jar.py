@@ -28,6 +28,7 @@ permutations, with delta swaps over the whole candidate set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -258,28 +259,41 @@ def _solution_case(fn: BoolFn, has_compound: bool) -> UniformSolution:
     return UniformSolution(fn, relevant, label, case, anonymous, systematic)
 
 
+@cache
+def _judge_swaps(judges: int, offsets: tuple[int, ...], bits: int
+                 ) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``_judge_closure``'s generators on ``bits``-bit candidates whose tables
+    start at ``offsets``: per adjacent judge swap, its delta swaps as (mask,
+    shift).  Built on first use of a layout and kept, as ``_input_lifts`` is."""
+    var = [high for _, _, high, _ in _input_lifts(bits)]
+    return tuple(tuple((var[p] ^ (var[p] & var[q]), (1 << q) - (1 << p))
+                       for at in offsets for x in range(1 << judges) if x >> i & 3 == 1
+                       for p, q in ((at + x - 1, at + x - 1 + (1 << i)),))
+                 for i in range(judges - 1))
+
+
 def _judge_closure(alive: int, judges: int, offsets: Sequence[int],
                    var: Sequence[int]) -> int:
     """The largest subset of the candidate set ``alive`` closed under
     permuting the judges, in ``_rule_sweep``'s layout.
 
-    ``var[p]`` is the set of candidates with bit p; table k holds inner point
-    x at bit ``offsets[k] + x - 1``.  The generators are the adjacent judge
-    swaps (i, i+1), as in ``BoolFn.is_symmetric``: each exchanges, in every
-    table, each point x with (x_i, x_i+1) = (T, F) and the point x + 2**i.
-    With p and q = p + 2**i their bits, that is one delta swap over the
-    whole candidate set, of the candidates with bit p and not bit q onto
-    those 2**q - 2**p above.  Each round intersects ``alive`` with its
-    image under every generator in turn, so after r rounds ``alive`` lies in
-    the image under every product of a subsequence of r rounds' generators.
-    A bubble sort writes every judge permutation as judges - 1 passes, each
-    such a subsequence of one round, so judges - 1 rounds reach the closure;
-    a round that changes nothing ends the loop sooner.
+    ``var[p]`` is the set of candidates with bit p, as ``_input_lifts``
+    gives it; table k holds inner point x at bit ``offsets[k] + x - 1``.
+    The generators are the adjacent judge swaps (i, i+1), as in
+    ``BoolFn.is_symmetric``: each exchanges, in every table, each point x
+    with (x_i, x_i+1) = (T, F) and the point x + 2**i.  With p and
+    q = p + 2**i their bits, that is one delta swap over the whole candidate
+    set, of the candidates with bit p and not bit q onto those 2**q - 2**p
+    above.  They depend on the layout alone, so ``_judge_swaps`` keeps them
+    per judge count, offsets and candidate width.  Each round intersects
+    ``alive`` with its image under every generator in turn, so after r
+    rounds ``alive`` lies in the image under every product of a subsequence
+    of r rounds' generators.  A bubble sort writes every judge permutation
+    as judges - 1 passes, each such a subsequence of one round, so
+    judges - 1 rounds reach the closure; a round that changes nothing ends
+    the loop sooner.
     """
-    generators = [[(var[p] ^ (var[p] & var[q]), (1 << q) - (1 << p))
-                   for at in offsets for x in range(1 << judges) if x >> i & 3 == 1
-                   for p, q in ((at + x - 1, at + x - 1 + (1 << i)),)]
-                  for i in range(judges - 1)]
+    generators = _judge_swaps(judges, tuple(offsets), len(var))
     for _ in range(judges - 1):
         before = alive
         for swaps in generators:
@@ -338,9 +352,9 @@ def _rule_sweep(agenda: Agenda, judges: int, *, shared: bool, flip: bool,
       minor points and |R| lower rules, at most the 2**bits candidates of
       level m - 1: one negation per point, then per rule M ANDs and an OR;
     - the closure costs at most m * (m - 1) * (3M + 1): 2 operations per
-      delta swap to build the generators, then m - 1 rounds of m - 1
-      generators of M / 2 delta swaps, 6 operations each, with an AND per
-      generator and a comparison per round.
+      delta swap to build the generators on a layout's first use, then
+      m - 1 rounds of m - 1 generators of M / 2 delta swaps, 6 operations
+      each, with an AND per generator and a comparison per round.
     Lift and closure grow with m, so the charge counts them judges - 1 times
     at the top level's size.  Without them ``["P"]`` at 4 judges would be
     charged 96 operations, fewer than its closure's 216.

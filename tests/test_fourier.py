@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from jagg import fourier
 from jagg.boolfn import BoolFn, all_tables, compose, repeat_bits
 from jagg.fourier import (_CHUNK_BITS, Dyadic, FourierSpectrum, ONE, ZERO,
                           _lane_width, _packed_reconstruct, _packed_spectrum,
@@ -355,7 +356,7 @@ def test_reconstruct_matches_one_int_kernel():
         for f in all_tables(n):
             spec = spectrum(f)
             specs += [FourierSpectrum(n, spec.nums), *perturbed(spec)]
-    # arity 4 joins two byte entries by one stage on int tuples
+    # arity 4 joins two byte entries by one stage on one int of lanes
     for table in random.Random(1604).sample(range(1 << 16), 64):
         specs += perturbed(spectrum(BoolFn(4, table)))
     rng = random.Random(1115)
@@ -387,10 +388,11 @@ def test_reconstruct_names_bad_point_in_second_chunk():
 def test_carried_lanes_match_default_lanes():
     # spectrum's own lanes, at the width that holds 2**n, against lanes packed
     # afresh from the numerators at the width their absolute sum needs; lanes
-    # are carried from arity 5, where the packed path starts, and the seeded
-    # arities cross the chunk boundary and the 16- to 32-bit switch
+    # are carried from arity 4, joined by one stage there and chunked from
+    # arity 5, and the seeded arities cross the chunk boundary and the 16- to
+    # 32-bit switch
     rng = random.Random(1915)
-    fns = [BoolFn(5, rng.getrandbits(1 << 5)) for _ in range(256)]
+    fns = [BoolFn(n, rng.getrandbits(1 << n)) for n in (4, 5) for _ in range(256)]
     fns += [BoolFn(n, rng.getrandbits(1 << n)) for n in RANDOM_ARITIES + (17,)]
     for f in fns:
         carried = spectrum(f)
@@ -400,10 +402,44 @@ def test_carried_lanes_match_default_lanes():
         assert one_int_reconstruct(fresh) == f
 
 
+def test_arity_4_lanes_match_packed_lanes(monkeypatch):
+    # the join plan's one add makes the lanes the chunked transform makes,
+    # and its reverse maps decode every Boolean spectrum, carried lanes or
+    # packed afresh, without the packed path
+    def unused(spec):
+        raise AssertionError("a Boolean arity-4 spectrum missed the join plan")
+
+    monkeypatch.setattr(fourier, "_packed_reconstruct", unused)
+    for f in all_tables(4):
+        joined, packed = spectrum(f), _packed_spectrum(f)
+        assert joined.nums == packed.nums
+        assert joined._lanes == packed._lanes
+        assert reconstruct(joined) == reconstruct(FourierSpectrum(4, joined.nums)) == f
+
+
+def test_arity_4_wide_lanes_take_the_packed_path():
+    # numerators whose absolute sum needs 32- or 64-bit lanes skip the join
+    # plan's 16-bit maps and get the packed path's error text
+    message = ("coefficients do not describe a Boolean function "
+               "(value -1/2**4 at point 0)")
+    for width, top in ((32, 20000), (64, 2 ** 40)):
+        spec = FourierSpectrum(4, (top, top + 1) + (0,) * 14)
+        assert spec._lanes[0] == width
+        assert reconstruct_outcome(reconstruct, spec) == message
+        assert reconstruct_outcome(_packed_reconstruct, spec) == message
+    # 2**16 - 16 in a 32-bit lane reads as the 16-bit lanes -16 and 0, the
+    # lanes of the constant F: the width, not a miss, keeps it from the maps
+    spec = FourierSpectrum(4, (2 ** 16 - 16,) + (0,) * 15)
+    assert spec._lanes[0] == 32
+    assert reconstruct_outcome(reconstruct, spec) == (
+        "coefficients do not describe a Boolean function (value 4095/2**0 at point 0)")
+
+
 def test_small_path_matches_packed_path():
-    # up to arity 4 spectrum and reconstruct work on int tuples; the packed
-    # path they skip there is the reference, on every table, on perturbed
-    # spectra and on random integer ones, error text included
+    # up to arity 3 spectrum and reconstruct work on int tuples, and at
+    # arity 4 on one int of lanes joined by one stage; the packed path they
+    # skip there is the reference, on every table, on perturbed spectra and
+    # on random integer ones, error text included
     specs = []
     for n in range(5):
         for f in all_tables(n):
@@ -424,25 +460,29 @@ def test_small_path_matches_packed_path():
 
 
 def test_replaced_spectrum_does_not_keep_lanes():
-    spec = spectrum(BoolFn.and_(3))
-    other = spectrum(BoolFn.or_(3))
-    assert reconstruct(dataclasses.replace(spec, nums=other.nums)) == BoolFn.or_(3)
-    bad = (spec.nums[0] + 1,) + spec.nums[1:]
-    with pytest.raises(ValueError) as replaced:
-        reconstruct(dataclasses.replace(spec, nums=bad))
-    with pytest.raises(ValueError) as fresh:
-        reconstruct(FourierSpectrum(3, bad))
-    assert str(replaced.value) == str(fresh.value)
+    # arity 3 carries no lanes; arities 4 and 9 carry spectrum's own
+    for n in (3, 4, 9):
+        spec = spectrum(BoolFn.and_(n))
+        other = spectrum(BoolFn.or_(n))
+        assert reconstruct(dataclasses.replace(spec, nums=other.nums)) == BoolFn.or_(n)
+        bad = (spec.nums[0] + 1,) + spec.nums[1:]
+        with pytest.raises(ValueError) as replaced:
+            reconstruct(dataclasses.replace(spec, nums=bad))
+        with pytest.raises(ValueError) as fresh:
+            reconstruct(FourierSpectrum(n, bad))
+        assert str(replaced.value) == str(fresh.value)
 
 
 def test_pickled_spectrum_reconstructs():
-    # arity 9 carries packed lanes; arity 4 is an int-tuple spectrum
+    # arities 9 and 4 carry packed lanes; arity 3 is an int-tuple spectrum
     rng = random.Random(9)
-    for n in (9, 4):
+    for n in (9, 4, 3):
         f = BoolFn(n, rng.getrandbits(1 << n))
         spec = spectrum(f)
         back = pickle.loads(pickle.dumps(spec))
         assert back == spec
+        assert vars(back).get("_lanes") == vars(spec).get("_lanes")
+        assert ("_lanes" in vars(back)) == (n > 3)
         assert reconstruct(back) == f
         assert back.coeffs == spec.coeffs
         # a spectrum pickled with its coefficients keeps them, shared as before
