@@ -59,16 +59,20 @@ def compose(f: "BoolFn", arg_tables: Sequence[int], width: int) -> int:
 
     Each entry of ``arg_tables`` is a table over the same point set; the
     result has bit ``p`` set iff ``f`` maps the argument bits at ``p`` to T.
-    Only the T points of ``f`` are visited, one term each, and each argument
-    is negated at most once, when a term first needs it.
+    Only the T points of ``f`` are visited, one term each, or its F points
+    when those are fewer, with the result negated.  Each argument is negated
+    at most once, when a term first needs it.
     """
     if len(arg_tables) != f.n:
         raise ValueError(f"expected {f.n} argument tables, got {len(arg_tables)}")
     full = (1 << width) - 1
     # literals[i][b]: the points where argument i reads b; [0] made on first use
     literals: list[list[int | None]] = [[None, arg] for arg in arg_tables]
-    out = 0
-    rest = f.table
+    # the terms are disjoint, so each is XORed in: onto 0 for T points, or
+    # onto full for F points, which leaves their complement
+    out, rest, points = 0, f.table, 1 << f.n
+    if rest.bit_count() << 1 > points:
+        out, rest = full, rest ^ ((1 << points) - 1)
     while rest:
         low = rest & -rest
         rest ^= low
@@ -82,7 +86,7 @@ def compose(f: "BoolFn", arg_tables: Sequence[int], width: int) -> int:
             if not acc:
                 break
             minterm >>= 1
-        out |= acc
+        out ^= acc
     return out
 
 
@@ -323,7 +327,8 @@ class BoolFn:
         for i, b in enumerate(inputs):
             if b:
                 point |= 1 << i
-        return self.value(point)
+        # n inputs make a point below 2**n, so no range check is needed
+        return bool(self.table >> point & 1)
 
     # --- structure ----------------------------------------------------------
 

@@ -54,6 +54,34 @@ def test_table_bit_convention():
     assert f(True, True) is True
 
 
+def value_call(f, *inputs):
+    """``BoolFn.__call__`` as it was when it went through ``value`` and its
+    range check, kept as the reference for the direct table read."""
+    if len(inputs) != f.n:
+        raise ValueError(f"expected {f.n} inputs, got {len(inputs)}")
+    point = 0
+    for i, b in enumerate(inputs):
+        if b:
+            point |= 1 << i
+    return f.value(point)
+
+
+def test_call_matches_value_on_every_point():
+    for n in range(5):
+        inputs = list(itertools.product((False, True), repeat=n))
+        for f in all_tables(n):
+            got = [f(*x) for x in inputs]
+            assert got == [value_call(f, *x) for x in inputs], f
+            assert all(type(v) is bool for v in got)
+    f = BoolFn.and_(2)
+    for inputs in ((True,), (True, False, True), ()):
+        with pytest.raises(ValueError) as new:
+            f(*inputs)
+        with pytest.raises(ValueError) as old:
+            value_call(f, *inputs)
+        assert str(new.value) == str(old.value) == f"expected 2 inputs, got {len(inputs)}"
+
+
 def test_named_constructors():
     assert BoolFn.constant(2, True).table == 0b1111
     assert BoolFn.constant(3, False).table == 0

@@ -71,8 +71,10 @@ def assert_check_matches_references(g, f):
     """The check's composites equal the cell composites, both find the
     matrix loop's first failure, and the report carries it."""
     width = 1 << (g.n * f.n)
-    lhs = compose(f, normalpair._down(g, f.n), width)
-    rhs = compose(g, normalpair._across(f, g.n), width)
+    *_, columns = normalpair._down(g, f.n)
+    *_, rows = normalpair._across(f, g.n)
+    lhs = compose(f, columns, width)
+    rhs = compose(g, rows, width)
     assert (lhs, rhs) == cell_composites(g, f)
     failure = first_failure(g, f)
     assert composite_failure(g, f, lhs, rhs) == failure
@@ -86,6 +88,48 @@ def assert_check_matches_references(g, f):
                 report.row_then_column) == failure
     else:
         assert report.counterexample is None
+
+
+def named_tables(k):
+    return [make(k).table for make in (BoolFn.and_, BoolFn.or_, BoolFn.xor, BoolFn.nxor)]
+
+
+def random_relevant_pair(rng, m, n):
+    """A seeded pair of non-constant tables that use every input."""
+    while True:
+        g, f = BoolFn(m, rng.getrandbits(1 << m)), BoolFn(n, rng.getrandbits(1 << n))
+        if not (g.is_constant() or f.is_constant() or g.first_irrelevant_index() is not None
+                or f.first_irrelevant_index() is not None):
+            return g, f
+
+
+def full_width_check_normal_pair(g, f):
+    """``check_normal_pair`` as it was before the row prefixes: both
+    composites over all 2**(m*n) matrices at once, then the lowest bit of
+    their difference.  The charge is left out: a reference is not budgeted."""
+    m, n = g.n, f.n
+    if g.table in (0, (1 << (1 << m)) - 1):
+        return NormalPairReport(g, f, False, Violation("g_constant"))
+    if f.table in (0, (1 << (1 << n)) - 1):
+        return NormalPairReport(g, f, False, Violation("f_constant"))
+    i = g.first_irrelevant_index()
+    if i is not None:
+        return NormalPairReport(g, f, False, Violation("g_irrelevant_index", i))
+    j = f.first_irrelevant_index()
+    if j is not None:
+        return NormalPairReport(g, f, False, Violation("f_irrelevant_index", j))
+    width = 1 << (m * n)
+    *_, columns = normalpair._down(g, n)
+    *_, rows = normalpair._across(f, m)
+    lhs = compose(f, columns, width)
+    rhs = compose(g, rows, width)
+    diff = lhs ^ rhs
+    if diff == 0:
+        return NormalPairReport(g, f, True)
+    first = (diff & -diff).bit_length() - 1
+    return NormalPairReport(g, f, False, Violation("commutation"),
+                            normalpair._matrix_rows(first, m, n),
+                            bool(lhs >> first & 1), bool(rhs >> first & 1))
 
 
 def loop_enumerate_normal_pairs(m, n):
@@ -198,15 +242,11 @@ def test_check_matches_cell_composites_and_brute_force():
     # table pair where there are at most 1024, else and, or, xor and nxor
     # against each other and 256 seeded pairs
     rng = random.Random(6)
-
-    def named(k):
-        return [make(k).table for make in (BoolFn.and_, BoolFn.or_, BoolFn.xor, BoolFn.nxor)]
-
     for m, n in [(m, n) for m in range(1, 7) for n in range(1, 7) if m * n <= 6]:
         if (1 << (1 << m)) * (1 << (1 << n)) <= 1024:
             pairs = list(itertools.product(range(1 << (1 << m)), range(1 << (1 << n))))
         else:
-            pairs = list(itertools.product(named(m), named(n)))
+            pairs = list(itertools.product(named_tables(m), named_tables(n)))
             pairs += [(rng.getrandbits(1 << m), rng.getrandbits(1 << n)) for _ in range(256)]
         for gt, ft in pairs:
             assert_check_matches_references(BoolFn(m, gt), BoolFn(n, ft))
@@ -221,16 +261,115 @@ def test_check_matches_references_on_seeded_large_pairs():
 
 
 def test_lifted_tables_match_cell_composition():
+    # both yield one level per row r - 1: over the matrices of r rows, f
+    # across each row, and g down each column with its inputs r.. fixed to
+    # F, the low 2**r bits of its table
     rng = random.Random(45)
     for m in range(1, 5):
         for n in range(1, 6):
-            width, cell = 1 << (m * n), cells(m, n)
             for gt, ft in ((BoolFn.xor(m).table, BoolFn.and_(n).table),
                            (rng.getrandbits(1 << m), rng.getrandbits(1 << n))):
                 g, f = BoolFn(m, gt), BoolFn(n, ft)
-                assert normalpair._down(g, n) == [
-                    compose(g, [row[j] for row in cell], width) for j in range(n)]
-                assert normalpair._across(f, m) == [compose(f, row, width) for row in cell]
+                levels = list(zip(normalpair._down(g, n), normalpair._across(f, m),
+                                  strict=True))
+                assert len(levels) == m
+                for r, (columns, rows) in enumerate(levels, 1):
+                    width, cell = 1 << (r * n), cells(r, n)
+                    low = BoolFn(r, gt & ((1 << (1 << r)) - 1))
+                    assert columns == [compose(low, [row[j] for row in cell], width)
+                                       for j in range(n)]
+                    assert rows == [compose(f, row, width) for row in cell]
+
+
+def test_row_prefixes_match_the_full_width_check():
+    # every table pair where there are at most 2**12
+    for m, n in ((2, 2), (2, 3), (3, 2), (1, 1), (1, 2), (1, 3), (2, 1), (3, 1)):
+        for gt, ft in itertools.product(range(1 << (1 << m)), range(1 << (1 << n))):
+            g, f = BoolFn(m, gt), BoolFn(n, ft)
+            assert check_normal_pair(g, f) == full_width_check_normal_pair(g, f)
+    # the named families against each other, and seeded pairs drawn among
+    # all-relevant tables, so that most reach the commutation sweep.  At 5x5
+    # the full-width check takes 0.2-0.3 s a pair, so it gets two normal
+    # pairs, four across the families and two seeded
+    rng = random.Random(28)
+    for m, n in ((3, 3), (2, 4), (4, 2), (3, 4), (4, 3), (4, 4), (4, 5), (5, 4), (5, 5)):
+        if m * n < 25:
+            pairs, seeded = list(itertools.product(named_tables(m), named_tables(n))), 24
+        else:
+            (a, o, x, nx), seeded = named_tables(5), 2
+            pairs = [(a, a), (x, nx), (a, o), (o, a), (x, a), (nx, o)]
+        pairs = [(BoolFn(m, gt), BoolFn(n, ft)) for gt, ft in pairs]
+        pairs += [random_relevant_pair(rng, m, n) for _ in range(seeded)]
+        for g, f in pairs:
+            assert check_normal_pair(g, f) == full_width_check_normal_pair(g, f), (g, f)
+
+
+def test_row_prefixes_on_each_row_count():
+    # pairs whose first counterexample, found by the matrix loop, needs each
+    # row count from 1 to m
+    rng = random.Random(29)
+    for m, n in ((3, 3), (4, 2), (4, 3)):
+        wanted = set(range(1, m + 1))
+        while wanted:
+            g, f = random_relevant_pair(rng, m, n)
+            failure = first_failure(g, f)
+            if failure is None:
+                continue
+            rows, column_then_row, row_then_column = failure
+            # one past the last row with a T, and 1 for the all-F matrix
+            needed = 1 + max((i for i, row in enumerate(rows) if any(row)), default=0)
+            if needed not in wanted:
+                continue
+            wanted.discard(needed)
+            report = check_normal_pair(g, f)
+            assert report == full_width_check_normal_pair(g, f)
+            assert report == NormalPairReport(g, f, False, Violation("commutation"), rows,
+                                              column_then_row, row_then_column)
+
+
+def recorded_pair_check(monkeypatch, g, f):
+    """``check_normal_pair(g, f)`` with the widths ``compose`` is given, and
+    for ``_down`` and for ``_across`` the levels taken from each call."""
+    widths, downs, acrosses = [], [], []
+    compose_, down_, across_ = normalpair.compose, normalpair._down, normalpair._across
+
+    def recorded_compose(fn, tables, width):
+        widths.append(width)
+        return compose_(fn, tables, width)
+
+    def recorded(levels, taken):
+        def lifted(fn, k):
+            taken.append(0)
+            for level in levels(fn, k):
+                taken[-1] += 1
+                yield level
+        return lifted
+
+    monkeypatch.setattr(normalpair, "compose", recorded_compose)
+    monkeypatch.setattr(normalpair, "_down", recorded(down_, downs))
+    monkeypatch.setattr(normalpair, "_across", recorded(across_, acrosses))
+    report = check_normal_pair(g, f)
+    monkeypatch.undo()
+    return report, widths, downs, acrosses
+
+
+def test_row_prefixes_stop_at_the_first_disagreeing_block(monkeypatch):
+    # g = not and, f = or without the all-T point: on the all-F matrix
+    # g's columns are all T, so f across them is F, while each row is F
+    # and g of those is T
+    g = BoolFn(5, BoolFn.and_(5).table ^ BoolFn.and_(5).full)
+    f = BoolFn(5, BoolFn.or_(5).table ^ BoolFn.and_(5).table)
+    report, widths, downs, acrosses = recorded_pair_check(monkeypatch, g, f)
+    assert report.counterexample == ((False,) * 5,) * 5
+    assert report == full_width_check_normal_pair(g, f)
+    assert (widths, downs, acrosses) == ([1 << 5, 1 << 5], [1], [1])
+    # a normal pair visits every prefix, and the column and row tables of
+    # each are built once, from one call each
+    report, widths, downs, acrosses = recorded_pair_check(monkeypatch, BoolFn.and_(5),
+                                                          BoolFn.and_(5))
+    assert report.is_normal
+    assert widths == [1 << (5 * r) for r in range(1, 6) for _ in range(2)]
+    assert (downs, acrosses) == ([5], [5])
 
 
 def test_5x5_checks_at_the_default_budget():
