@@ -368,14 +368,6 @@ def _join_plan() -> tuple[tuple[int, ...], tuple[int, ...], Callable[[bytes], tu
             {2 * e: byte << 8 for byte, e in enumerate(entries)})
 
 
-@lru_cache(maxsize=None)   # keys: arities up to the arity cap
-def _forward_plan(n: int) -> tuple[int, int, tuple[bytes, ...]]:
-    """Lane width, table byte count and byte-plan entries of ``spectrum`` at
-    arity n; the width is the narrowest that holds +/-2**n."""
-    width = _lane_width(1 << n)
-    return width, ((1 << n) + 7) // 8, _byte_plan(n, width)[0]
-
-
 # --- spectra ------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -463,13 +455,16 @@ def _packed_spectrum(f: BoolFn) -> FourierSpectrum:
     Each byte of the table becomes its entry in the byte plan, 8 lanes of
     16 or 32 bits already through the first three butterfly stages; the
     transform runs the rest, and the lanes are read as numerators over 2**n.
-    The spectrum keeps those lanes for ``reconstruct``.
+    The lanes are the narrowest that hold +/-2**n, and the spectrum keeps
+    them for ``reconstruct``.
     """
-    width, nbytes, forward = _forward_plan(f.n)
-    raw = b"".join(map(forward.__getitem__, f.table.to_bytes(nbytes, "little")))
+    n = f.n
+    width = _lane_width(1 << n)
+    forward = _byte_plan(n, width)[0]
+    raw = b"".join(map(forward.__getitem__, f.table.to_bytes(((1 << n) + 7) // 8, "little")))
     raw = _transform(raw, width, False, _BYTE_STAGES)
     spec = _new(FourierSpectrum)
-    spec.__dict__.update(n=f.n, nums=_unpack(raw, width), _lanes=(width, raw))
+    spec.__dict__.update(n=n, nums=_unpack(raw, width), _lanes=(width, raw))
     return spec
 
 

@@ -16,13 +16,13 @@ candidate sweep and layout: a candidate holds the 2**n - 2 points of each
 table that unanimity leaves free, a column per position and point holds the
 candidates T there, and each profile composes the rational set onto the
 columns the judges vote, which leaves the candidates still consistent.
-The sweep lifts the rules from one judge fewer: a profile where two judges
-vote alike is a profile of the rule with those judges made one, so each
-level starts from the candidates whose such minor is a lower rule, and
-composes only the judge-sorted profiles of distinct judgments (15 over
-all levels at 4 judges on four judgments, for 256 profiles).  The
-survivors are then cut to their largest subset closed under judge
-permutations, with delta swaps over the whole candidate set.
+The sweep is one loop up the judge count.  A profile where two judges vote
+alike is a profile of the rule with those judges made one, so each count
+starts from one ``compose`` of the last count's survivors onto the columns
+of that minor, and composes only the judge-sorted profiles of distinct
+judgments (15 over all counts at 4 judges on four judgments, for 256
+profiles).  The survivors are then cut to their largest subset closed
+under judge permutations, with delta swaps over the whole candidate set.
 """
 
 from __future__ import annotations
@@ -319,44 +319,49 @@ def _rule_sweep(agenda: Agenda, judges: int, *, shared: bool, flip: bool,
     function is T at point x, and a profile voting x_k at each position k
     keeps the candidates in ``compose(rational, [columns[k][x_k] ...])``.
 
-    The sweep recurses on the judge count, with the same ``shared`` and
-    ``flip``.  A profile in which judges i and j vote alike is a profile of
-    the (i, j) minor, the rule with those two judges made one, which has
-    n - 1 judges.  So level n starts from the candidates whose minor with
-    judges 0 and 1 made one is an (n-1)-judge rule: minor point y reads
-    candidate point (y & 1) | y << 1, and that set is an OR, over the lower
-    rules, of ANDs of the columns or their negations, as in ``compose``.
-    Then only the judge-sorted profiles of pairwise distinct judgments are
-    composed, C(|U|, n) of the |U|**n: 15 over the four levels of a 4-judge
-    sweep on four judgments, and none past level |U|.  The survivors are
-    cut to their largest subset closed under judge permutations
-    (``_judge_closure``).  That is exact: a rule in a closed subset passes
+    The sweep is one loop over the judge counts 1 to ``judges``, with the
+    same ``shared`` and ``flip``, that carries the survivors ``alive`` from
+    count to count.  A profile in which judges i and j vote alike is a
+    profile of the (i, j) minor, the rule with those two judges made one,
+    which has n - 1 judges.  So count n starts from the candidates whose
+    minor with judges 0 and 1 made one survived count n - 1: one
+    ``compose`` of the last survivors, a Boolean function of the last
+    count's candidate bits, whose bit for table k at minor point y reads
+    column k at point (y & 1) | y << 1, and whose flip bit the flip
+    column.  Then only the judge-sorted profiles of pairwise distinct
+    judgments are composed, C(|U|, n) of the |U|**n: 15 over the four
+    counts of a 4-judge sweep on four judgments, and none past count |U|.
+    The survivors are cut to their largest subset closed under judge
+    permutations (``_judge_closure``).  That is exact: a rule in a closed subset passes
     a profile with a repeated judgment, since relabelling the judges moves
     the repeat to judges 0 and 1 and keeps the rule in the subset, and a
     distinct profile, since it sorts into a composed one.  The candidate
-    columns are read from the kept ``_input_lifts(bits)``.  4-judge shared
-    sweeps take 0.25-0.57 ms on the three- and four-entry scenario agendas
-    and 2.0-3.1 ms on the three-atom agenda, and 3-judge independent sweeps
-    1.5-3.2 ms; in process, best of 50, on a shared 2-core machine whose
-    load varied about 2x between runs (Python 3.11).
+    columns are read from the kept ``_input_lifts(bits)``, and candidates
+    are decoded to tables once, after the last count.  4-judge shared
+    sweeps take 0.22-0.39 ms on the three- and four-entry scenario agendas
+    and 1.7-2.9 ms on the three-atom agenda, and 3-judge independent sweeps
+    1.1-2.0 ms; in process, best of 50 over four runs, on a shared 2-core
+    machine whose load varied about 1.7x between runs (Python 3.11).
 
-    The charge bounds the work of all levels in big-int operations on 1024
-    bits, each on at most 2**bits bits.  At level m:
+    The charge bounds the work of all counts in big-int operations on 1024
+    bits, each on at most 2**bits bits.  At count m:
     - each composed profile costs (|U| + 1) * (|basis| + 1): compose ANDs
       |basis| columns into each of |U| terms and ORs it in, negates each
       column at most once, and ANDs into the survivors.  The C(|U|, m)
-      summed over all levels are at most |U|**judges: a set of m judgments
+      summed over all counts are at most |U|**judges: a set of m judgments
       written ascending, its last one repeated up to ``judges`` votes, is a
       profile, and no two sets give the same one;
     - the lift costs at most (|R| + 1) * (M + 1), with M = blocks * 2**(m-1)
-      minor points and |R| lower rules, at most the 2**bits candidates of
-      level m - 1: one negation per point, then per rule M ANDs and an OR;
+      minor points and |R| at most the 2**bits candidates of count m - 1:
+      its ``compose`` negates each of its fewer than M arguments at most
+      once, and per term, one per survivor or per non-survivor, whichever
+      are fewer, ANDs at most M arguments and XORs the term in;
     - the closure costs at most m * (m - 1) * (3M + 1): 2 operations per
       delta swap to build the generators on a layout's first use, then
       m - 1 rounds of m - 1 generators of M / 2 delta swaps, 6 operations
       each, with an AND per generator and a comparison per round.
     Lift and closure grow with m, so the charge counts them judges - 1 times
-    at the top level's size.  Without them ``["P"]`` at 4 judges would be
+    at the top count's size.  Without them ``["P"]`` at 4 judges would be
     charged 96 operations, fewer than its closure's 216.
     """
     if judges < 1:
@@ -385,44 +390,35 @@ def _rule_sweep(agenda: Agenda, judges: int, *, shared: bool, flip: bool,
            "or 3 independent judges on 3 entries")
     # votes[i][u][k]: what judge i voting judgment u adds to the point at k
     votes = [[tuple(b << i for b in u) for u in rs.judgments] for i in range(judges)]
-
-    def level(n: int) -> list[tuple[int, ...]]:
+    bits = 0
+    for n in range(1, judges + 1):
         free = (1 << n) - 2
         edge = free * blocks
-        bits = edge + flip
+        last, bits = bits, edge + flip
         lifts = _input_lifts(bits)
         everyone = lifts[0][3] if lifts else 1
         var = [high for _, _, high, _ in lifts]
         flipped = var[edge] if flip else 0
         offsets = [free * (blocks - 1 - k) for k in range(blocks)]
         columns = [[flipped, *var[at:at + free], everyone ^ flipped] for at in offsets]
-        alive = everyone
-        if n > 1:
-            # minors[k][y]: column k at minor point y as (F, T) literals
-            minors = [[(everyone ^ c, c) for c in (col[(y & 1) | y << 1]
-                                                   for y in range(1 << n - 1))]
-                      for col in columns]
-            alive = 0
-            for tables in level(n - 1):
-                term = everyone
-                for literals, table in zip(minors, tables):
-                    for y, literal in enumerate(literals):
-                        term &= literal[table >> y & 1]
-                alive |= term
+        if n == 1:
+            alive = everyone
+        else:
+            # the last count's bit for table k at inner point y reads column k
+            # at (y & 1) | y << 1, and its flip bit reads the flip column
+            minor = [col[(y & 1) | y << 1] for col in reversed(columns)
+                     for y in range(1, free >> 1)]
+            alive = compose(BoolFn(last, alive), minor + [flipped] * flip, 1 << bits)
         if shared:
             columns *= positions
         for us in combinations(range(size), n):
             profile = zip(*(votes[i][u] for i, u in enumerate(us)))
             alive &= compose(rational, [col[sum(p)] for col, p in zip(columns, profile)],
                              1 << bits)
-            if not alive:
-                break
         alive = _judge_closure(alive, n, offsets, var)
-        low, top = (1 << free) - 1, 1 << (free + 1)
-        return sorted(tuple((c >> at & low) << 1 | (1 if c >> edge else top)
-                            for at in offsets) for c in set_bits(alive))
-
-    return level(judges)
+    low, top = (1 << free) - 1, 1 << (free + 1)
+    return sorted(tuple((c >> at & low) << 1 | (1 if c >> edge else top) for at in offsets)
+                  for c in set_bits(alive))
 
 
 def enumerate_uniform_rules(agenda: Agenda, judges: int, *,

@@ -644,38 +644,54 @@ def test_lifted_sweep_matches_sorted_loop():
     assert len(cases) == 529
     for agenda, judges, shared, flip in cases:
         kwargs = {"shared": shared, "flip": flip, "config": raised}
-        assert (jar_module._rule_sweep(agenda, judges, **kwargs)
-                == sorted_rule_sweep(agenda, judges, **kwargs)), (
+        got = jar_module._rule_sweep(agenda, judges, **kwargs)
+        assert got == sorted_rule_sweep(agenda, judges, **kwargs), (
             agenda.basis, judges, shared, flip)
+        # every filter keeps the dictators: shared, the n dictator tables;
+        # independent, one dictator at every position
+        dictators = {(variable_mask(i, judges),) * (1 if shared else len(agenda))
+                     for i in range(judges)}
+        assert dictators <= set(got), (agenda.basis, judges, shared, flip)
 
 
 def test_lift_composes_only_profiles_of_distinct_judgments(monkeypatch):
-    # C(|U|, m) profiles per level m: 4 + 6 + 4 + 1 = 15 on the or-closure's
-    # four judgments, where the judge-sorted sweep composed C(7, 4) = 35, and
-    # 8 + 28 + 56 = 92 on the three-atom agenda's eight, where it composed 120
+    # C(|U|, m) profiles per judge count m: 4 + 6 + 4 + 1 = 15 on the
+    # or-closure's four judgments, where the judge-sorted sweep composed
+    # C(7, 4) = 35, and 8 + 28 + 56 = 92 on the three-atom agenda's eight,
+    # where it composed 120.  A profile composes the rational set; every other
+    # compose lifts the last count's survivors, one per count above one
     calls = []
+    raised = Config(enumeration_budget=1 << 40)
 
     def counting_compose(f, arg_tables, width):
-        calls.append(width)
+        calls.append(f)
         return compose(f, arg_tables, width)
 
+    def counted(agenda):
+        rational = _rational_fn(rational_judgments(agenda), raised)
+        profiles = sum(f == rational for f in calls)
+        lifts = len(calls) - profiles
+        calls.clear()
+        return profiles, lifts
+
     monkeypatch.setattr(jar_module, "compose", counting_compose)
-    raised = Config(enumeration_budget=1 << 40)
     three_atom = build_agenda(SCENARIO_AGENDAS["three-atom-conjunction"])
     for agenda, judges, composed in ((OR_CLOSURE, 4, 15), (three_atom, 3, 92)):
         for require_up in (True, False):
             enumerate_uniform_rules(agenda, judges, require_up=require_up, config=raised)
-            assert len(calls) == composed, (agenda.basis, judges, require_up)
-            calls.clear()
+            assert counted(agenda) == (composed, judges - 1), (
+                agenda.basis, judges, require_up)
+    for judges in (1, 2, 3):
+        enumerate_independent_rules(OR_CLOSURE, judges, config=raised)
+        assert counted(OR_CLOSURE) == ((4, 10, 14)[judges - 1], judges - 1), judges
     # ["P"] has two judgments, so no profile past 2 judges has distinct ones:
-    # every level above 2 only lifts and closes, and at 4 judges every
+    # every count above 2 only lifts and closes, and at 4 judges every
     # unanimity-preserving table is left
     agenda = build_agenda(["P"])
     for judges in (1, 2, 3, 4):
         tables = jar_module._rule_sweep(agenda, judges, shared=True, flip=False,
                                         config=Config())
-        assert len(calls) == 2 + (judges > 1), judges
-        calls.clear()
+        assert counted(agenda) == (2 + (judges > 1), judges - 1), judges
     assert tables == [(x << 1 | 1 << 15,) for x in range(1 << 14)]
 
 
