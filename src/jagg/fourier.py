@@ -3,12 +3,12 @@
 Truth values are encoded T -> +1, F -> -1.  The coefficient of a subset R of
 inputs is the average of f(x) * prod_{i in R} x_i over all points, always an
 integer multiple of 2**-n.  Spectra are kept as integer numerators over 2**n
-and computed by an integer Walsh-Hadamard transform.  Up to arity 3 a
-spectrum is one cached int tuple per table.  It carries packed lanes from
-arity 4: there the two table bytes' cached entries are joined by one stage on
-one int, and above that the lanes run over cache-sized chunks, with the
-first three stages read from a per-byte table.  ``Dyadic`` values are made
-only at the API and JSON boundary.  Nothing here uses floats.
+and computed by an integer Walsh-Hadamard transform on packed lanes, which
+every spectrum carries.  The first three stages are read from a per-byte
+table.  At arity 4 the two table bytes' cached entries are joined by one
+stage on one int; at every other arity the lanes run over cache-sized
+chunks.  ``Dyadic`` values are made only at the API and JSON boundary.
+Nothing here uses floats.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ class Dyadic:
     exp: int
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.num, int) and isinstance(self.exp, int)):
+            raise ValueError("numerator and exponent must be integers")
         if self.exp < 0:
             raise ValueError("exponent must be non-negative")
         if self.num == 0:
@@ -155,13 +157,11 @@ ONE = Dyadic(1, 0)
 # table per byte value (``_byte_plan``) does them for ``spectrum`` and reads
 # them back for ``reconstruct``.
 #
-# Up to _TUPLE_ARITY a table is one byte and its spectrum is its byte
-# plan entry, so those arities take the entries as int tuples
-# (``_small_plan``) and carry no lanes.  At arity 4 a spectrum is two byte
-# entries and one stage, too little for the chunked transform: the entries
-# are cached as ints (``_join_plan``) and joined by one add, and the
-# inverse of that stage splits the lanes again.  So lanes are carried from
-# arity 4, and the chunked transform runs from arity 5.
+# At arity 4 a spectrum is two byte entries and one stage, too little for
+# the chunked transform: the entries are cached as ints (``_join_plan``) and
+# joined by one add, and the inverse of that stage splits the lanes again.
+# Every other arity runs the chunked transform, which up to arity 3 has no
+# stage left past the byte table.
 #
 # ``spectrum`` leaves its lanes on the spectrum, at the forward width that
 # holds +/-2**n, and ``reconstruct`` runs the inverse on them.  That width
@@ -174,8 +174,7 @@ ONE = Dyadic(1, 0)
 _LANE_CODES = {16: "h", 32: "i", 64: "q"}   # struct codes of the fixed lane widths
 _CHUNK_BITS = 1 << 16   # 8 KB; 2**12 to 2**18 bits time alike at arities 16 and 17
 _BYTE_STAGES = 3        # the stages inside one byte of a truth table
-_TUPLE_ARITY = _BYTE_STAGES   # up to here a spectrum is one byte plan entry, as an int tuple
-_JOIN_ARITY = _TUPLE_ARITY + 1   # two byte entries and one stage, joined on one int
+_JOIN_ARITY = _BYTE_STAGES + 1   # two byte entries and one stage, joined on one int
 
 
 def _lane_width(bound: int) -> int:
@@ -318,18 +317,7 @@ def _byte_plan(n: int, width: int) -> tuple[tuple[bytes, ...], dict[bytes, int],
     return tuple(forward), back, split
 
 
-@lru_cache(maxsize=None)   # keys: arities 0 to _TUPLE_ARITY
-def _small_plan(n: int) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
-    """The arity-n byte plan at 16-bit lanes as int tuples, where a byte is
-    the whole table: each byte value's entry, which is its spectrum's
-    numerators, and the reverse map back to the byte, which inverts
-    ``spectrum``."""
-    forward, back, _ = _byte_plan(n, 16)
-    return (tuple(_unpack(entry, 16) for entry in forward),
-            {_unpack(entry, 16): byte for entry, byte in back.items()})
-
-
-_JOIN_HALF = 16 << _TUPLE_ARITY   # bits of one byte's 8 lanes, half an arity-4 spectrum
+_JOIN_HALF = 16 << _BYTE_STAGES   # bits of one byte's 8 lanes, half an arity-4 spectrum
 _JOIN_LOW = (1 << _JOIN_HALF) - 1
 _JOIN_BIAS = repeat_bits(1 << 15, 16, 2 * _JOIN_HALF)
 
@@ -382,6 +370,8 @@ class FourierSpectrum:
     nums: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # stored as a tuple, so a spectrum given a list hashes and equals one given a tuple
+        object.__setattr__(self, "nums", tuple(self.nums))
         if self.n < 0:
             raise ValueError(f"arity must be non-negative, got {self.n}")
         if len(self.nums) != 1 << self.n:
@@ -393,9 +383,9 @@ class FourierSpectrum:
     def _lanes(self) -> tuple[int, bytes]:
         """Lane width and the numerators packed as lanes, for ``reconstruct``.
 
-        ``spectrum`` fills this from arity 4 with the lanes it made;
-        otherwise the width holds the sum of the numerators' absolute values,
-        which bounds every value an inverse stage can make.
+        ``spectrum`` fills this with the lanes it made; otherwise the width
+        holds the sum of the numerators' absolute values, which bounds every
+        value an inverse stage can make.
         """
         width = _lane_width(sum(map(abs, self.nums)))
         return width, _pack(self.nums, width)
@@ -429,34 +419,32 @@ class FourierSpectrum:
 def spectrum(f: BoolFn) -> FourierSpectrum:
     """Exact spectrum by the Walsh-Hadamard transform, O(n * 2**n) bit work.
 
-    Up to arity 3 the numerators are the table's entry in the small plan.
     At arity 4 one add of the two table bytes' join plan ints runs the last
-    butterfly stage, the numerators are read off its lanes, and the spectrum
-    keeps the lanes for ``reconstruct``.  Above that see ``_packed_spectrum``.
+    butterfly stage and the numerators are read off its lanes; at every
+    other arity see ``_packed_spectrum``.  Either way the spectrum keeps its
+    lanes for ``reconstruct``.
     """
     n = f.n
-    if n > _JOIN_ARITY:
+    if n != _JOIN_ARITY:
         return _packed_spectrum(f)
+    high, low, read, _, _ = _join_plan()
+    table = f.table
+    raw = (high[table >> 8] + low[table & 0xFF] ^ _JOIN_BIAS).to_bytes(32, "little")
     # valid by construction, so filled without the constructor's checks
     spec = _new(FourierSpectrum)
-    if n <= _TUPLE_ARITY:
-        spec.__dict__.update(n=n, nums=_small_plan(n)[0][f.table])
-    else:
-        high, low, read, _, _ = _join_plan()
-        table = f.table
-        raw = (high[table >> 8] + low[table & 0xFF] ^ _JOIN_BIAS).to_bytes(32, "little")
-        spec.__dict__.update(n=n, nums=read(raw), _lanes=(16, raw))
+    spec.__dict__.update(n=n, nums=read(raw), _lanes=(16, raw))
     return spec
 
 
 def _packed_spectrum(f: BoolFn) -> FourierSpectrum:
     """``spectrum`` by the chunked packed-lane transform, at any arity.
 
-    Each byte of the table becomes its entry in the byte plan, 8 lanes of
-    16 or 32 bits already through the first three butterfly stages; the
-    transform runs the rest, and the lanes are read as numerators over 2**n.
-    The lanes are the narrowest that hold +/-2**n, and the spectrum keeps
-    them for ``reconstruct``.
+    Each byte of the table becomes its entry in the byte plan, a lane of 16
+    or 32 bits per point, already through the first three butterfly stages
+    (below arity 3 a byte is the whole table and its entry the spectrum's
+    lanes); the transform runs the rest, and the lanes are read as
+    numerators over 2**n.  The lanes are the narrowest that hold +/-2**n,
+    and the spectrum keeps them for ``reconstruct``.
     """
     n = f.n
     width = _lane_width(1 << n)
@@ -471,20 +459,14 @@ def _packed_spectrum(f: BoolFn) -> FourierSpectrum:
 def reconstruct(spec: FourierSpectrum) -> BoolFn:
     """Inverse transform; errors if the coefficients are not a Boolean function.
 
-    Up to arity 3 the numerators are looked up in the small plan's reverse
-    map.  At arity 4, on 16-bit lanes, the inverse of the last stage splits
-    the lanes into each table byte's entry times 2, each looked up in the
-    join plan.  The transform is a bijection, so the lookups hit exactly on
-    a Boolean spectrum.  Above arity 4, on wider lanes, and on a miss to
-    name the first bad point, see ``_packed_reconstruct``.
+    At arity 4, on 16-bit lanes, the inverse of the last stage splits the
+    lanes into each table byte's entry times 2, each looked up in the join
+    plan.  The transform is a bijection, so the lookups hit exactly on a
+    Boolean spectrum.  At every other arity, on wider lanes, and on a miss
+    to name the first bad point, see ``_packed_reconstruct``.
     """
     n = spec.n
-    if n <= _TUPLE_ARITY:
-        try:
-            return BoolFn(n, _small_plan(n)[1][tuple(spec.nums)])
-        except KeyError:   # not Boolean
-            pass
-    elif n == _JOIN_ARITY:
+    if n == _JOIN_ARITY:
         width, raw = spec._lanes
         if width == 16:
             back_low, back_high = _join_plan()[3:]

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 from .agenda import (Agenda, Judgment, RationalSet, _positions, build_agenda,
                      rational_judgments)
 from .boolfn import (BoolFn, FnClass, _input_lifts, classify_on_relevant, compose,
-                     repeat_bits, set_bits, stretch_bits)
+                     repeat_bits, stretch_bits)
 from .config import DEFAULT, BudgetError, Config, charge
 from .formula import negate
 
@@ -417,8 +417,12 @@ def _rule_sweep(agenda: Agenda, judges: int, *, shared: bool, flip: bool,
                              1 << bits)
         alive = _judge_closure(alive, n, offsets, var)
     low, top = (1 << free) - 1, 1 << (free + 1)
-    return sorted(tuple((c >> at & low) << 1 | (1 if c >> edge else top) for at in offsets)
-                  for c in set_bits(alive))
+    rules = []
+    while alive:   # lowest survivor first, touching no bit of the others
+        c = (alive & -alive).bit_length() - 1
+        alive ^= 1 << c
+        rules.append(tuple((c >> at & low) << 1 | (1 if c >> edge else top) for at in offsets))
+    return sorted(rules)
 
 
 def enumerate_uniform_rules(agenda: Agenda, judges: int, *,

@@ -6,6 +6,7 @@ slower second implementation rather than against itself.
 """
 
 import dataclasses
+import functools
 import itertools
 import operator
 import pickle
@@ -97,6 +98,32 @@ def one_int_reconstruct(spec: FourierSpectrum) -> BoolFn:
     return BoolFn(spec.n, int(digits[::-1], 2))
 
 
+@functools.cache
+def tuple_plan(n: int) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
+    """The arity-n byte plan at 16-bit lanes as int tuples, for n <= 3, where
+    a byte is the whole table: each byte value's entry, which is its
+    spectrum's numerators, and the reverse map back to the byte."""
+    forward, back, _ = fourier._byte_plan(n, 16)
+    return (tuple(fourier._unpack(entry, 16) for entry in forward),
+            {fourier._unpack(entry, 16): byte for entry, byte in back.items()})
+
+
+def tuple_plan_spectrum(f: BoolFn) -> FourierSpectrum:
+    """``spectrum`` by the int-tuple plan that arities 0-3 once took: the
+    table's entry, with no lanes.  The reference the packed path must equal
+    there."""
+    return FourierSpectrum(f.n, tuple_plan(f.n)[0][f.table])
+
+
+def tuple_plan_reconstruct(spec: FourierSpectrum) -> BoolFn:
+    """``reconstruct`` by the int-tuple plan: the numerators looked up in
+    the reverse map, and on a miss the packed path, to name the bad point."""
+    try:
+        return BoolFn(spec.n, tuple_plan(spec.n)[1][tuple(spec.nums)])
+    except KeyError:   # not Boolean
+        return _packed_reconstruct(spec)
+
+
 def reconstruct_outcome(rebuild, spec: FourierSpectrum) -> "BoolFn | str":
     """The function ``rebuild`` makes from ``spec``, or its error text."""
     try:
@@ -132,6 +159,17 @@ def test_dyadic_canonical():
         Dyadic(2, 1)  # non-canonical: even numerator with positive exponent
     with pytest.raises(ValueError):
         Dyadic(1, -1)
+
+
+@pytest.mark.parametrize("num, exp", [
+    (1.5, 0), ("1", 0), (None, 0), (Fraction(1), 0), (2.0, 0), (1, 0.0), (1, "0"), (1, None),
+])
+def test_dyadic_rejects_non_int_parts(num, exp):
+    # rejected up front: a float part would fail only in a later shift, and
+    # a str one inside the lowest-terms check's formatting
+    with pytest.raises(ValueError) as err:
+        Dyadic(num, exp)
+    assert str(err.value) == "numerator and exponent must be integers"
 
 
 def test_dyadic_arithmetic():
@@ -331,6 +369,21 @@ def test_spectrum_rejects_negative_arity():
     assert str(err.value) == "arity must be non-negative, got -1"
 
 
+def test_spectrum_keeps_numerators_as_a_tuple():
+    # numerators given as a list or any iterable are kept as a tuple, so the
+    # frozen spectrum hashes and equals the one given the same tuple
+    nums = spectrum(BoolFn.and_(3)).nums
+    for given in (list(nums), iter(nums), nums):
+        spec = FourierSpectrum(3, given)
+        assert type(spec.nums) is tuple
+        assert spec == FourierSpectrum(3, nums)
+        assert hash(spec) == hash(FourierSpectrum(3, nums))
+        assert reconstruct(spec) == BoolFn.and_(3)
+    with pytest.raises(ValueError) as err:
+        FourierSpectrum(3, list(nums[:4]))
+    assert str(err.value) == "expected 8 coefficients, got 4"
+
+
 def test_spectrum_rejects_non_int_numerators():
     for nums in ((2.0, 0.0), (2, 0.0), (Fraction(2), 0), ("2", 0), (None, 0)):
         with pytest.raises(ValueError) as err:
@@ -388,11 +441,12 @@ def test_reconstruct_names_bad_point_in_second_chunk():
 def test_carried_lanes_match_default_lanes():
     # spectrum's own lanes, at the width that holds 2**n, against lanes packed
     # afresh from the numerators at the width their absolute sum needs; lanes
-    # are carried from arity 4, joined by one stage there and chunked from
-    # arity 5, and the seeded arities cross the chunk boundary and the 16- to
-    # 32-bit switch
+    # are carried at every arity, joined by one stage at arity 4 and chunked
+    # elsewhere, and the seeded arities cross the chunk boundary and the 16-
+    # to 32-bit switch
     rng = random.Random(1915)
-    fns = [BoolFn(n, rng.getrandbits(1 << n)) for n in (4, 5) for _ in range(256)]
+    fns = [f for n in range(4) for f in all_tables(n)]
+    fns += [BoolFn(n, rng.getrandbits(1 << n)) for n in (4, 5) for _ in range(256)]
     fns += [BoolFn(n, rng.getrandbits(1 << n)) for n in RANDOM_ARITIES + (17,)]
     for f in fns:
         carried = spectrum(f)
@@ -436,10 +490,10 @@ def test_arity_4_wide_lanes_take_the_packed_path():
 
 
 def test_small_path_matches_packed_path():
-    # up to arity 3 spectrum and reconstruct work on int tuples, and at
-    # arity 4 on one int of lanes joined by one stage; the packed path they
-    # skip there is the reference, on every table, on perturbed spectra and
-    # on random integer ones, error text included
+    # at arity 4 spectrum and reconstruct work on one int of lanes joined by
+    # one stage, and up to arity 3 they are the packed path; the packed path
+    # is the reference, on every table, on perturbed spectra and on random
+    # integer ones, error text included
     specs = []
     for n in range(5):
         for f in all_tables(n):
@@ -459,8 +513,31 @@ def test_small_path_matches_packed_path():
     assert {type(outcome) for outcome in outcomes} == {BoolFn, str}
 
 
+def test_packed_path_matches_tuple_plan():
+    # arities 0-3 once took the int-tuple plan; the packed path that replaced
+    # it gives the same numerators on all 278 tables, and the same outcome on
+    # perturbed and random spectra, error text included
+    specs, tables = [], 0
+    for n in range(4):
+        for f in all_tables(n):
+            packed, planned = spectrum(f), tuple_plan_spectrum(f)
+            assert packed == planned
+            assert reconstruct(packed) == tuple_plan_reconstruct(planned) == f
+            specs += perturbed(planned)
+            tables += 1
+    assert tables == 278
+    rng = random.Random(3003)
+    for n in range(4):
+        specs += [FourierSpectrum(n, tuple(rng.randrange(-(1 << n), (1 << n) + 1)
+                                           for _ in range(1 << n)))
+                  for _ in range(200)]
+    outcomes = [reconstruct_outcome(reconstruct, spec) for spec in specs]
+    assert outcomes == [reconstruct_outcome(tuple_plan_reconstruct, spec) for spec in specs]
+    assert {type(outcome) for outcome in outcomes} == {BoolFn, str}
+
+
 def test_replaced_spectrum_does_not_keep_lanes():
-    # arity 3 carries no lanes; arities 4 and 9 carry spectrum's own
+    # spectrum's own lanes at every arity; a replaced spectrum packs its own
     for n in (3, 4, 9):
         spec = spectrum(BoolFn.and_(n))
         other = spectrum(BoolFn.or_(n))
@@ -474,15 +551,15 @@ def test_replaced_spectrum_does_not_keep_lanes():
 
 
 def test_pickled_spectrum_reconstructs():
-    # arities 9 and 4 carry packed lanes; arity 3 is an int-tuple spectrum
+    # every arity carries packed lanes: chunked at 9 and 3, joined at 4
     rng = random.Random(9)
     for n in (9, 4, 3):
         f = BoolFn(n, rng.getrandbits(1 << n))
         spec = spectrum(f)
         back = pickle.loads(pickle.dumps(spec))
         assert back == spec
-        assert vars(back).get("_lanes") == vars(spec).get("_lanes")
-        assert ("_lanes" in vars(back)) == (n > 3)
+        assert "_lanes" in vars(back)
+        assert vars(back)["_lanes"] == vars(spec)["_lanes"]
         assert reconstruct(back) == f
         assert back.coeffs == spec.coeffs
         # a spectrum pickled with its coefficients keeps them, shared as before
