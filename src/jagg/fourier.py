@@ -538,7 +538,15 @@ def cell_subset_identity(g: BoolFn, f: BoolFn,
     The pair is equal for every U exactly when (g, f) commute on all matrices.
     Cells are (row, col) pairs or a bitmask with bit i*n + j for cell (i, j).
     """
-    m, n = g.n, f.n
+    return _cell_subset_identity(spectrum(g), spectrum(f), cells)
+
+
+def _cell_subset_identity(ghat: FourierSpectrum, fhat: FourierSpectrum,
+                          cells: "int | Iterable[tuple[int, int]]",
+                          ) -> tuple[Dyadic, Dyadic]:
+    """``cell_subset_identity`` from the two spectra, so that a caller
+    checking many cell sets on one pair transforms each table once."""
+    m, n = ghat.n, fhat.n
     if isinstance(cells, int):
         umask = cells
         if not 0 <= umask < 1 << (m * n):
@@ -550,8 +558,6 @@ def cell_subset_identity(g: BoolFn, f: BoolFn,
                 raise ValueError(f"cell ({i}, {j}) out of range for {m}x{n}")
             umask |= 1 << (i * n + j)
 
-    ghat = spectrum(g)
-    fhat = spectrum(f)
     # row i's columns in U are the n-bit field of the mask at bit i*n, and
     # column j's rows are gathered from bit j of every row's field
     row_cols = [umask >> (i * n) & ((1 << n) - 1) for i in range(m)]
@@ -588,4 +594,5 @@ def rectangle_identity(g: BoolFn, f: BoolFn, rows: Iterable[int],
     cset = set(cols)
     if not rset or not cset:
         raise ValueError("rectangle needs non-empty row and column sets")
-    return cell_subset_identity(g, f, [(i, j) for i in rset for j in cset])
+    return _cell_subset_identity(spectrum(g), spectrum(f),
+                                 [(i, j) for i in rset for j in cset])

@@ -12,8 +12,9 @@ matrices: each judge's vote at each position becomes a column over the
 profile space, every function is applied through ``boolfn.compose``, and the
 rational set is itself a Boolean function of the basis positions, composed
 onto the aggregate columns.  Both rule enumerations turn this around in one
-candidate sweep and layout: a candidate holds the 2**n - 2 points of each
-table that unanimity leaves free, a column per position and point holds the
+candidate sweep and layout over the rational points: a candidate holds the
+2**n - 2 points of each table that unanimity leaves free (a rule without
+unanimity is a negated one), a column per position and point holds the
 candidates T there, and each profile composes the rational set onto the
 columns the judges vote, which leaves the candidates still consistent.
 The sweep is one loop up the judge count.  A profile where two judges vote
@@ -90,13 +91,13 @@ def _points(rs: RationalSet) -> list[int]:
     return [sum(b << k for k, b in enumerate(j)) for j in rs.judgments]
 
 
-def _rational_fn(rs: RationalSet, config: Config) -> BoolFn:
-    """The rational set as a Boolean function of the basis positions, after
-    checking the basis size, that function's arity, against the arity cap."""
-    if len(rs.agenda) > config.arity_cap:
-        raise BudgetError(f"{len(rs.agenda)} basis entries exceed the cap of "
+def _rational_fn(points: Sequence[int], positions: int, config: Config) -> BoolFn:
+    """The rational points as a Boolean function of the ``positions`` basis
+    positions, after checking that arity against the arity cap."""
+    if positions > config.arity_cap:
+        raise BudgetError(f"{positions} basis entries exceed the cap of "
                           f"{config.arity_cap}")
-    return BoolFn(len(rs.agenda), sum(1 << p for p in _points(rs)))
+    return BoolFn(positions, sum(1 << p for p in points))
 
 
 def _profile_columns(rs: RationalSet, judges: int, config: Config,
@@ -108,7 +109,7 @@ def _profile_columns(rs: RationalSet, judges: int, config: Config,
     first judge most significant, so the lowest set bit of a set of profiles
     is its first profile in that order.
     """
-    rational = _rational_fn(rs, config)
+    rational = _rational_fn(_points(rs), len(rs.agenda), config)
     size = len(rs.judgments)
     width = size ** judges
     blocks = [size ** (judges - 1 - i) for i in range(judges)]
@@ -307,35 +308,38 @@ def _judge_closure(alive: int, judges: int, offsets: Sequence[int],
     return alive
 
 
-def _rule_sweep(agenda: Agenda, judges: int, *, shared: bool, flip: bool,
-                config: Config) -> list[tuple[int, ...]]:
-    """The consistent rules' tables, ascending: one table used at every
-    position when ``shared``, else one table per position.
+def _rule_sweep(points: Sequence[int], positions: int, judges: int, *,
+                shared: bool, config: Config) -> list[tuple[int, ...]]:
+    """The unanimity-preserving rules consistent on a relation, their tables
+    ascending: one table used at every position when ``shared``, else one
+    table per position.  The relation is the rational ``points`` on
+    ``positions`` basis positions, bit k of a point being position k (as
+    ``_points`` gives them).
 
     Unanimity fixes each table at points 0 and 2**judges - 1, so candidate c
     holds the ``free`` other points of the k-th of its ``blocks`` tables at
-    bit free*(blocks-1-k); ``flip`` adds a top bit for f(F..F) = T and
-    f(T..T) = F.  ``columns[k][x]`` is the set of candidates whose position-k
-    function is T at point x, and a profile voting x_k at each position k
-    keeps the candidates in ``compose(rational, [columns[k][x_k] ...])``.
+    bit free*(blocks-1-k).  ``columns[k][x]`` is the set of candidates whose
+    position-k function is T at point x, and a profile voting x_k at each
+    position k keeps the candidates in ``compose(rational, [columns[k][x_k]
+    ...])``.
 
     The sweep is one loop over the judge counts 1 to ``judges``, with the
-    same ``shared`` and ``flip``, that carries the survivors ``alive`` from
-    count to count.  A profile in which judges i and j vote alike is a
+    same ``shared``, that carries the survivors ``alive`` from count to
+    count.  A profile in which judges i and j vote alike is a
     profile of the (i, j) minor, the rule with those two judges made one,
     which has n - 1 judges.  So count n starts from the candidates whose
     minor with judges 0 and 1 made one survived count n - 1: one
     ``compose`` of the last survivors, a Boolean function of the last
     count's candidate bits, whose bit for table k at minor point y reads
-    column k at point (y & 1) | y << 1, and whose flip bit the flip
-    column.  Then only the judge-sorted profiles of pairwise distinct
-    judgments are composed, C(|U|, n) of the |U|**n: 15 over the four
-    counts of a 4-judge sweep on four judgments, and none past count |U|.
-    The survivors are cut to their largest subset closed under judge
-    permutations (``_judge_closure``).  That is exact: a rule in a closed subset passes
-    a profile with a repeated judgment, since relabelling the judges moves
-    the repeat to judges 0 and 1 and keeps the rule in the subset, and a
-    distinct profile, since it sorts into a composed one.  The candidate
+    column k at point (y & 1) | y << 1.  Then only the judge-sorted
+    profiles of pairwise distinct judgments are composed, C(|U|, n) of the
+    |U|**n: 15 over the four counts of a 4-judge sweep on four judgments,
+    and none past count |U|.  The survivors are cut to their largest subset
+    closed under judge permutations (``_judge_closure``).  That is exact: a
+    rule in a closed subset passes a profile with a repeated judgment, since
+    relabelling the judges moves the repeat to judges 0 and 1 and keeps the
+    rule in the subset, and a distinct profile, since it sorts into a
+    composed one.  The candidate
     columns are read from the kept ``_input_lifts(bits)``, and candidates
     are decoded to tables once, after the last count.  4-judge shared
     sweeps take 0.22-0.39 ms on the three- and four-entry scenario agendas
@@ -366,49 +370,49 @@ def _rule_sweep(agenda: Agenda, judges: int, *, shared: bool, flip: bool,
     """
     if judges < 1:
         raise ValueError("need at least one judge")
-    rs = rational_judgments(agenda)
-    rational = _rational_fn(rs, config)
-    size, positions = len(rs.judgments), len(agenda)
-    blocks = 1 if shared else positions
-    edge = ((1 << judges) - 2) * blocks
-    if shared and 1 << judges > config.arity_cap:
-        raise BudgetError(f"{judges} judges give 2**{1 << judges} candidate tables, "
-                          f"beyond 2**{config.arity_cap}")
-    if not shared and edge > config.arity_cap:
+    rational = _rational_fn(points, positions, config)
+    size, blocks, cap = len(points), 1 if shared else positions, config.arity_cap
+    # 2**judges > cap iff judges >= cap.bit_length(), and one judge past that
+    # (2**judges - 2) * blocks is at least 2 * cap
+    if shared and judges >= cap.bit_length():
+        raise BudgetError(f"{judges} judges give 2**{_refused_bits(judges, 0)} "
+                          f"candidate tables, beyond 2**{cap}")
+    if not shared and (judges > cap.bit_length() or ((1 << judges) - 2) * blocks > cap):
         raise BudgetError(f"{judges} judges on {positions} basis entries give "
-                          f"2**{edge} candidate rules, beyond 2**{config.arity_cap}")
+                          f"2**{_refused_bits(judges, blocks)} candidate rules, "
+                          f"beyond 2**{cap}")
+    edge = ((1 << judges) - 2) * blocks
     # M minor points, and the candidate count one judge down, which bounds |R|
     minor = blocks << judges - 1
-    lower = 1 << (edge // 2 - blocks + flip) if judges > 1 else 0
+    lower = 1 << (edge // 2 - blocks) if judges > 1 else 0
     steps = (lower + 1) * (minor + 1) + judges * (judges - 1) * (3 * minor + 1)
     work = ((size ** judges * (size + 1) * (positions + 1) + (judges - 1) * steps)
-            * max(1, (1 << edge + flip) >> 10))
+            * max(1, (1 << edge) >> 10))
     charge(config, work, f"{'uniform' if shared else 'independent'}-rule sweep for "
            f"{judges} judges", "(|U|**judges * (|U| + 1) * (|basis| + 1) + (judges - 1) "
            "* (lift + closure)) * 2**bits / 2**10 within budget, bits being "
-           "2**judges - 2 per swept table (one more without unanimity), e.g. 4 shared "
-           "or 3 independent judges on 3 entries")
-    # votes[i][u][k]: what judge i voting judgment u adds to the point at k
-    votes = [[tuple(b << i for b in u) for u in rs.judgments] for i in range(judges)]
+           "2**judges - 2 per swept table, e.g. 4 shared or 3 independent judges on "
+           "3 entries")
+    # votes[i][u][k]: what judge i voting point u adds to the point at k
+    votes = [[tuple((u >> k & 1) << i for k in range(positions)) for u in points]
+             for i in range(judges)]
     bits = 0
     for n in range(1, judges + 1):
         free = (1 << n) - 2
-        edge = free * blocks
-        last, bits = bits, edge + flip
+        last, bits = bits, free * blocks
         lifts = _input_lifts(bits)
         everyone = lifts[0][3] if lifts else 1
         var = [high for _, _, high, _ in lifts]
-        flipped = var[edge] if flip else 0
         offsets = [free * (blocks - 1 - k) for k in range(blocks)]
-        columns = [[flipped, *var[at:at + free], everyone ^ flipped] for at in offsets]
+        columns = [[0, *var[at:at + free], everyone] for at in offsets]
         if n == 1:
             alive = everyone
         else:
             # the last count's bit for table k at inner point y reads column k
-            # at (y & 1) | y << 1, and its flip bit reads the flip column
+            # at (y & 1) | y << 1
             minor = [col[(y & 1) | y << 1] for col in reversed(columns)
                      for y in range(1, free >> 1)]
-            alive = compose(BoolFn(last, alive), minor + [flipped] * flip, 1 << bits)
+            alive = compose(BoolFn(last, alive), minor, 1 << bits)
         if shared:
             columns *= positions
         for us in combinations(range(size), n):
@@ -421,8 +425,20 @@ def _rule_sweep(agenda: Agenda, judges: int, *, shared: bool, flip: bool,
     while alive:   # lowest survivor first, touching no bit of the others
         c = (alive & -alive).bit_length() - 1
         alive ^= 1 << c
-        rules.append(tuple((c >> at & low) << 1 | (1 if c >> edge else top) for at in offsets))
+        rules.append(tuple((c >> at & low) << 1 | top for at in offsets))
     return sorted(rules)
+
+
+def _refused_bits(judges: int, blocks: int) -> str:
+    """A refused sweep's candidate bits, 2**judges for a shared table (no
+    ``blocks``) or (2**judges - 2) * blocks: in digits while they print,
+    else as that formula, so no huge power of two is formed to say it."""
+    if judges <= 1 << 16:   # 2**2**16 has 19 729 digits, past the default limit
+        try:
+            return str(((1 << judges) - 2) * blocks if blocks else 1 << judges)
+        except ValueError:   # more digits than int to str conversion allows
+            pass
+    return f"((2**{judges} - 2) * {blocks})" if blocks else f"(2**{judges})"
 
 
 def enumerate_uniform_rules(agenda: Agenda, judges: int, *,
@@ -432,17 +448,21 @@ def enumerate_uniform_rules(agenda: Agenda, judges: int, *,
 
     With ``require_up`` (the default) candidates must preserve unanimity.
     Without it, candidates must still answer opposite unanimities oppositely
-    (f(T..T) != f(F..F)); that keeps negations of unanimity-preserving rules
-    and drops degenerate constant rules.
-
-    The sweep runs over the candidates, not the profiles (``_rule_sweep``):
-    a candidate holds the shared table's 2**judges - 2 inner points, plus,
-    without ``require_up``, one bit for the negated unanimities.  The arity
-    cap bounds 2**judges.
+    (f(T..T) != f(F..F)), which adds the negations of unanimity-preserving
+    rules and no constant rule.  The negation of g is consistent iff g maps
+    every profile into the negated rational judgments -U; the unanimous
+    profiles make that force -U = U, and then it says g is consistent.  So
+    one sweep over the candidates (``_rule_sweep``), each the shared table's
+    2**judges - 2 inner points, finds every g, and their negations join iff
+    U is closed under negation.  The arity cap bounds 2**judges.
     """
-    tables = _rule_sweep(agenda, judges, shared=True, flip=not require_up, config=config)
+    points = _points(rational_judgments(agenda))
+    tables = [t for t, in _rule_sweep(points, len(agenda), judges, shared=True, config=config)]
+    full = (1 << len(agenda)) - 1
+    if not require_up and {p ^ full for p in points} == set(points):
+        tables = sorted(tables + [t ^ ((1 << (1 << judges)) - 1) for t in tables])
     has_compound = agenda.has_compound()
-    return [_solution_case(BoolFn(judges, t), has_compound) for t, in tables]
+    return [_solution_case(BoolFn(judges, t), has_compound) for t in tables]
 
 
 def enumerate_independent_rules(agenda: Agenda, judges: int, *,
@@ -453,7 +473,8 @@ def enumerate_independent_rules(agenda: Agenda, judges: int, *,
     It runs the uniform rules' candidate sweep (``_rule_sweep``) with one
     table per position; the arity cap bounds its width (2**judges - 2)*|basis|.
     """
-    tables = _rule_sweep(agenda, judges, shared=False, flip=False, config=config)
+    tables = _rule_sweep(_points(rational_judgments(agenda)), len(agenda), judges,
+                         shared=False, config=config)
     return [PiJar(agenda, judges, tuple(BoolFn(judges, t) for t in ts)) for ts in tables]
 
 

@@ -19,7 +19,7 @@ from .boolfn import (BoolFn, all_tables, classify, format_fn_spec, parse_fn_spec
                      relevant_tables, set_bits)
 from .config import DEFAULT, Config
 from .formula import parse
-from .fourier import Dyadic, cell_subset_identity, rectangle_identity, reconstruct, spectrum
+from .fourier import Dyadic, _cell_subset_identity, reconstruct, spectrum
 from .jar import (PiJar, RELATION_EQUAL, RELATION_FLIP, RELATION_NOT_APPLICABLE,
                   check_jar, dependent_pair_relation, enumerate_independent_rules,
                   enumerate_uniform_rules, filter_axioms, restrict_jar, uniform_jar)
@@ -176,13 +176,14 @@ def _normal_pairs(config: Config):
 def suite_identities(config: Config = DEFAULT) -> VerifyReport:
     report = VerifyReport()
     normal_pairs = _normal_pairs(config)
+    hat = cache(spectrum)   # one spectrum per distinct table across the checks
 
     def all_normal_pairs():
         pairs = [p for arity_pairs in normal_pairs().values() for p in arity_pairs]
         cells = 0
         for g, f in pairs:
             for U in range(1 << (g.n * f.n)):
-                lhs, rhs = cell_subset_identity(g, f, U)
+                lhs, rhs = _cell_subset_identity(hat(g), hat(f), U)
                 if lhs != rhs:
                     return False, (f"cell set {U:#x} disagrees for "
                                    f"({format_fn_spec(g)}, {format_fn_spec(f)})")
@@ -198,7 +199,8 @@ def suite_identities(config: Config = DEFAULT) -> VerifyReport:
                 for csize in range(1, f.n + 1):
                     for rows in combinations(range(g.n), rsize):
                         for cols in combinations(range(f.n), csize):
-                            lhs, rhs = rectangle_identity(g, f, rows, cols)
+                            lhs, rhs = _cell_subset_identity(
+                                hat(g), hat(f), [(i, j) for i in rows for j in cols])
                             if lhs != rhs:
                                 return False, (f"rectangle {rows}x{cols} disagrees "
                                                f"for ({format_fn_spec(g)}, "
@@ -209,7 +211,7 @@ def suite_identities(config: Config = DEFAULT) -> VerifyReport:
     def non_normal_witness():
         g, f = BoolFn.or_(2), BoolFn.and_(2)
         bad = [U for U in range(16)
-               for lhs, rhs in [cell_subset_identity(g, f, U)] if lhs != rhs]
+               for lhs, rhs in [_cell_subset_identity(hat(g), hat(f), U)] if lhs != rhs]
         if not bad:
             return False, "(or2, and2) satisfied the identity on every cell set"
         return True, (f"(or2, and2) violates the identity on {len(bad)} cell sets, "

@@ -256,6 +256,22 @@ def test_jars_enumerate_needs_a_judge(capsys):
             assert captured.err == "jagg: need at least one judge\n"
 
 
+def test_jars_enumerate_refuses_a_huge_judge_count_by_the_cap(capsys):
+    # 2**20000 has more digits than Python turns into text by default, so the
+    # refusal states the candidate bits as a formula
+    for mode, err in (([], "20000 judges on 3 basis entries give "
+                           "2**((2**20000 - 2) * 3) candidate rules, beyond 2**20"),
+                      (["--normal-form"], "20000 judges give 2**(2**20000) candidate "
+                                          "tables, beyond 2**20")):
+        with pytest.raises(SystemExit) as exc:
+            main(["jars", "enumerate", "--agenda", agenda("or_closure.agenda"),
+                  "-n", "20000", *mode])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"jagg: {err}\n"
+
+
 def test_jars_enumerate_no_up_needs_normal_form(capsys):
     argv = ["jars", "enumerate", "--agenda", agenda("or_closure.agenda"), "-n", "2"]
     with pytest.raises(SystemExit) as exc:

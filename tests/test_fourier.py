@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from jagg import fourier
+from jagg import fourier, verify
 from jagg.boolfn import BoolFn, all_tables, compose, repeat_bits
 from jagg.fourier import (_CHUNK_BITS, Dyadic, FourierSpectrum, ONE, ZERO,
                           _lane_width, _packed_reconstruct, _packed_spectrum,
@@ -667,3 +667,19 @@ def test_rectangle_identity():
             assert (lhs, rhs) == cell_subset_identity(g, f, mask)
     with pytest.raises(ValueError):
         rectangle_identity(g, f, [], [0])
+
+
+def test_identities_suite_transforms_each_table_once(monkeypatch):
+    # the suite checks thousands of cell sets on 8 distinct tables: every one
+    # of its identities reads the same spectra
+    calls = []
+
+    def counting_spectrum(fn):
+        calls.append(fn)
+        return spectrum(fn)
+
+    monkeypatch.setattr(fourier, "spectrum", counting_spectrum)
+    monkeypatch.setattr(verify, "spectrum", counting_spectrum)
+    report = verify.run_suites(["identities"])
+    assert [c.passed for c in report.checks] == [True] * 3
+    assert len(calls) == len(set(calls)) <= 8

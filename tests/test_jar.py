@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,7 +11,7 @@ from jagg.agenda import build_agenda, rational_judgments
 from jagg.boolfn import (BoolFn, _input_lifts, all_tables, compose, format_fn_spec,
                          parse_fn_spec, set_bits, variable_mask)
 from jagg.config import BudgetError, Config, charge
-from jagg.jar import (PiJar, _axioms, _profile_columns, _rational_fn, _solution_case,
+from jagg.jar import (PiJar, _axioms, _points, _profile_columns, _rational_fn, _solution_case,
                       check_jar, dependent_pair_relation, enumerate_independent_rules,
                       enumerate_uniform_rules, filter_axioms, restrict_jar,
                       to_normal_form, uniform_jar)
@@ -116,15 +117,15 @@ def test_rule_check_budget():
 def test_rule_sweeps_share_one_charge():
     # (|U|**judges * (|U| + 1) * (|basis| + 1) + (judges - 1) * (lift + closure))
     # * max(1, 2**bits >> 10), with |U| = 4 and |basis| = 3 on the or-closure:
-    # bits is 14 (15 without unanimity) for 4 shared-function judges, and 6 * 3
-    # for 3 independent ones.  With M = blocks * 2**(judges-1) minor points,
-    # lift = (2**lower_bits + 1) * (M + 1) and closure = judges * (judges - 1)
-    # * (3M + 1), lower_bits being bits at judges - 1: 6 (7), and 2 * 3
+    # bits is 14 for 4 shared-function judges, with or without unanimity, and
+    # 6 * 3 for 3 independent ones.  With M = blocks * 2**(judges-1) minor
+    # points, lift = (2**lower_bits + 1) * (M + 1) and closure = judges *
+    # (judges - 1) * (3M + 1), lower_bits being bits at judges - 1: 6, and 2 * 3
     for sweep, work in ((lambda c: enumerate_uniform_rules(OR_CLOSURE, 4, config=c),
                          (4 ** 4 * 5 * 4 + 3 * ((2 ** 6 + 1) * 9 + 12 * 25)) * 16),
                         (lambda c: enumerate_uniform_rules(OR_CLOSURE, 4, require_up=False,
                                                            config=c),
-                         (4 ** 4 * 5 * 4 + 3 * ((2 ** 7 + 1) * 9 + 12 * 25)) * 32),
+                         (4 ** 4 * 5 * 4 + 3 * ((2 ** 6 + 1) * 9 + 12 * 25)) * 16),
                         (lambda c: enumerate_independent_rules(OR_CLOSURE, 3, config=c),
                          (4 ** 3 * 5 * 4 + 2 * ((2 ** 6 + 1) * 13 + 6 * 37)) * 256),
                         (lambda c: enumerate_independent_rules(OR_CLOSURE, 2, config=c),
@@ -508,7 +509,7 @@ def full_space_uniform_rules(agenda, judges, require_up=True):
     through ``alive`` instead of being left out of the candidate, and each
     profile keeps the tables whose aggregate is rational."""
     rs = rational_judgments(agenda)
-    rational = _rational_fn(rs, Config())
+    rational = _rational_fn(_points(rs), len(agenda), Config())
     points = 1 << judges
     cols = [variable_mask(x, points) for x in range(points)]
     top, bottom = cols[-1], cols[0]
@@ -536,14 +537,27 @@ def test_uniform_sweep_matches_full_table_space():
 
 # --- judge-sorted profiles and the judge closure against the product loop ---
 
+def swept_tables(agenda, judges, *, shared, flip, config):
+    """The library's tables in a reference sweep's layout: ``_rule_sweep``'s
+    without ``flip``, and with it the shared rules without unanimity, which
+    the library finds by negating ``_rule_sweep``'s rather than sweeping."""
+    if flip:
+        return [(s.fn.table,) for s in enumerate_uniform_rules(
+            agenda, judges, require_up=False, config=config)]
+    return jar_module._rule_sweep(_points(rational_judgments(agenda)), len(agenda), judges,
+                                  shared=shared, config=config)
+
+
 def product_rule_sweep(agenda, judges, *, shared, flip, config):
     """``_rule_sweep`` as it was before the judge-sorted profiles, kept as a
     reference: the same candidates and columns, one ``compose`` per profile
-    over all |U|**judges profiles in ``product`` order, and no closure."""
+    over all |U|**judges profiles in ``product`` order, and no closure.
+    ``flip`` adds the flip layout's top bit, for f(F..F) = T and f(T..T) = F,
+    so that the candidates are every table with f(F..F) != f(T..T)."""
     if judges < 1:
         raise ValueError("need at least one judge")
     rs = rational_judgments(agenda)
-    rational = _rational_fn(rs, config)
+    rational = _rational_fn(_points(rs), len(agenda), config)
     size, positions = len(rs.judgments), len(agenda)
     free, blocks = (1 << judges) - 2, 1 if shared else positions
     edge = free * blocks
@@ -593,7 +607,7 @@ def test_sorted_sweep_matches_product_loop():
         kwargs = {"shared": shared, "flip": flip, "config": raised}
         want = product_rule_sweep(agenda, judges, **kwargs)
         assert want, (agenda.basis, judges, shared, flip)
-        assert jar_module._rule_sweep(agenda, judges, **kwargs) == want, (
+        assert swept_tables(agenda, judges, **kwargs) == want, (
             agenda.basis, judges, shared, flip)
         independent_3 += not shared and judges == 3
     # the three-entry agendas: or-, parity and and-closure, and 6 generated
@@ -605,9 +619,10 @@ def test_sorted_sweep_matches_product_loop():
 def sorted_rule_sweep(agenda, judges, *, shared, flip, config):
     """``_rule_sweep`` as it was before the minor lift, kept as a reference:
     one level, every judge-sorted profile composed, C(|U| + judges - 1,
-    judges) of them, then ``_judge_closure``.  Caps and charge are left out."""
+    judges) of them, then ``_judge_closure``, in either layout (see
+    ``product_rule_sweep``).  Caps and charge are left out."""
     rs = rational_judgments(agenda)
-    rational = _rational_fn(rs, config)
+    rational = _rational_fn(_points(rs), len(agenda), config)
     size, positions = len(rs.judgments), len(agenda)
     free, blocks = (1 << judges) - 2, 1 if shared else positions
     edge = free * blocks
@@ -633,25 +648,75 @@ def sorted_rule_sweep(agenda, judges, *, shared, flip, config):
 
 def test_lifted_sweep_matches_sorted_loop():
     # the grid of test_sorted_sweep_matches_product_loop, with 4 shared judges
-    # on the generated agendas too
+    # on the generated agendas too; its flip layout cases, the rules without
+    # unanimity, are test_no_up_rules_match_flip_layout's
     generated = list(_generated_agendas(Config()))
     raised = Config(enumeration_budget=1 << 40)
-    cases = [(agenda, judges, True, flip) for agenda in SCENARIOS + generated
-             for judges in (1, 2, 3, 4) for flip in (False, True)]
-    cases += [(agenda, judges, False, False) for agenda in SCENARIOS + generated
+    cases = [(agenda, judges, True) for agenda in SCENARIOS + generated
+             for judges in (1, 2, 3, 4)]
+    cases += [(agenda, judges, False) for agenda in SCENARIOS + generated
               for judges in (1, 2, 3)
               if ((1 << judges) - 2) * len(agenda) <= raised.arity_cap]
-    assert len(cases) == 529
-    for agenda, judges, shared, flip in cases:
-        kwargs = {"shared": shared, "flip": flip, "config": raised}
-        got = jar_module._rule_sweep(agenda, judges, **kwargs)
+    assert len(cases) == 321
+    for agenda, judges, shared in cases:
+        kwargs = {"shared": shared, "flip": False, "config": raised}
+        got = swept_tables(agenda, judges, **kwargs)
         assert got == sorted_rule_sweep(agenda, judges, **kwargs), (
-            agenda.basis, judges, shared, flip)
+            agenda.basis, judges, shared)
         # every filter keeps the dictators: shared, the n dictator tables;
         # independent, one dictator at every position
         dictators = {(variable_mask(i, judges),) * (1 if shared else len(agenda))
                      for i in range(judges)}
-        assert dictators <= set(got), (agenda.basis, judges, shared, flip)
+        assert dictators <= set(got), (agenda.basis, judges, shared)
+
+
+# rational sets closed under negation, where rules without unanimity include
+# the negated unanimity-preserving ones
+NEGATION_CLOSED = [build_agenda(basis) for basis in
+                   (["P"], ["P", "Q"], ["P", "Q", "R"], ["P ^ Q", "Q ^ R"])]
+
+
+def test_no_up_rules_match_flip_layout():
+    # the flip layout, one more candidate bit for f(F..F) = T and
+    # f(T..T) = F, swept as the library once did, against the rules without
+    # unanimity, which it now finds by negating the unanimity sweep's
+    generated = list(_generated_agendas(Config()))
+    raised = Config(enumeration_budget=1 << 40)
+    for agenda in SCENARIOS + generated + NEGATION_CLOSED:
+        for judges in (1, 2, 3, 4):
+            kwargs = {"shared": True, "flip": True, "config": raised}
+            got = swept_tables(agenda, judges, **kwargs)
+            assert got == sorted_rule_sweep(agenda, judges, **kwargs), (
+                agenda.basis, judges)
+            assert {(variable_mask(i, judges),) for i in range(judges)} <= set(got)
+
+
+def test_negated_rules_appear_exactly_when_rational_set_is_closed_under_negation():
+    # a rule with f(F..F) = T and f(T..T) = F is the negation of a
+    # unanimity-preserving one, and its unanimous profiles need every
+    # rational judgment's negation to be rational too
+    raised = Config(enumeration_budget=1 << 40)
+    closed_seen = open_seen = 0
+    for agenda in SCENARIOS + list(_generated_agendas(Config())) + NEGATION_CLOSED:
+        judgments = set(rational_judgments(agenda).judgments)
+        closed = {tuple(not b for b in j) for j in judgments} == judgments
+        closed_seen += closed
+        open_seen += not closed
+        for judges in (1, 2, 3):
+            mask = (1 << (1 << judges)) - 1
+            up = [s.fn.table for s in enumerate_uniform_rules(agenda, judges,
+                                                             config=raised)]
+            tables = {s.fn.table for s in enumerate_uniform_rules(
+                agenda, judges, require_up=False, config=raised)}
+            negated = {t for t in tables if t & 1}
+            assert tables - negated == set(up), (agenda.basis, judges)
+            assert negated == ({t ^ mask for t in up} if closed else set()), (
+                agenda.basis, judges)
+            # the flip layout, which sweeps those rules, agrees
+            reference = sorted_rule_sweep(agenda, judges, shared=True, flip=True,
+                                          config=raised)
+            assert any(t & 1 for t, in reference) == closed, (agenda.basis, judges)
+    assert closed_seen >= len(NEGATION_CLOSED) and open_seen
 
 
 def test_lift_composes_only_profiles_of_distinct_judgments(monkeypatch):
@@ -668,7 +733,7 @@ def test_lift_composes_only_profiles_of_distinct_judgments(monkeypatch):
         return compose(f, arg_tables, width)
 
     def counted(agenda):
-        rational = _rational_fn(rational_judgments(agenda), raised)
+        rational = _rational_fn(_points(rational_judgments(agenda)), len(agenda), raised)
         profiles = sum(f == rational for f in calls)
         lifts = len(calls) - profiles
         calls.clear()
@@ -686,11 +751,11 @@ def test_lift_composes_only_profiles_of_distinct_judgments(monkeypatch):
         assert counted(OR_CLOSURE) == ((4, 10, 14)[judges - 1], judges - 1), judges
     # ["P"] has two judgments, so no profile past 2 judges has distinct ones:
     # every count above 2 only lifts and closes, and at 4 judges every
-    # unanimity-preserving table is left
+    # unanimity-preserving table is left.  Its relation is swept directly, as
+    # the points 0 and 1 on one position
     agenda = build_agenda(["P"])
     for judges in (1, 2, 3, 4):
-        tables = jar_module._rule_sweep(agenda, judges, shared=True, flip=False,
-                                        config=Config())
+        tables = jar_module._rule_sweep([0, 1], 1, judges, shared=True, config=Config())
         assert counted(agenda) == (2 + (judges > 1), judges - 1), judges
     assert tables == [(x << 1 | 1 << 15,) for x in range(1 << 14)]
 
@@ -769,8 +834,9 @@ def test_enumerated_rules_are_closed_under_judge_permutations():
 
 
 def test_one_judge_candidates_are_the_two_unanimity_bits(monkeypatch):
-    # free = 0 inner points, so a candidate is only the flip bit, if any, and
-    # every column is flipped or everyone ^ flipped
+    # free = 0 inner points, so the one candidate is empty and every column is
+    # 0 or everyone, with unanimity or without: the negation is added after
+    # the sweep, not swept
     composed = []
 
     def recording_compose(f, arg_tables, width):
@@ -788,9 +854,10 @@ def test_one_judge_candidates_are_the_two_unanimity_bits(monkeypatch):
     for agenda in SCENARIOS + [build_agenda(["P", "Q"])]:
         assert [s.fn for s in enumerate_uniform_rules(agenda, 1)] == [identity]
         assert columns_used() == {(0, 1), (0b1, 1)}
-        # candidate 1 is the flip, the negation: F..F gives T and T..T gives F
+        # the negation, F..F gives T and T..T gives F, joins the identity when
+        # the rational set is closed under negation
         got = [s.fn for s in enumerate_uniform_rules(agenda, 1, require_up=False)]
-        assert columns_used() == {(0b10, 2), (0b01, 2)}
+        assert columns_used() == {(0, 1), (0b1, 1)}
         kept.append(loop_check_jar(uniform_jar(agenda, negation))[0])
         assert got == [negation] * kept[-1] + [identity]
         assert [j.functions for j in enumerate_independent_rules(agenda, 1)] == [
@@ -823,3 +890,39 @@ def test_independent_sweep_refuses_before_building_columns(monkeypatch):
                                     config=raised)
     with pytest.raises(BudgetError, match="candidate rules"):
         enumerate_independent_rules(OR_CLOSURE, 6, config=raised)
+
+
+def test_huge_judge_counts_are_refused_before_any_power_of_two():
+    # 2**(10**7) alone would take 1.25 MB; the caps compare the judge count
+    # itself, and the refusal states the candidate bits as a formula
+    judges = 10 ** 7
+    refusals = ((lambda: enumerate_uniform_rules(OR_CLOSURE, judges),
+                 f"{judges} judges give 2**(2**{judges}) candidate tables, beyond 2**20"),
+                (lambda: enumerate_independent_rules(OR_CLOSURE, judges),
+                 f"{judges} judges on 3 basis entries give 2**((2**{judges} - 2) * 3) "
+                 "candidate rules, beyond 2**20"))
+    for sweep, message in refusals:
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError) as exc:
+                sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == message
+        assert peak < 1 << 20, peak
+    # at small counts the caps refuse exactly as 2**judges and
+    # (2**judges - 2) * |basis| say, and print those numbers in digits; a
+    # budget of 1 refuses what they admit
+    for agenda in (build_agenda(["P"]), OR_CLOSURE):
+        for cap in range(len(agenda), 70):
+            for judges in (*range(1, 9), 100):
+                for sweep, bits in ((enumerate_uniform_rules, 1 << judges),
+                                    (enumerate_independent_rules,
+                                     ((1 << judges) - 2) * len(agenda))):
+                    with pytest.raises(BudgetError) as exc:
+                        sweep(agenda, judges, config=Config(arity_cap=cap,
+                                                            enumeration_budget=1))
+                    text = str(exc.value)
+                    assert (f" give 2**{bits} candidate " in text) == (bits > cap)
+                    assert ("work units" in text) == (bits <= cap)
