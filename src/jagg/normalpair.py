@@ -14,8 +14,13 @@ below row r, and f(F..F) across each of those rows: each prefix is the same
 check for g with those inputs fixed, and the first counterexample is that
 over all matrices.  A normal pair visits every prefix, fewer than
 2**(m*n) / (2**n - 1) matrices more than all of them; most other pairs fail
-within a row or two.  The argument tables are lifted straight from the
-truth tables of f and g, one row at a time.  "f across row i" reads only
+within a row or two.  The first prefix, row 0 alone, is read straight off
+the tables (``_first_row``): each column reads an arity-1 cofactor of g,
+so f over them is a constant, f's table or its mirror, and g over the rows
+is an arity-1 cofactor of g applied to f's table.  So an arity-1 g, and
+any pair that fails on row 0, is decided without composing.  From r = 2
+the argument tables are lifted straight from the truth tables of f and g,
+one row at a time.  "f across row i" reads only
 row i's n-bit field, so it is f's table with each bit stretched over the
 2**(i*n) settings of the rows below, tiled over the rows above
 (``_across``).  "g down column j" is built from g's cofactors, all n
@@ -165,6 +170,31 @@ def _down(g: BoolFn, n: int) -> Iterator[list[int]]:
     yield level.pop()  # the last level, not kept here once handed out
 
 
+def _first_row(g: BoolFn, f: BoolFn) -> tuple[int, int]:
+    """The two composites over the first 2**n matrices, those whose rows 1..
+    are all F, as tables over row 0: f over g's columns, then g over f's
+    rows.  Both are read off the truth tables, with no ``compose``.
+
+    Each column reads g with its inputs 1.. fixed to F, the arity-1
+    cofactor c (F, not, identity or T) of g's points 0 and 1, so the
+    columns side is f of c down every cell: the constant f(F..F) or
+    f(T..T), f's table, or f's mirrored table.  Each row 1.. reads
+    f(F..F), so the rows side is the cofactor d of g with its inputs 1..
+    fixed to that bit applied to f's table.
+    """
+    m, t, points = g.n, f.table, 1 << f.n
+    full = (1 << points) - 1
+    fill = t & 1
+    c, d = g.table & 3, g.table >> ((1 << m) - 2 if fill else 0) & 3
+    if c == 1:
+        lhs = _flip_table(f.n, t) ^ full  # f(not x)
+    elif c == 2:
+        lhs = t
+    else:  # f(F..F) or f(T..T) on every matrix
+        lhs = full if t >> (points - 1 if c else 0) & 1 else 0
+    return lhs, (0, full ^ t, t, full)[d]
+
+
 def check_normal_pair(g: BoolFn, f: BoolFn, *, config: Config = DEFAULT) -> NormalPairReport:
     """Decide normality, reporting the first violated condition.
 
@@ -181,12 +211,16 @@ def check_normal_pair(g: BoolFn, f: BoolFn, *, config: Config = DEFAULT) -> Norm
     r.. fixed to F, the level ``_down`` yields after row r - 1, and each
     row r.. reads f(F..F), so the rows side is g with its inputs r.. fixed
     to that bit.  So the lowest set bit of the first non-zero prefix diff is
-    the first counterexample over all matrices.  The prefixes below m rows
-    add fewer than 2**(m*n) / (2**n - 1) matrices, so the charge still
-    bounds the work.  At 5x5, the largest the default budget admits, the
-    normal ``(xor:5, nxor:5)`` takes 0.21-0.25 s and 93 MB max RSS in a
-    fresh process, and ``(and:5, and:5)`` 61-78 ms and 58 MB; random
-    non-normal pairs mostly stop within a row or two, in 0.03-5 ms.
+    the first counterexample over all matrices.  The first prefix, row 0,
+    is read off the truth tables (``_first_row``); the prefixes from r = 2
+    are composed.  So an arity-1 g, and a pair that fails on row 0, takes
+    no ``compose`` call.  The prefixes below m rows add fewer than
+    2**(m*n) / (2**n - 1) matrices, so the charge still bounds the work.
+    At 5x5, the largest the default budget admits, the normal
+    ``(xor:5, nxor:5)`` takes 0.17-0.25 s and 93 MB max RSS in a fresh
+    process, and ``(and:5, and:5)`` 52-78 ms and 58 MB; random non-normal
+    pairs mostly stop within a row or two, in 0.03-5 ms.  An arity-1 g at
+    the arity cap, against and:20, xor:20 or majority:19, takes 2-10 ms.
     """
     m, n = g.n, f.n
     if m < 1 or n < 1:
@@ -203,24 +237,30 @@ def check_normal_pair(g: BoolFn, f: BoolFn, *, config: Config = DEFAULT) -> Norm
     j = f.first_irrelevant_index()
     if j is not None:
         return _report(g, f, False, Violation("f_irrelevant_index", j))
-    # on the first 2**(r*n) matrices, g's inputs r.. read f(F..F) across
-    # the all-F rows; with it T, they are g's points from 2**m - 2**r on
-    fill = f.table & 1
-    columns, rows = _down(g, n), _across(f, m)
-    for r in range(1, m + 1):
-        width, points = 1 << (r * n), 1 << r
-        shift = (1 << m) - points if fill else 0
-        outer = g if r == m else BoolFn(r, g.table >> shift & ((1 << points) - 1))
-        # the column tables are not kept once composed: with the rows, they
-        # are the largest tables alive
-        lhs = compose(f, next(columns), width)
-        rhs = compose(outer, next(rows), width)
-        diff = lhs ^ rhs
-        if diff:
-            first = (diff & -diff).bit_length() - 1
-            return _report(g, f, False, _COMMUTATION, _matrix_rows(first, m, n),
-                           bool(lhs >> first & 1), bool(rhs >> first & 1))
-    return _report(g, f, True)
+    lhs, rhs = _first_row(g, f)
+    if lhs == rhs and m > 1:
+        # on the first 2**(r*n) matrices, g's inputs r.. read f(F..F) across
+        # the all-F rows; with it T, they are g's points from 2**m - 2**r on
+        fill = f.table & 1
+        # the first level of each is row 0, read off the tables above
+        columns = itertools.islice(_down(g, n), 1, None)
+        rows = itertools.islice(_across(f, m), 1, None)
+        for r in range(2, m + 1):
+            width, points = 1 << (r * n), 1 << r
+            shift = (1 << m) - points if fill else 0
+            outer = g if r == m else BoolFn(r, g.table >> shift & ((1 << points) - 1))
+            # the column tables are not kept once composed: with the rows,
+            # they are the largest tables alive
+            lhs = compose(f, next(columns), width)
+            rhs = compose(outer, next(rows), width)
+            if lhs != rhs:
+                break
+    diff = lhs ^ rhs
+    if not diff:
+        return _report(g, f, True)
+    first = (diff & -diff).bit_length() - 1
+    return _report(g, f, False, _COMMUTATION, _matrix_rows(first, m, n),
+                   bool(lhs >> first & 1), bool(rhs >> first & 1))
 
 
 # the enumeration visits matrix k * _MATRIX_STEP mod 2**(m*n) at step k; the

@@ -362,14 +362,102 @@ def test_row_prefixes_stop_at_the_first_disagreeing_block(monkeypatch):
     report, widths, downs, acrosses = recorded_pair_check(monkeypatch, g, f)
     assert report.counterexample == ((False,) * 5,) * 5
     assert report == full_width_check_normal_pair(g, f)
-    assert (widths, downs, acrosses) == ([1 << 5, 1 << 5], [1], [1])
+    # row 0 is read off the truth tables: nothing is lifted or composed
+    assert (widths, downs, acrosses) == ([], [], [])
     # a normal pair visits every prefix, and the column and row tables of
-    # each are built once, from one call each
+    # each are built once, from one call each; the prefixes from two rows
+    # on are composed
     report, widths, downs, acrosses = recorded_pair_check(monkeypatch, BoolFn.and_(5),
                                                           BoolFn.and_(5))
     assert report.is_normal
-    assert widths == [1 << (5 * r) for r in range(1, 6) for _ in range(2)]
+    assert widths == [1 << (5 * r) for r in range(2, 6) for _ in range(2)]
     assert (downs, acrosses) == ([5], [5])
+
+
+def test_first_row_matches_the_full_width_check():
+    # the first 2**n matrices read g's cofactor c = (g(F, F..), g(T, F..))
+    # down the columns and d = (g(F, b..), g(T, b..)) across the rows, with
+    # b = f(F..F) the fill.  Every (c, d, fill) an all-relevant g takes, at
+    # m = 1..4, against f with each pair of values at F..F and T..T: the
+    # first row meets all four cofactors on both sides, and later rows take
+    # over where it agrees
+    rng = random.Random(32)
+    cases = {}  # (m, fill): {(c, d): the smallest all-relevant g with them}
+    for m in range(1, 5):
+        for gt in set_bits(relevant_tables(m)):
+            for fill in (0, 1):
+                d = gt >> ((1 << m) - 2 if fill else 0) & 3
+                cases.setdefault((m, fill), {}).setdefault((gt & 3, d), BoolFn(m, gt))
+    assert {fill: cases[4, fill].keys() for fill in (0, 1)} == {
+        0: {(c, c) for c in range(4)}, 1: set(itertools.product(range(4), repeat=2))}
+    for n in range(1, 6):
+        fs = [IDENTITY, NEGATION]  # the all-relevant f at n = 1
+        if n > 1:
+            fs = []
+            for ends in itertools.product((0, 1), repeat=2):
+                f = BoolFn(n, 0)
+                while (f.first_irrelevant_index() is not None
+                       or (f.table & 1, f.table >> ((1 << n) - 1)) != ends):
+                    f = BoolFn(n, rng.getrandbits(1 << n))
+                fs.append(f)
+        for m, f in itertools.product(range(1, 5), fs):
+            for g in cases[m, f.table & 1].values():
+                assert check_normal_pair(g, f) == full_width_check_normal_pair(g, f), (g, f)
+
+
+def test_row_zero_needs_no_compose(monkeypatch):
+    # a failure on the first 2**n matrices, and every arity-1 g, is decided
+    # without compose; a later prefix r costs two calls from r = 2 on
+    widths = []
+    compose_ = normalpair.compose
+
+    def recorded_compose(fn, tables, width):
+        widths.append(width)
+        return compose_(fn, tables, width)
+
+    monkeypatch.setattr(normalpair, "compose", recorded_compose)
+    row_zero_failures = 0
+    for m, n in ((1, 1), (1, 2), (1, 3), (2, 1), (3, 1), (2, 2), (2, 3), (3, 2)):
+        for gt, ft in itertools.product(range(1 << (1 << m)), range(1 << (1 << n))):
+            g, f = BoolFn(m, gt), BoolFn(n, ft)
+            widths.clear()
+            report = check_normal_pair(g, f)
+            rows = 1  # a structural violation composes nothing either
+            if report.is_normal:
+                rows = m
+            elif report.counterexample is not None:
+                # one past the last row with a T, and 1 for the all-F matrix
+                rows = 1 + max((i for i, row in enumerate(report.counterexample) if any(row)),
+                               default=0)
+                row_zero_failures += rows == 1
+            assert widths == [1 << (r * n) for r in range(2, rows + 1) for _ in range(2)]
+    assert row_zero_failures > 0
+
+
+def test_arity_one_outers_at_the_arity_cap(monkeypatch):
+    # the identity commutes with every all-relevant f; the negation with f
+    # iff f is its own flip, and otherwise fails first at the lowest x with
+    # f(not x) == f(x).  Row 0 is all there is, so no compose runs
+    def no_compose(*args):
+        raise AssertionError("an arity-1 g composed")
+
+    monkeypatch.setattr(normalpair, "compose", no_compose)
+    identity, negation = BoolFn.dictator(1, 0), BoolFn.anti_dictator(1, 0)
+    self_flips = []
+    for f in (BoolFn.and_(20), BoolFn.xor(20), BoolFn.majority(19)):
+        assert check_normal_pair(identity, f) == NormalPairReport(identity, f, True)
+        report = check_normal_pair(negation, f)
+        self_flips.append(f == f.flip())
+        if self_flips[-1]:
+            assert report == NormalPairReport(negation, f, True)
+            continue
+        top = (1 << f.n) - 1
+        x = next(x for x in range(top + 1) if f.table >> x & 1 == f.table >> (top - x) & 1)
+        at_x = bool(f.table >> x & 1)
+        assert report == NormalPairReport(negation, f, False, Violation("commutation"),
+                                          (tuple(bool(x >> j & 1) for j in range(f.n)),),
+                                          at_x, not at_x)
+    assert self_flips == [False, False, True]
 
 
 def test_5x5_checks_at_the_default_budget():
