@@ -21,9 +21,11 @@ The sweep is one loop up the judge count.  A profile where two judges vote
 alike is a profile of the rule with those judges made one, so each count
 starts from one ``compose`` of the last count's survivors onto the columns
 of that minor, and composes only the judge-sorted profiles of distinct
-judgments (15 over all counts at 4 judges on four judgments, for 256
-profiles).  The survivors are then cut to their largest subset closed
-under judge permutations, with delta swaps over the whole candidate set.
+judgments (11 over all counts at 4 judges on four judgments, for 256
+profiles; count 1 composes none, since its one candidate, the identity,
+maps every one-judge profile into U).  The survivors are then cut to their
+largest subset closed under judge permutations, with delta swaps over the
+whole candidate set.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from typing import Iterable, Sequence
 
 from .agenda import (Agenda, Judgment, RationalSet, _positions, build_agenda,
                      rational_judgments)
-from .boolfn import (BoolFn, FnClass, _input_lifts, classify_on_relevant, compose,
-                     repeat_bits, stretch_bits)
+from .boolfn import (BoolFn, FnClass, _flip_table, _input_lifts, classify_on_relevant,
+                     compose, repeat_bits, stretch_bits)
 from .config import DEFAULT, BudgetError, Config, charge
 from .formula import negate
 
@@ -256,8 +258,14 @@ def _solution_case(fn: BoolFn, has_compound: bool) -> UniformSolution:
         case = CASE_UNCONSTRAINED
     else:
         case = CASE_VIOLATION
-    _, anonymous, systematic = _axioms((fn,))
-    return UniformSolution(fn, relevant, label, case, anonymous, systematic)
+    # the axioms of one function, read off its table: symmetry, and being its
+    # own flip; the frozen dataclass is filled without its ``__setattr__``
+    # once per field
+    solution = object.__new__(UniformSolution)
+    solution.__dict__.update(fn=fn, relevant=relevant, restriction_class=label, case=case,
+                             anonymous=fn.is_symmetric(),
+                             systematic=_flip_table(fn.n, fn.table) == fn.table)
+    return solution
 
 
 @cache
@@ -333,19 +341,23 @@ def _rule_sweep(points: Sequence[int], positions: int, judges: int, *,
     count's candidate bits, whose bit for table k at minor point y reads
     column k at point (y & 1) | y << 1.  Then only the judge-sorted
     profiles of pairwise distinct judgments are composed, C(|U|, n) of the
-    |U|**n: 15 over the four counts of a 4-judge sweep on four judgments,
-    and none past count |U|.  The survivors are cut to their largest subset
-    closed under judge permutations (``_judge_closure``).  That is exact: a
-    rule in a closed subset passes a profile with a repeated judgment, since
-    relabelling the judges moves the repeat to judges 0 and 1 and keeps the
-    rule in the subset, and a distinct profile, since it sorts into a
-    composed one.  The candidate
+    |U|**n: 11 over the counts 2 to 4 of a 4-judge sweep on four judgments,
+    and none past count |U|.  Count 1 composes none: its one candidate, the
+    identity table, maps each one-judge profile (u) to u, which is in U.  A
+    profile is one int, judgment u spread to one ``judges``-bit field per
+    position and judge i's vote shifted up by i, so the point a position's
+    column is read at is that position's field.  The survivors are cut to
+    their largest subset closed under judge permutations
+    (``_judge_closure``).  That is exact: a rule in a closed subset passes a
+    profile with a repeated judgment, since relabelling the judges moves the
+    repeat to judges 0 and 1 and keeps the rule in the subset, and a
+    distinct profile, since it sorts into a composed one.  The candidate
     columns are read from the kept ``_input_lifts(bits)``, and candidates
     are decoded to tables once, after the last count.  4-judge shared
-    sweeps take 0.22-0.39 ms on the three- and four-entry scenario agendas
-    and 1.7-2.9 ms on the three-atom agenda, and 3-judge independent sweeps
-    1.1-2.0 ms; in process, best of 50 over four runs, on a shared 2-core
-    machine whose load varied about 1.7x between runs (Python 3.11).
+    sweeps take 0.13-0.16 ms on the three- and four-entry scenario agendas
+    and 1.3 ms on the three-atom agenda, and 3-judge independent sweeps
+    0.67-0.81 ms; in process, best of 50 over three runs, on a shared 2-core
+    machine (Python 3.11).
 
     The charge bounds the work of all counts in big-int operations on 1024
     bits, each on at most 2**bits bits.  At count m:
@@ -393,32 +405,32 @@ def _rule_sweep(points: Sequence[int], positions: int, judges: int, *,
            "* (lift + closure)) * 2**bits / 2**10 within budget, bits being "
            "2**judges - 2 per swept table, e.g. 4 shared or 3 independent judges on "
            "3 entries")
-    # votes[i][u][k]: what judge i voting point u adds to the point at k
-    votes = [[tuple((u >> k & 1) << i for k in range(positions)) for u in points]
-             for i in range(judges)]
+    # point u spread to one judges-bit field per position, so a profile is
+    # the sum of spread[u_i] << i and votes x_k, its field at position k
+    spread = [sum((u >> k & 1) << k * judges for k in range(positions)) for u in points]
+    fields, field = [k * judges for k in range(positions)], (1 << judges) - 1
     bits = 0
     for n in range(1, judges + 1):
         free = (1 << n) - 2
         last, bits = bits, free * blocks
-        lifts = _input_lifts(bits)
-        everyone = lifts[0][3] if lifts else 1
-        var = [high for _, _, high, _ in lifts]
         offsets = [free * (blocks - 1 - k) for k in range(blocks)]
-        columns = [[0, *var[at:at + free], everyone] for at in offsets]
-        if n == 1:
-            alive = everyone
-        else:
-            # the last count's bit for table k at inner point y reads column k
-            # at (y & 1) | y << 1
-            minor = [col[(y & 1) | y << 1] for col in reversed(columns)
-                     for y in range(1, free >> 1)]
-            alive = compose(BoolFn(last, alive), minor, 1 << bits)
+        if n == 1:   # the identity passes every profile (u), composing none
+            alive = 1
+            continue
+        lifts = _input_lifts(bits)
+        var = [high for _, _, high, _ in lifts]
+        columns = [[0, *var[at:at + free], lifts[0][3]] for at in offsets]
+        # the last count's bit for table k at inner point y reads column k
+        # at (y & 1) | y << 1
+        minor = [col[(y & 1) | y << 1] for col in reversed(columns)
+                 for y in range(1, free >> 1)]
+        alive = compose(BoolFn(last, alive), minor, 1 << bits)
         if shared:
             columns *= positions
-        for us in combinations(range(size), n):
-            profile = zip(*(votes[i][u] for i, u in enumerate(us)))
-            alive &= compose(rational, [col[sum(p)] for col, p in zip(columns, profile)],
-                             1 << bits)
+        for us in combinations(spread, n):
+            profile = sum(u << i for i, u in enumerate(us))
+            alive &= compose(rational, [col[profile >> at & field]
+                                        for col, at in zip(columns, fields)], 1 << bits)
         alive = _judge_closure(alive, n, offsets, var)
     low, top = (1 << free) - 1, 1 << (free + 1)
     rules = []
@@ -455,6 +467,14 @@ def enumerate_uniform_rules(agenda: Agenda, judges: int, *,
     one sweep over the candidates (``_rule_sweep``), each the shared table's
     2**judges - 2 inner points, finds every g, and their negations join iff
     U is closed under negation.  The arity cap bounds 2**judges.
+
+    The charge covers the sweep only, not the labels of its survivors
+    (``_solution_case``), which are most of a call on agendas with few
+    constraints: on ["P", "Q"] at 4 judges the sweep takes 24-25 ms and the
+    call, reading anonymity and systematicity straight off each table,
+    0.15 s for 16 384 rules with unanimity and 0.28 s for 32 768 without,
+    where labelling through ``_axioms`` took 0.19 s and 0.35-0.36 s (in
+    process, best of 5 over three runs, on a shared 2-core machine).
     """
     points = _points(rational_judgments(agenda))
     tables = [t for t, in _rule_sweep(points, len(agenda), judges, shared=True, config=config)]

@@ -8,13 +8,13 @@ import pytest
 
 import jagg.jar as jar_module
 from jagg.agenda import build_agenda, rational_judgments
-from jagg.boolfn import (BoolFn, _input_lifts, all_tables, compose, format_fn_spec,
-                         parse_fn_spec, set_bits, variable_mask)
+from jagg.boolfn import (BoolFn, _input_lifts, all_tables, classify_on_relevant, compose,
+                         format_fn_spec, parse_fn_spec, set_bits, variable_mask)
 from jagg.config import BudgetError, Config, charge
-from jagg.jar import (PiJar, _axioms, _points, _profile_columns, _rational_fn, _solution_case,
-                      check_jar, dependent_pair_relation, enumerate_independent_rules,
-                      enumerate_uniform_rules, filter_axioms, restrict_jar,
-                      to_normal_form, uniform_jar)
+from jagg.jar import (PiJar, UniformSolution, _axioms, _points, _profile_columns,
+                      _rational_fn, _solution_case, check_jar, dependent_pair_relation,
+                      enumerate_independent_rules, enumerate_uniform_rules, filter_axioms,
+                      restrict_jar, to_normal_form, uniform_jar)
 from jagg.verify import SCENARIO_AGENDAS, _generated_agendas
 
 OR_CLOSURE = build_agenda(["P", "Q", "P | Q"])
@@ -356,6 +356,38 @@ def test_axioms_match_calls_on_unanimous_inputs():
         fns = list(all_tables(n))
         for rule in itertools.chain(((f,) for f in fns), itertools.product(fns, repeat=2)):
             assert _axioms(rule) == reference_axioms(rule), rule
+
+
+def reference_solution_case(fn, has_compound):
+    """``_solution_case`` with the axioms read through ``_axioms`` and the
+    solution built by its constructor."""
+    label, relevant = classify_on_relevant(fn)
+    if label.kind == "dictator" and len(relevant) == 1:
+        case = jar_module.CASE_DICTATOR
+    elif label.kind in jar_module.OLIGARCHY_KINDS and len(relevant) >= 2:
+        case = jar_module.CASE_OLIGARCHY
+    elif not has_compound:
+        case = jar_module.CASE_UNCONSTRAINED
+    else:
+        case = jar_module.CASE_VIOLATION
+    _, anonymous, systematic = _axioms((fn,))
+    return UniformSolution(fn, relevant, label, case, anonymous, systematic)
+
+
+def test_solution_case_matches_axioms_reference():
+    cases = set()
+    for n in (1, 2, 3, 4):
+        for fn in all_tables(n):
+            for has_compound in (True, False):
+                got = _solution_case(fn, has_compound)
+                want = reference_solution_case(fn, has_compound)
+                assert type(got) is UniformSolution
+                assert vars(got) == vars(want), (fn, has_compound)
+                assert got == want and hash(got) == hash(want)
+                cases.add((want.case, want.anonymous, want.systematic))
+    # every case meets both values of each axiom, except that a dictator is
+    # always systematic
+    assert len(cases) == 4 * 4 - 2
 
 
 def test_require_up_scope():
@@ -720,11 +752,13 @@ def test_negated_rules_appear_exactly_when_rational_set_is_closed_under_negation
 
 
 def test_lift_composes_only_profiles_of_distinct_judgments(monkeypatch):
-    # C(|U|, m) profiles per judge count m: 4 + 6 + 4 + 1 = 15 on the
+    # C(|U|, m) profiles per judge count m from 2 on: 6 + 4 + 1 = 11 on the
     # or-closure's four judgments, where the judge-sorted sweep composed
-    # C(7, 4) = 35, and 8 + 28 + 56 = 92 on the three-atom agenda's eight,
-    # where it composed 120.  A profile composes the rational set; every other
-    # compose lifts the last count's survivors, one per count above one
+    # C(7, 4) = 35, and 28 + 56 = 84 on the three-atom agenda's eight, where
+    # it composed 120.  Count 1 composes none: its one candidate, the
+    # identity, maps every one-judge profile (u) to u.  A profile composes
+    # the rational set; every other compose lifts the last count's
+    # survivors, one per count above one
     calls = []
     raised = Config(enumeration_budget=1 << 40)
 
@@ -741,22 +775,22 @@ def test_lift_composes_only_profiles_of_distinct_judgments(monkeypatch):
 
     monkeypatch.setattr(jar_module, "compose", counting_compose)
     three_atom = build_agenda(SCENARIO_AGENDAS["three-atom-conjunction"])
-    for agenda, judges, composed in ((OR_CLOSURE, 4, 15), (three_atom, 3, 92)):
+    for agenda, judges, composed in ((OR_CLOSURE, 4, 11), (three_atom, 3, 84)):
         for require_up in (True, False):
             enumerate_uniform_rules(agenda, judges, require_up=require_up, config=raised)
             assert counted(agenda) == (composed, judges - 1), (
                 agenda.basis, judges, require_up)
     for judges in (1, 2, 3):
         enumerate_independent_rules(OR_CLOSURE, judges, config=raised)
-        assert counted(OR_CLOSURE) == ((4, 10, 14)[judges - 1], judges - 1), judges
-    # ["P"] has two judgments, so no profile past 2 judges has distinct ones:
+        assert counted(OR_CLOSURE) == ((0, 6, 10)[judges - 1], judges - 1), judges
+    # ["P"] has two judgments, so only count 2 has a profile of distinct ones:
     # every count above 2 only lifts and closes, and at 4 judges every
     # unanimity-preserving table is left.  Its relation is swept directly, as
     # the points 0 and 1 on one position
     agenda = build_agenda(["P"])
     for judges in (1, 2, 3, 4):
         tables = jar_module._rule_sweep([0, 1], 1, judges, shared=True, config=Config())
-        assert counted(agenda) == (2 + (judges > 1), judges - 1), judges
+        assert counted(agenda) == (judges > 1, judges - 1), judges
     assert tables == [(x << 1 | 1 << 15,) for x in range(1 << 14)]
 
 
@@ -771,25 +805,29 @@ def judge_images(c, judges, blocks):
     """Candidate c relabelled by every judge permutation, in ``_rule_sweep``'s
     layout: each table decoded, permuted point by point, and encoded back."""
     free = (1 << judges) - 2
-    edge, low = free * blocks, (1 << free) - 1
+    low = (1 << free) - 1
     images = set()
     for perm in itertools.permutations(range(judges)):
-        image = c >> edge << edge
-        for at in range(0, edge, free):
-            table = (c >> at & low) << 1 | (1 if c >> edge else 1 << free + 1)
+        image = 0
+        for at in range(0, free * blocks, free):
+            table = (c >> at & low) << 1 | 1 << free + 1
             image |= (permute_judges(table, judges, perm) >> 1 & low) << at
         images.add(image)
     return images
 
 
-@pytest.mark.parametrize("judges, blocks, flip", [
-    (2, 1, False), (2, 1, True), (3, 1, False), (3, 1, True), (4, 1, False),
-    (4, 1, True), (2, 3, False), (2, 5, False), (3, 2, False), (3, 3, False)])
-def test_judge_closure_matches_brute_force(judges, blocks, flip):
+# the ids are the names the cases had while a flip layout was swept beside
+# them, one candidate bit wider
+CLOSURE_CASES = [(2, 1), (3, 1), (4, 1), (2, 3), (2, 5), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("judges, blocks", CLOSURE_CASES,
+                         ids=[f"{judges}-{blocks}-False" for judges, blocks in CLOSURE_CASES])
+def test_judge_closure_matches_brute_force(judges, blocks):
     # brute force: keep a candidate iff all its judge relabellings are kept
-    rng = random.Random(judges * 100 + blocks * 10 + flip)
+    rng = random.Random(judges * 100 + blocks * 10)
     free = (1 << judges) - 2
-    bits = free * blocks + flip
+    bits = free * blocks
     var = [variable_mask(p, bits) for p in range(bits)]
     offsets = [free * (blocks - 1 - k) for k in range(blocks)]
     closed_seen = partial_seen = 0
@@ -834,35 +872,24 @@ def test_enumerated_rules_are_closed_under_judge_permutations():
 
 
 def test_one_judge_candidates_are_the_two_unanimity_bits(monkeypatch):
-    # free = 0 inner points, so the one candidate is empty and every column is
-    # 0 or everyone, with unanimity or without: the negation is added after
-    # the sweep, not swept
-    composed = []
+    # free = 0 inner points, so the one candidate is the identity, which maps
+    # every one-judge profile (u) to u: nothing is composed, with unanimity
+    # or without, and the negation is added after the sweep, not swept
+    def no_compose(f, arg_tables, width):
+        raise AssertionError("a one-judge sweep composed")
 
-    def recording_compose(f, arg_tables, width):
-        composed.append((tuple(arg_tables), width))
-        return compose(f, arg_tables, width)
-
-    def columns_used():
-        used = {(arg, width) for args, width in composed for arg in args}
-        composed.clear()
-        return used
-
-    monkeypatch.setattr(jar_module, "compose", recording_compose)
+    monkeypatch.setattr(jar_module, "compose", no_compose)
     identity, negation = BoolFn.dictator(1, 0), BoolFn.anti_dictator(1, 0)
     kept = []
     for agenda in SCENARIOS + [build_agenda(["P", "Q"])]:
         assert [s.fn for s in enumerate_uniform_rules(agenda, 1)] == [identity]
-        assert columns_used() == {(0, 1), (0b1, 1)}
         # the negation, F..F gives T and T..T gives F, joins the identity when
         # the rational set is closed under negation
         got = [s.fn for s in enumerate_uniform_rules(agenda, 1, require_up=False)]
-        assert columns_used() == {(0, 1), (0b1, 1)}
         kept.append(loop_check_jar(uniform_jar(agenda, negation))[0])
         assert got == [negation] * kept[-1] + [identity]
         assert [j.functions for j in enumerate_independent_rules(agenda, 1)] == [
             (identity,) * len(agenda)]
-        assert columns_used() == {(0, 1), (0b1, 1)}
     # only the atomic agenda keeps the negation
     assert kept == [False] * len(SCENARIOS) + [True]
 
