@@ -25,7 +25,7 @@ from .config import Config, BudgetError
 from .jar import (PiJar, check_jar, enumerate_independent_rules,
                   enumerate_uniform_rules, filter_axioms)
 from .fourier import Dyadic, spectrum
-from .normalpair import check_normal_pair, classify_pair, enumerate_normal_pairs
+from .normalpair import _pair_case, check_normal_pair, classify_pair, enumerate_normal_pairs
 from .verify import SUITES, run_suites
 
 SCHEMA = 1
@@ -164,17 +164,17 @@ def cmd_check_pair(args, config: Config) -> int:
 
 def cmd_enumerate_pairs(args, config: Config) -> int:
     pairs = enumerate_normal_pairs(args.m, args.n, config=config)
+    # both arities are at least 2, so the case is read off the two labels
+    labelled = [(g, f, classify(g), classify(f)) for g, f in pairs]
     if args.json:
         entries = [{"g": format_fn_spec(g), "f": format_fn_spec(f),
-                    "g_class": _class_json(classify(g)),
-                    "f_class": _class_json(classify(f)),
-                    "case": classify_pair(g, f)} for g, f in pairs]
+                    "g_class": _class_json(cg), "f_class": _class_json(cf),
+                    "case": _pair_case(cg, cf)} for g, f, cg, cf in labelled]
         sys.stdout.write(_dump({"m": args.m, "n": args.n, "pairs": entries}))
     else:
         print(f"{len(pairs)} normal pairs at ({args.m}, {args.n})")
-        for g, f in pairs:
-            print(f"  g={classify(g)!s:14} f={classify(f)!s:14} "
-                  f"case={classify_pair(g, f)}")
+        for _, _, cg, cf in labelled:
+            print(f"  g={cg!s:14} f={cf!s:14} case={_pair_case(cg, cf)}")
     return 0
 
 

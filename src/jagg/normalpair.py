@@ -23,9 +23,11 @@ the argument tables are lifted straight from the truth tables of f and g,
 one row at a time.  "f across row i" reads only
 row i's n-bit field, so it is f's table with each bit stretched over the
 2**(i*n) settings of the rows below, tiled over the rows above
-(``_across``).  "g down column j" is built from g's cofactors, all n
-columns in each pass (``_down``).  The composites are then f and g applied
-to these through their minterm expansion (``boolfn.compose``).
+(``_across``).  "g down column j" is stacked from g's cofactors, the
+tables with the top row's input F and T placed in runs of 2**j blocks,
+and only the cofactors of the prefixes visited are built (``_down``).
+The composites are then f and g applied to these through their minterm
+expansion (``boolfn.compose``).
 
 The enumeration runs the matrices on the outside and the surviving g on the
 inside.  Candidate f is bit ``f.table`` of a set over all 2**(2**n) tables,
@@ -66,8 +68,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .boolfn import (MAX_TABLE_SET_ARITY, BoolFn, _flip_table, _input_lifts, classify,
-                     compose, minterms, relevant_tables, repeat_bits, set_bits,
+from .boolfn import (MAX_TABLE_SET_ARITY, BoolFn, FnClass, _flip_table, _input_lifts,
+                     classify, compose, minterms, relevant_tables, repeat_bits, set_bits,
                      stretch_bits)
 from .config import DEFAULT, BudgetError, Config, charge
 
@@ -118,9 +120,18 @@ def _report(g: BoolFn, f: BoolFn, is_normal: bool, violation: Violation | None =
     return report
 
 
+# _BYTE_CELLS[b]: the 8 cells of byte b, bit 0 first; built on first use
+_BYTE_CELLS: list[tuple[bool, ...]] = []
+
+
 def _matrix_rows(mask: int, m: int, n: int) -> tuple[tuple[bool, ...], ...]:
-    cells = tuple(map("1".__eq__, format(mask, f"0{m * n}b")[::-1]))
-    return tuple(cells[i:i + n] for i in range(0, m * n, n))
+    """The m rows of n cells of the matrix ``mask``, read a byte at a time."""
+    if not _BYTE_CELLS:
+        _BYTE_CELLS.extend(tuple(b >> s & 1 == 1 for s in range(8)) for b in range(256))
+    cells: tuple[bool, ...] = ()
+    for byte in mask.to_bytes((m * n + 7) >> 3, "little"):
+        cells += _BYTE_CELLS[byte]
+    return tuple(zip(*[iter(cells)] * n))[:m]  # n cells at a time
 
 
 def _across(f: BoolFn, m: int) -> Iterator[list[int]]:
@@ -132,42 +143,68 @@ def _across(f: BoolFn, m: int) -> Iterator[list[int]]:
     below, tiled over the rows above.  Each row is stretched once, when it
     is added, and the rows before it are tiled once more per row added.
     """
-    n, rows, block = f.n, [], 1
-    for _ in range(m):
+    n, table = f.n, f.table
+    rows, block = [table], 1 << n
+    for _ in range(1, m):
+        yield rows
         width = block << n
         rows = [repeat_bits(row, block, width) for row in rows]
-        rows.append(stretch_bits(f.table, 1 << n, block))
+        rows.append(stretch_bits(table, 1 << n, block))
         block = width
-        yield rows
+    yield rows
+
+
+def _stack(los: list[int], his: list[int], block: int) -> list[int]:
+    """The column tables over one more row, the top one: entry j is runs of
+    2**j blocks of ``los[j]`` and of ``his[j]``, alternating, as bit j of
+    the top row is F or T.  Each block is ``block`` bits, the matrices of
+    the rows below.  The tiling doubles as ``repeat_bits`` does, written
+    in line: at 2x2 to 3x3 the three calls a column cost twice as much."""
+    width, run, out = block << len(los), block, []
+    for lo, hi in zip(los, his):
+        period = block
+        while period < run:
+            lo |= lo << period
+            hi |= hi << period
+            period <<= 1
+        lo |= hi << run
+        period <<= 1
+        while period < width:
+            lo |= lo << period
+            period <<= 1
+        out.append(lo)
+        run <<= 1
+    return out
+
+
+def _columns(table: int, k: int, lifts: tuple[tuple[int, int, int, int], ...]) -> list[int]:
+    """Entry j: the matrices of k rows on which the arity-k function of the
+    low 2**k bits of ``table`` down column j is T.  Row 0 lifts each
+    arity-1 cofactor (F, not, identity or T) to bit j of its field
+    (``lifts``); each later row stacks the columns with its input F and T."""
+    if k == 1:
+        return [lift[table & 3] for lift in lifts]
+    k -= 1
+    return _stack(_columns(table, k, lifts), _columns(table >> (1 << k), k, lifts),
+                  1 << (k * len(lifts)))
 
 
 def _down(g: BoolFn, n: int) -> Iterator[list[int]]:
-    """Yields, after each row r - 1 for r = 1..m, the list whose entry j
-    holds the matrices of r rows and n columns on which g down column j,
-    with its inputs r.. fixed to F, is T.  The last list is g's columns.
+    """Yields, for r = 1..m, the list whose entry j holds the matrices of r
+    rows and n columns on which g down column j, with its inputs r.. fixed
+    to F, is T.  The last list is g's columns.
 
-    Built one row at a time from g's arity-1 cofactors, all n columns in
-    each pass.  After row k, entry u of the level holds, for every column
-    j, the table over the settings of rows 0..k of g down column j with its
-    inputs above k fixed to the bits of u; entry 0 is what is yielded.
-    Row 0 lifts each arity-1 cofactor (F, not, identity or T) to bit j of
-    its field.  Each later row k picks the cofactor with input k false or
-    true by bit j of its field, so the new table is runs of 2**j blocks of
-    the one and of the other, alternating.
+    Each prefix stacks the last one, input r - 1 F, with the columns of g
+    with that input T and its inputs above F, over the rows below
+    (``_columns``).  So only the cofactors a yielded prefix reads are
+    built: 2**(r-1) lifted ones and 2**(r-1) - 1 stacks up to prefix r.
     """
     table, lifts = g.table, _input_lifts(n)
-    level = [[lift[table >> t & 3] for lift in lifts] for t in range(0, 1 << g.n, 2)]
-    block = 1 << n
-    for _ in range(g.n - 1):
-        yield level[0]
-        width = block << n
-        runs = [block << j for j in range(n)]
-        level = [[repeat_bits(repeat_bits(lo, block, run) | repeat_bits(hi, block, run) << run,
-                              run << 1, width)
-                  for lo, hi, run in zip(los, his, runs)]
-                 for los, his in zip(level[::2], level[1::2])]
-        block = width
-    yield level.pop()  # the last level, not kept here once handed out
+    last = [_columns(table, 1, lifts)]
+    for r in range(1, g.n):
+        yield last[0]
+        last[0] = _stack(last[0], _columns(table >> (1 << r), r, lifts), 1 << (r * n))
+    yield last.pop()  # g's columns, not kept here once handed out
 
 
 def _first_row(g: BoolFn, f: BoolFn) -> tuple[int, int]:
@@ -200,9 +237,11 @@ def check_normal_pair(g: BoolFn, f: BoolFn, *, config: Config = DEFAULT) -> Norm
 
     The check is charged 2**(m*n) work units, one per matrix, before the
     structural checks.  Constant functions are reported before irrelevant
-    indices (a constant has no relevant index at all), and structural
-    defects before commutation.  The composites are f over g's column tables
-    (``_down``) and g over f's row tables (``_across``).
+    indices, and structural defects before commutation.  A constant has no
+    relevant index at all, so one ``first_irrelevant_index`` a side passes
+    a pair with no defect, and the constants are tested only once a side
+    fails.  The composites are f over g's column tables (``_down``) and g
+    over f's row tables (``_across``).
 
     They are compared on growing prefixes of the matrix order, r = 1..m
     rows at width 2**(r*n), up to the first prefix on which they differ.
@@ -221,30 +260,50 @@ def check_normal_pair(g: BoolFn, f: BoolFn, *, config: Config = DEFAULT) -> Norm
     process, and ``(and:5, and:5)`` 52-78 ms and 58 MB; random non-normal
     pairs mostly stop within a row or two, in 0.03-5 ms.  An arity-1 g at
     the arity cap, against and:20, xor:20 or majority:19, takes 2-10 ms.
+
+    Small pairs cost microseconds a call.  In process on a shared 2-core
+    machine, fastest of 9-15 runs of 2 000 calls at 2x2 to 3x3, before and
+    after the column lifts built only for the prefixes visited, the byte
+    table decode of the counterexample and one relevance test a side: a
+    constant 1.1-1.3 -> 1.5-1.9 us (tested after the relevance tests now),
+    an irrelevant index 2.1-2.9 us either way, an arity-1 g that passes 2.3
+    -> 2.1 us, a failure on row 0 5.0-5.6 -> 3.5-4.2 us, one that needs 2
+    rows 14-21 -> 10-14 us and 3 rows 28-34 -> 20-25 us, and a normal pair
+    14-32 -> 11-25 us.
+
+    From r = 2 each prefix composes f by its minterms (``compose`` visits
+    f's T points, or its F points when fewer) over 2**(r*n)-bit tables, so
+    its cost grows with f's minterms as well as with the matrices.  A
+    parity f has 2**(n-1) of each, and costs far more than its charge at
+    large n: (xor:2, xor:12) is charged 2**24 units, within the default
+    budget, and took 7.4 s in process, against 0.05-0.06 s for (xor:2,
+    xor:10).  ROADMAP item 2 is to re-derive the charge from the work.
     """
     m, n = g.n, f.n
     if m < 1 or n < 1:
         raise ValueError("both functions need arity >= 1")
     charge(config, 1 << (m * n), lambda: f"checking a {m}x{n} pair",
            lambda: f"m*n <= {config.enumeration_budget.bit_length() - 1}")
-    if g.table in (0, (1 << (1 << m)) - 1):
-        return _report(g, f, False, _G_CONSTANT)
-    if f.table in (0, (1 << (1 << n)) - 1):
-        return _report(g, f, False, _F_CONSTANT)
+    # a constant has no relevant index: it is told apart only on a defect
     i = g.first_irrelevant_index()
-    if i is not None:
-        return _report(g, f, False, Violation("g_irrelevant_index", i))
-    j = f.first_irrelevant_index()
-    if j is not None:
-        return _report(g, f, False, Violation("f_irrelevant_index", j))
+    j = f.first_irrelevant_index() if i is None else None
+    if i is not None or j is not None:
+        if i is not None and g.table in (0, (1 << (1 << m)) - 1):
+            violation = _G_CONSTANT
+        elif f.table in (0, (1 << (1 << n)) - 1):
+            violation = _F_CONSTANT
+        elif i is not None:
+            violation = Violation("g_irrelevant_index", i)
+        else:
+            violation = Violation("f_irrelevant_index", j)
+        return _report(g, f, False, violation)
     lhs, rhs = _first_row(g, f)
     if lhs == rhs and m > 1:
         # on the first 2**(r*n) matrices, g's inputs r.. read f(F..F) across
         # the all-F rows; with it T, they are g's points from 2**m - 2**r on
         fill = f.table & 1
-        # the first level of each is row 0, read off the tables above
-        columns = itertools.islice(_down(g, n), 1, None)
-        rows = itertools.islice(_across(f, m), 1, None)
+        columns, rows = _down(g, n), _across(f, m)
+        next(columns), next(rows)  # row 0, read off the tables above
         for r in range(2, m + 1):
             width, points = 1 << (r * n), 1 << r
             shift = (1 << m) - points if fill else 0
@@ -433,6 +492,18 @@ def enumerate_normal_pairs(m: int, n: int, *, config: Config = DEFAULT,
     return [(BoolFn(m, gt), BoolFn(n, ft)) for gt, ft in sorted(pairs)]
 
 
+def _pair_case(cg: FnClass, cf: FnClass) -> str:
+    """``classify_pair``'s case for members of arity 2 or more labelled
+    ``cg`` and ``cf`` by ``classify``."""
+    if cg.kind == "and" and cf.kind == "and":
+        return "both-and"
+    if cg.kind == "or" and cf.kind == "or":
+        return "both-or"
+    if cg.kind in ("xor", "nxor") and cf.kind in ("xor", "nxor"):
+        return "xor-family"
+    return "violation"
+
+
 def classify_pair(g: BoolFn, f: BoolFn) -> str:
     """Case label for a normal pair.
 
@@ -443,11 +514,4 @@ def classify_pair(g: BoolFn, f: BoolFn) -> str:
     """
     if g.n == 1 or f.n == 1:
         return "trivial"
-    cg, cf = classify(g), classify(f)
-    if cg.kind == "and" and cf.kind == "and":
-        return "both-and"
-    if cg.kind == "or" and cf.kind == "or":
-        return "both-or"
-    if cg.kind in ("xor", "nxor") and cf.kind in ("xor", "nxor"):
-        return "xor-family"
-    return "violation"
+    return _pair_case(classify(g), classify(f))

@@ -103,6 +103,47 @@ def random_relevant_pair(rng, m, n):
             return g, f
 
 
+# the lifts and the decoder as they were before the lifts were rewritten,
+# kept here so that the references below do not move with the code they check
+
+
+def frozen_matrix_rows(mask, m, n):
+    cells = tuple(map("1".__eq__, format(mask, f"0{m * n}b")[::-1]))
+    return tuple(cells[i:i + n] for i in range(0, m * n, n))
+
+
+def frozen_across(f, m):
+    """Yields, for r = 1..m, the list whose entry i holds the matrices of r
+    rows on which f across row i is T."""
+    n, rows, block = f.n, [], 1
+    for _ in range(m):
+        width = block << n
+        rows = [boolfn.repeat_bits(row, block, width) for row in rows]
+        rows.append(boolfn.stretch_bits(f.table, 1 << n, block))
+        block = width
+        yield rows
+
+
+def frozen_down(g, n):
+    """Yields, for r = 1..m, the list whose entry j holds the matrices of r
+    rows and n columns on which g down column j, with its inputs r.. fixed to
+    F, is T: built a row at a time from g's arity-1 cofactors."""
+    table, lifts = g.table, boolfn._input_lifts(n)
+    level = [[lift[table >> t & 3] for lift in lifts] for t in range(0, 1 << g.n, 2)]
+    block = 1 << n
+    for _ in range(g.n - 1):
+        yield level[0]
+        width = block << n
+        runs = [block << j for j in range(n)]
+        level = [[boolfn.repeat_bits(boolfn.repeat_bits(lo, block, run)
+                                     | boolfn.repeat_bits(hi, block, run) << run,
+                                     run << 1, width)
+                  for lo, hi, run in zip(los, his, runs)]
+                 for los, his in zip(level[::2], level[1::2])]
+        block = width
+    yield level.pop()
+
+
 def full_width_check_normal_pair(g, f):
     """``check_normal_pair`` as it was before the row prefixes: both
     composites over all 2**(m*n) matrices at once, then the lowest bit of
@@ -119,8 +160,8 @@ def full_width_check_normal_pair(g, f):
     if j is not None:
         return NormalPairReport(g, f, False, Violation("f_irrelevant_index", j))
     width = 1 << (m * n)
-    *_, columns = normalpair._down(g, n)
-    *_, rows = normalpair._across(f, m)
+    *_, columns = frozen_down(g, n)
+    *_, rows = frozen_across(f, m)
     lhs = compose(f, columns, width)
     rhs = compose(g, rows, width)
     diff = lhs ^ rhs
@@ -128,7 +169,7 @@ def full_width_check_normal_pair(g, f):
         return NormalPairReport(g, f, True)
     first = (diff & -diff).bit_length() - 1
     return NormalPairReport(g, f, False, Violation("commutation"),
-                            normalpair._matrix_rows(first, m, n),
+                            frozen_matrix_rows(first, m, n),
                             bool(lhs >> first & 1), bool(rhs >> first & 1))
 
 
@@ -372,6 +413,20 @@ def test_row_prefixes_stop_at_the_first_disagreeing_block(monkeypatch):
     assert report.is_normal
     assert widths == [1 << (5 * r) for r in range(2, 6) for _ in range(2)]
     assert (downs, acrosses) == ([5], [5])
+
+
+def test_matrix_rows_match_the_frozen_decoder():
+    # every mask at every shape of at most 12 cells, then seeded masks at
+    # 4x6 and 5x5 with the all-F and all-T matrices
+    for m, n in ((m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12):
+        for mask in range(1 << (m * n)):
+            assert normalpair._matrix_rows(mask, m, n) == frozen_matrix_rows(mask, m, n)
+    rng = random.Random(34)
+    for m, n in ((4, 6), (5, 5)):
+        size = m * n
+        masks = [0, (1 << size) - 1] + [rng.getrandbits(size) for _ in range(1998)]
+        for mask in masks:
+            assert normalpair._matrix_rows(mask, m, n) == frozen_matrix_rows(mask, m, n), mask
 
 
 def test_first_row_matches_the_full_width_check():
