@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .boolfn import BoolFn
+from .boolfn import BoolFn, _bools
 from .config import DEFAULT, BudgetError, Config
 from .formula import Atom, Formula, Not, parse
 
@@ -232,23 +232,6 @@ def _split(tables: Sequence[int], k: int) -> dict[int, int]:
     return first
 
 
-_BYTE_BITS: list[tuple[bool, ...]] = []   # entry b: the 8 bits of b, first on top
-
-
-def _bits(value: int, width: int) -> tuple[bool, ...]:
-    """The bits of ``value`` (below 2**width), most significant first, read
-    a byte at a time from a table of the 256 bytes built on first use."""
-    if not _BYTE_BITS:
-        _BYTE_BITS.extend(tuple(b >> s & 1 == 1 for s in range(7, -1, -1))
-                          for b in range(256))
-    if width <= 8:
-        return _BYTE_BITS[value][8 - width:]
-    out: tuple[bool, ...] = ()
-    for byte in value.to_bytes((width + 7) >> 3, "big"):
-        out += _BYTE_BITS[byte]
-    return out[-width:]
-
-
 def _positions(agenda: Agenda, positions: Iterable[int]) -> tuple[int, ...]:
     """``positions`` as a tuple, each checked to be a basis position."""
     pos = tuple(positions)
@@ -260,12 +243,14 @@ def _positions(agenda: Agenda, positions: Iterable[int]) -> tuple[int, ...]:
 
 def rational_judgments(agenda: Agenda) -> RationalSet:
     """Split the 2**k symbol assignments on every basis table and collect the
-    distinct judgments, each with its first inducing assignment."""
-    k = len(agenda.symbols)
+    distinct judgments, each with its first inducing assignment.  A point
+    holds the first position in its top bit, so its bits are reversed into a
+    judgment; an assignment holds symbol i in bit i, and is read as it is."""
+    k, size = len(agenda.symbols), len(agenda)
     first = _split([t.table for t in agenda.tables], k)
     points = sorted(first)
-    return RationalSet(agenda, tuple(_bits(p, len(agenda)) for p in points),
-                       tuple(_bits(first[p], k)[::-1] for p in points))
+    return RationalSet(agenda, tuple(_bools(p, size)[::-1] for p in points),
+                       tuple(_bools(first[p], k) for p in points))
 
 
 def cons(agenda: Agenda, positions: Iterable[int]) -> tuple[tuple[bool, ...], ...]:
@@ -274,7 +259,7 @@ def cons(agenda: Agenda, positions: Iterable[int]) -> tuple[tuple[bool, ...], ..
     assignments on those positions' tables alone."""
     pos = _positions(agenda, positions)
     first = _split([agenda.tables[p].table for p in pos], len(agenda.symbols))
-    return tuple(_bits(p, len(pos)) for p in sorted(first))
+    return tuple(_bools(p, len(pos))[::-1] for p in sorted(first))
 
 
 def is_determined_by(agenda: Agenda, target: int, positions: Iterable[int]) -> bool:

@@ -34,8 +34,6 @@ def stretch_bits(table: int, points: int, block: int) -> int:
     Whole-byte blocks are joined as bytes; other blocks are placed one set
     bit at a time.
     """
-    if block == 1:
-        return table
     if block & 7:
         ones, out = (1 << block) - 1, 0
         for x in set_bits(table):
@@ -44,6 +42,23 @@ def stretch_bits(table: int, points: int, block: int) -> int:
     on, off = b"\xff" * (block >> 3), bytes(block >> 3)
     return int.from_bytes(b"".join([on if table >> x & 1 else off for x in range(points)]),
                           "little")
+
+
+_BYTE_BOOLS: list[tuple[bool, ...]] = []   # entry b: the 8 bits of byte b, bit 0 first
+
+
+def _bools(value: int, width: int) -> tuple[bool, ...]:
+    """The bits of ``value`` (below 2**width), bit 0 first, read a byte at a
+    time from a table of the 256 bytes built on first use.  It decodes
+    counterexample matrices, judgments and witness assignments."""
+    if not _BYTE_BOOLS:
+        _BYTE_BOOLS.extend(tuple(b >> s & 1 == 1 for s in range(8)) for b in range(256))
+    if width <= 8:
+        return _BYTE_BOOLS[value][:width]
+    out: tuple[bool, ...] = ()
+    for byte in value.to_bytes((width + 7) >> 3, "little"):
+        out += _BYTE_BOOLS[byte]
+    return out[:width]
 
 
 def variable_mask(i: int, n: int) -> int:
@@ -202,6 +217,14 @@ class BoolFn:
             raise ValueError(f"table {table:#x} out of range for arity {n}")
         _set_n(self, n)
         _set_table(self, table)
+
+    def __repr__(self) -> str:
+        # the dataclass form, with the table in hex where its decimal digits
+        # pass the int to str conversion limit (from arity 14 by default)
+        try:
+            return f"BoolFn(n={self.n}, table={self.table})"
+        except ValueError:
+            return f"BoolFn(n={self.n}, table={self.table:#x})"
 
     # --- constructors -------------------------------------------------------
 

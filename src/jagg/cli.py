@@ -156,7 +156,7 @@ def cmd_check_pair(args, config: Config) -> int:
             print(f"not a normal pair: {rep.violation}")
             if rep.counterexample is not None:
                 for row in rep.counterexample:
-                    print("  " + " ".join("T" if v else "F" for v in row))
+                    print("  " + " ".join(_bits(row)))
                 print(f"  column-then-row {_bits([rep.column_then_row])}, "
                       f"row-then-column {_bits([rep.row_then_column])}")
     return 0 if rep.is_normal else 1

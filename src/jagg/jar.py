@@ -129,8 +129,9 @@ def _axioms(functions: Sequence[BoolFn]) -> tuple[bool, bool, bool]:
     f(F, ..., F) is table bit 0 and f(T, ..., T) bit 2**n - 1."""
     up = all(not f.table & 1 and f.table >> (f.points - 1) & 1 for f in functions)
     anonymous = all(f.is_symmetric() for f in functions)
-    shared = all(f == functions[0] for f in functions)
-    return up, anonymous, shared and functions[0] == functions[0].flip()
+    first = functions[0]
+    shared = all(f == first for f in functions)
+    return up, anonymous, shared and _flip_table(first.n, first.table) == first.table
 
 
 def check_jar(jar: PiJar, *, config: Config = DEFAULT) -> JarVerdict:
@@ -471,10 +472,9 @@ def enumerate_uniform_rules(agenda: Agenda, judges: int, *,
     The charge covers the sweep only, not the labels of its survivors
     (``_solution_case``), which are most of a call on agendas with few
     constraints: on ["P", "Q"] at 4 judges the sweep takes 24-25 ms and the
-    call, reading anonymity and systematicity straight off each table,
-    0.15 s for 16 384 rules with unanimity and 0.28 s for 32 768 without,
-    where labelling through ``_axioms`` took 0.19 s and 0.35-0.36 s (in
-    process, best of 5 over three runs, on a shared 2-core machine).
+    call 0.15 s for 16 384 rules with unanimity and 0.28 s for 32 768
+    without (in process, best of 5 over three runs, on a shared 2-core
+    machine).
     """
     points = _points(rational_judgments(agenda))
     tables = [t for t, in _rule_sweep(points, len(agenda), judges, shared=True, config=config)]

@@ -68,9 +68,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .boolfn import (MAX_TABLE_SET_ARITY, BoolFn, FnClass, _flip_table, _input_lifts,
-                     classify, compose, minterms, relevant_tables, repeat_bits, set_bits,
-                     stretch_bits)
+from .boolfn import (MAX_TABLE_SET_ARITY, BoolFn, FnClass, _bools, _flip_table,
+                     _input_lifts, classify, compose, minterms, relevant_tables, repeat_bits,
+                     set_bits, stretch_bits)
 from .config import DEFAULT, BudgetError, Config, charge
 
 
@@ -120,18 +120,9 @@ def _report(g: BoolFn, f: BoolFn, is_normal: bool, violation: Violation | None =
     return report
 
 
-# _BYTE_CELLS[b]: the 8 cells of byte b, bit 0 first; built on first use
-_BYTE_CELLS: list[tuple[bool, ...]] = []
-
-
 def _matrix_rows(mask: int, m: int, n: int) -> tuple[tuple[bool, ...], ...]:
-    """The m rows of n cells of the matrix ``mask``, read a byte at a time."""
-    if not _BYTE_CELLS:
-        _BYTE_CELLS.extend(tuple(b >> s & 1 == 1 for s in range(8)) for b in range(256))
-    cells: tuple[bool, ...] = ()
-    for byte in mask.to_bytes((m * n + 7) >> 3, "little"):
-        cells += _BYTE_CELLS[byte]
-    return tuple(zip(*[iter(cells)] * n))[:m]  # n cells at a time
+    """The m rows of n cells of the matrix ``mask``, row i from bit i*n."""
+    return tuple(zip(*[iter(_bools(mask, m * n))] * n))  # n cells at a time
 
 
 def _across(f: BoolFn, m: int) -> Iterator[list[int]]:
@@ -261,15 +252,9 @@ def check_normal_pair(g: BoolFn, f: BoolFn, *, config: Config = DEFAULT) -> Norm
     pairs mostly stop within a row or two, in 0.03-5 ms.  An arity-1 g at
     the arity cap, against and:20, xor:20 or majority:19, takes 2-10 ms.
 
-    Small pairs cost microseconds a call.  In process on a shared 2-core
-    machine, fastest of 9-15 runs of 2 000 calls at 2x2 to 3x3, before and
-    after the column lifts built only for the prefixes visited, the byte
-    table decode of the counterexample and one relevance test a side: a
-    constant 1.1-1.3 -> 1.5-1.9 us (tested after the relevance tests now),
-    an irrelevant index 2.1-2.9 us either way, an arity-1 g that passes 2.3
-    -> 2.1 us, a failure on row 0 5.0-5.6 -> 3.5-4.2 us, one that needs 2
-    rows 14-21 -> 10-14 us and 3 rows 28-34 -> 20-25 us, and a normal pair
-    14-32 -> 11-25 us.
+    Small pairs cost microseconds a call: at 2x2 to 3x3, in process on a
+    shared 2-core machine, 1.5-4 us when the pair is decided off the tables
+    (a defect or a failure on row 0) and 10-25 us when prefixes are composed.
 
     From r = 2 each prefix composes f by its minterms (``compose`` visits
     f's T points, or its F points when fewer) over 2**(r*n)-bit tables, so

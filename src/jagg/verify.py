@@ -23,7 +23,7 @@ from .fourier import Dyadic, _cell_subset_identity, reconstruct, spectrum
 from .jar import (PiJar, RELATION_EQUAL, RELATION_FLIP, RELATION_NOT_APPLICABLE,
                   check_jar, dependent_pair_relation, enumerate_independent_rules,
                   enumerate_uniform_rules, filter_axioms, restrict_jar, uniform_jar)
-from .normalpair import check_normal_pair, classify_pair, enumerate_normal_pairs
+from .normalpair import _pair_case, check_normal_pair, enumerate_normal_pairs
 
 
 @dataclass
@@ -252,28 +252,31 @@ def suite_pairs(config: Config = DEFAULT) -> VerifyReport:
         return True, ("exhaustive enumeration matches the frozen lists: 4 pairs at "
                       "(2,2)/(2,3)/(3,2), 6 at (3,3)")
 
+    # each enumerated pair with its members' labels and its case, built once
+    # for the two checks that read them
+    labelled = cache(lambda: [(g, f, cg, cf, _pair_case(cg, cf))
+                              for pairs in normal_pairs().values() for g, f in pairs
+                              for cg, cf in [(classify(g), classify(f))]])
+
     def cases():
-        for (m, n), pairs in normal_pairs().items():
-            for g, f in pairs:
-                case = classify_pair(g, f)
-                if case not in ("both-and", "both-or", "xor-family"):
-                    return False, (f"({format_fn_spec(g)}, {format_fn_spec(f)}) "
-                                   f"classified {case}")
-                if case == "xor-family":
-                    if not (g == BoolFn.xor(m) or g == BoolFn.nxor(m)):
-                        return False, f"xor-family pair with g = {format_fn_spec(g)}"
-                elif classify(g).kind != classify(f).kind:
-                    return False, "same-family case with mismatched members"
+        for g, f, cg, cf, case in labelled():
+            if case not in ("both-and", "both-or", "xor-family"):
+                return False, (f"({format_fn_spec(g)}, {format_fn_spec(f)}) "
+                               f"classified {case}")
+            if case == "xor-family":
+                if not (g == BoolFn.xor(g.n) or g == BoolFn.nxor(g.n)):
+                    return False, f"xor-family pair with g = {format_fn_spec(g)}"
+            elif cg.kind != cf.kind:
+                return False, "same-family case with mismatched members"
         return True, "every enumerated pair is both-and, both-or, or xor-family"
 
     def forceful_slice():
-        for pairs in normal_pairs().values():
-            for g, f in pairs:
-                if classify_pair(g, f) == "xor-family":
-                    continue
-                if not (g.is_forceful() and f.is_forceful()):
-                    return False, (f"non-parity pair ({format_fn_spec(g)}, "
-                                   f"{format_fn_spec(f)}) is not both-forceful")
+        for g, f, _, _, case in labelled():
+            if case == "xor-family":
+                continue
+            if not (g.is_forceful() and f.is_forceful()):
+                return False, (f"non-parity pair ({format_fn_spec(g)}, "
+                               f"{format_fn_spec(f)}) is not both-forceful")
         return True, "outside the parity family, both members are forceful"
 
     def soundness():

@@ -8,8 +8,9 @@ import pytest
 
 from jagg.agenda import (AgendaError, DegenerateProposition,
                          DuplicateProposition, NegationDuplicate, RationalSet,
-                         _bits, build_agenda, closure, cons, is_determined_by,
+                         _split, build_agenda, closure, cons, is_determined_by,
                          is_symbol_closed, load_agenda, rational_judgments)
+from jagg.boolfn import _bools
 from jagg.config import BudgetError, Config
 from jagg.formula import And, Atom, Not, Or, Xor, parse
 
@@ -307,12 +308,67 @@ def test_load_agenda_duplicate_keeps_error_type():
         load_agenda("P & Q\nQ & P\n")
 
 
+# agenda's decoder and its two callers as they were before one bit reader
+# served the matrices and the judgments, kept here so that the references
+# below do not move with the code they check
+FROZEN_BYTE_BITS = [tuple(b >> s & 1 == 1 for s in range(7, -1, -1)) for b in range(256)]
+
+
+def frozen_bits(value, width):
+    if width <= 8:
+        return FROZEN_BYTE_BITS[value][8 - width:]
+    out = ()
+    for byte in value.to_bytes((width + 7) >> 3, "big"):
+        out += FROZEN_BYTE_BITS[byte]
+    return out[-width:]
+
+
+def frozen_rational_judgments(agenda):
+    k = len(agenda.symbols)
+    first = _split([t.table for t in agenda.tables], k)
+    points = sorted(first)
+    return RationalSet(agenda, tuple(frozen_bits(p, len(agenda)) for p in points),
+                       tuple(frozen_bits(first[p], k)[::-1] for p in points))
+
+
+def frozen_cons(agenda, positions):
+    first = _split([agenda.tables[p].table for p in positions], len(agenda.symbols))
+    return tuple(frozen_bits(p, len(positions)) for p in sorted(first))
+
+
 def test_bits_match_the_bin_form():
-    # the byte-table decode against the string form it replaced
+    # the shared reader, bit 0 first, and the frozen decoder, top bit first,
+    # against the string form
     rng = random.Random(21)
     for width in range(21):
         values = range(1 << width) if width <= 12 else \
             [0, (1 << width) - 1, *(rng.getrandbits(width) for _ in range(200))]
         for value in values:
             want = tuple(c == "1" for c in bin(value | 1 << width)[3:])
-            assert _bits(value, width) == want, (value, width)
+            assert _bools(value, width) == want[::-1], (value, width)
+            assert frozen_bits(value, width) == want, (value, width)
+
+
+def test_judgments_witnesses_and_cons_match_the_frozen_decoder():
+    # every data agenda, then seeded agendas of 15-17 symbols and up to 12
+    # entries, so judgments and witnesses both pass one byte
+    agendas = data_agendas()
+    rng = random.Random(35)
+    for k in (15, 16, 17):
+        names = [f"s{i:02d}" for i in range(k)]
+        for size in (4, 9, 12):
+            basis = [Or(*(Atom(n) if rng.random() < 0.5 else Not(Atom(n)) for n in names))]
+            basis += [random_formula(rng, names, 3) for _ in range(size - 1)]
+            try:
+                agendas.append(build_agenda(basis))
+            except AgendaError:
+                continue
+    assert {len(a.symbols) for a in agendas} >= {15, 16, 17}
+    assert max(len(a) for a in agendas) > 8
+    for agenda in agendas:
+        assert rational_judgments(agenda) == frozen_rational_judgments(agenda)
+        size = len(agenda)
+        subsets = [(), tuple(range(size)), tuple(range(size))[::-1]]
+        subsets += [tuple(rng.sample(range(size), rng.randint(1, size))) for _ in range(6)]
+        for positions in subsets:
+            assert cons(agenda, positions) == frozen_cons(agenda, positions), positions

@@ -16,6 +16,7 @@ from jagg.boolfn import (BoolFn, FnClass, all_tables, classify,
                          variable_mask)
 from jagg.config import Config, BudgetError
 from jagg.formula import And, Atom, Not, Or, Xor, parse
+from jagg.normalpair import check_normal_pair
 
 ALL2 = [BoolFn(2, t) for t in range(16)]
 
@@ -154,6 +155,16 @@ def test_constructor_keeps_the_dataclass_behaviour():
     with pytest.raises(ValueError) as err:
         BoolFn(2, 16)
     assert str(err.value) == "table 0x10 out of range for arity 2"
+
+
+def test_repr_prints_a_table_past_the_digit_limit_in_hex():
+    # the decimal text of these tables passes the int to str conversion limit
+    for f in (BoolFn.and_(14), BoolFn.xor(16)):
+        assert repr(f) == f"BoolFn(n={f.n}, table={f.table:#x})"
+    report = check_normal_pair(BoolFn.dictator(1, 0), BoolFn.xor(16))
+    assert report.is_normal
+    assert f"f=BoolFn(n=16, table={BoolFn.xor(16).table:#x})" in repr(report)
+    assert repr(BoolFn.and_(13)) == f"BoolFn(n=13, table={1 << 8191})"
 
 
 def test_from_formula():
@@ -365,7 +376,8 @@ def test_set_bits():
 
 
 def test_stretch_bits_matches_a_bit_loop():
-    # blocks that are and are not whole bytes, powers of 3 among them
+    # blocks that are and are not whole bytes, powers of 3 among them; block
+    # 1 is the table itself
     rng = random.Random(24)
     for block in range(1, 41):
         for points in range(17):

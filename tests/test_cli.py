@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import jagg
+import jagg.boolfn as boolfn
 import jagg.cli as cli
 from jagg.boolfn import parse_fn_spec
 from jagg.cli import main
@@ -128,6 +129,19 @@ def test_enumerate_pairs_deterministic(capsys):
     _, first = run(capsys, "enumerate-pairs", "-m", "2", "-n", "3", "--json")
     _, second = run(capsys, "enumerate-pairs", "-m", "2", "-n", "3", "--json")
     assert first == second
+
+
+def test_enumerate_pairs_labels_each_member_once(capsys, monkeypatch):
+    calls, real = [], boolfn._classify
+    monkeypatch.setattr(boolfn, "_classify",
+                        lambda f, inputs: calls.append(f) or real(f, inputs))
+    for fmt in ("--text", "--json"):
+        for m, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
+            calls.clear()
+            code, _ = run(capsys, "enumerate-pairs", "-m", str(m), "-n", str(n), fmt)
+            pairs = jagg.enumerate_normal_pairs(m, n)
+            assert code == 0
+            assert calls == [member for pair in pairs for member in pair], (m, n, fmt)
 
 
 def test_agenda_check(capsys):

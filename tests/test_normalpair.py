@@ -14,6 +14,7 @@ from jagg.config import BudgetError, Config
 import jagg.normalpair as normalpair
 from jagg.normalpair import (NormalPairReport, Violation, check_normal_pair, classify_pair,
                              enumerate_normal_pairs)
+from jagg.verify import EXPECTED_PAIRS, run_suites
 
 RAISED = Config(enumeration_budget=1 << 62)
 IDENTITY = BoolFn(1, 0b10)
@@ -875,3 +876,14 @@ def test_every_enumerated_pair_lands_in_a_named_case():
     for m, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
         for g, f in enumerate_normal_pairs(m, n):
             assert classify_pair(g, f) in ("both-and", "both-or", "xor-family")
+
+
+def test_pairs_suite_labels_each_member_once(monkeypatch):
+    calls, real = [], boolfn._classify
+    monkeypatch.setattr(boolfn, "_classify",
+                        lambda f, inputs: calls.append(f) or real(f, inputs))
+    assert run_suites(["pairs"]).passed
+    pairs = [p for arity_pairs in EXPECTED_PAIRS.values() for p in arity_pairs]
+    # the enumeration check labels only on a failure; the case and forceful
+    # checks share one label per member
+    assert len(calls) == 2 * len(pairs) == 36
