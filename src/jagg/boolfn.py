@@ -479,8 +479,18 @@ class BoolFn:
                    for i, (lo, hi) in enumerate(zip(masks, masks[1:])))
 
 
-_set_n = BoolFn.n.__set__
+_new = object.__new__
+_set_n = BoolFn.n.__set__   # the slot descriptors, past the frozen __setattr__
 _set_table = BoolFn.table.__set__
+
+
+def _trusted(n: int, table: int) -> BoolFn:
+    """``BoolFn(n, table)`` without the range check, for a table the caller
+    built below 2**(2**n) with n >= 0."""
+    f = _new(BoolFn)
+    _set_n(f, n)
+    _set_table(f, table)
+    return f
 
 
 @dataclass(frozen=True)

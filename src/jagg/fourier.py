@@ -9,6 +9,13 @@ table.  At arity 4 the two table bytes' cached entries are joined by one
 stage on one int; at every other arity the lanes run over cache-sized
 chunks.  ``Dyadic`` values are made only at the API and JSON boundary.
 Nothing here uses floats.
+
+Results are built without re-running constructor checks they pass by
+construction: a spectrum from ``spectrum`` holds the 2**n int lanes the
+transform read; a table from ``reconstruct`` is joined from reverse-map
+bytes, so it is below 2**(2**n); and ``Dyadic.make`` reduces to lowest terms
+itself, and returns the shared ``ONE`` for an exact 1, as every Boolean
+spectrum's Parseval sum is.
 """
 
 from __future__ import annotations
@@ -21,7 +28,12 @@ from itertools import repeat
 from operator import mul, or_
 from typing import Callable, Iterable, Sequence
 
-from .boolfn import BoolFn, repeat_bits
+from .boolfn import BoolFn, _new, _trusted, repeat_bits
+
+
+def _is_int(value: object) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @total_ordering
@@ -33,7 +45,7 @@ class Dyadic:
     exp: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.num, int) and isinstance(self.exp, int)):
+        if not (_is_int(self.num) and _is_int(self.exp)):
             raise ValueError("numerator and exponent must be integers")
         if self.exp < 0:
             raise ValueError("exponent must be non-negative")
@@ -55,7 +67,9 @@ class Dyadic:
         if exp < 0:
             raise ValueError("exponent must be non-negative")
         shift = (num & -num).bit_length() - 1
-        if shift > exp:
+        if shift >= exp:   # an integer, so num >> exp is exact
+            if num >> exp == 1:   # an exact 1, as every Boolean Parseval sum is
+                return ONE
             shift = exp
         value = _new(cls)
         _set_num(value, num >> shift)
@@ -127,7 +141,6 @@ class Dyadic:
         return str(self.num) if self.exp == 0 else f"{self.num}/2^{self.exp}"
 
 
-_new = object.__new__
 _set_num = Dyadic.num.__set__   # the slot descriptors, past the frozen __setattr__
 _set_exp = Dyadic.exp.__set__
 ZERO = Dyadic(0, 0)
@@ -376,7 +389,7 @@ class FourierSpectrum:
             raise ValueError(f"arity must be non-negative, got {self.n}")
         if len(self.nums) != 1 << self.n:
             raise ValueError(f"expected {1 << self.n} coefficients, got {len(self.nums)}")
-        if not all(isinstance(num, int) for num in self.nums):
+        if not all(map(_is_int, self.nums)):
             raise ValueError("coefficient numerators must be integers")
 
     @cached_property
@@ -430,9 +443,11 @@ def spectrum(f: BoolFn) -> FourierSpectrum:
     high, low, read, _, _ = _join_plan()
     table = f.table
     raw = (high[table >> 8] + low[table & 0xFF] ^ _JOIN_BIAS).to_bytes(32, "little")
-    # valid by construction, so filled without the constructor's checks
+    # valid by construction, so filled without the constructor's checks, by
+    # item assignment, which is cheaper than a keyword update
     spec = _new(FourierSpectrum)
-    spec.__dict__.update(n=n, nums=read(raw), _lanes=(16, raw))
+    fields = spec.__dict__
+    fields["n"], fields["nums"], fields["_lanes"] = n, read(raw), (16, raw)
     return spec
 
 
@@ -452,7 +467,8 @@ def _packed_spectrum(f: BoolFn) -> FourierSpectrum:
     raw = b"".join(map(forward.__getitem__, f.table.to_bytes(((1 << n) + 7) // 8, "little")))
     raw = _transform(raw, width, False, _BYTE_STAGES)
     spec = _new(FourierSpectrum)
-    spec.__dict__.update(n=n, nums=_unpack(raw, width), _lanes=(width, raw))
+    fields = spec.__dict__
+    fields["n"], fields["nums"], fields["_lanes"] = n, _unpack(raw, width), (width, raw)
     return spec
 
 
@@ -473,7 +489,7 @@ def reconstruct(spec: FourierSpectrum) -> BoolFn:
             x = int.from_bytes(raw, "little") ^ _JOIN_BIAS
             without, with_ = x & _JOIN_LOW, x >> _JOIN_HALF
             try:
-                return BoolFn(n, back_low[without - with_] | back_high[without + with_])
+                return _trusted(n, back_low[without - with_] | back_high[without + with_])
             except KeyError:   # not Boolean
                 pass
     return _packed_reconstruct(spec)
@@ -504,7 +520,7 @@ def _packed_reconstruct(spec: FourierSpectrum) -> BoolFn:
         exp = Dyadic.make(reduce(or_, spec.nums), n).exp
         raise ValueError(f"coefficients do not describe a Boolean function "
                          f"(value {v >> (n - exp)}/2**{exp} at point {p})") from None
-    return BoolFn(n, int.from_bytes(table, "little"))
+    return _trusted(n, int.from_bytes(table, "little"))
 
 
 # --- composition-coefficient identities -------------------------------------

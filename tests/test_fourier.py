@@ -163,10 +163,12 @@ def test_dyadic_canonical():
 
 @pytest.mark.parametrize("num, exp", [
     (1.5, 0), ("1", 0), (None, 0), (Fraction(1), 0), (2.0, 0), (1, 0.0), (1, "0"), (1, None),
+    (True, 0), (1, False),
 ])
 def test_dyadic_rejects_non_int_parts(num, exp):
     # rejected up front: a float part would fail only in a later shift, and
-    # a str one inside the lowest-terms check's formatting
+    # a str one inside the lowest-terms check's formatting; a bool would be
+    # kept, and print as "True"
     with pytest.raises(ValueError) as err:
         Dyadic(num, exp)
     assert str(err.value) == "numerator and exponent must be integers"
@@ -259,6 +261,9 @@ def test_dyadic_make_is_canonical():
             checked = Dyadic(d.num, d.exp)
             assert d == checked and hash(d) == hash(checked)
             assert as_fraction(d) == Fraction(num, 1 << exp)
+    # an exact 1 is the shared ONE, at any exponent
+    for exp in range(65):
+        assert Dyadic.make(1 << exp, exp) is ONE
     for num in (3, 4):
         with pytest.raises(ValueError) as err:
             Dyadic.make(num, -1)
@@ -350,9 +355,10 @@ def test_closed_forms():
 
 
 def test_parseval_exhaustive():
-    for n in (1, 2, 3):
+    # the sum is the shared ONE, so no Boolean spectrum makes a new object
+    for n in (1, 2, 3, 4):
         for f in all_tables(n):
-            assert spectrum(f).parseval_sum() == 1
+            assert spectrum(f).parseval_sum() is ONE
 
 
 def test_subset_mask_out_of_range():
@@ -385,7 +391,7 @@ def test_spectrum_keeps_numerators_as_a_tuple():
 
 
 def test_spectrum_rejects_non_int_numerators():
-    for nums in ((2.0, 0.0), (2, 0.0), (Fraction(2), 0), ("2", 0), (None, 0)):
+    for nums in ((2.0, 0.0), (2, 0.0), (Fraction(2), 0), ("2", 0), (None, 0), (True, True)):
         with pytest.raises(ValueError) as err:
             FourierSpectrum(1, nums)
         assert str(err.value) == "coefficient numerators must be integers"
@@ -393,14 +399,22 @@ def test_spectrum_rejects_non_int_numerators():
 
 
 def test_reconstruct_roundtrip():
+    # reconstruct builds its result without the range check: it must be the
+    # value the checked constructor makes, in hash, repr and pickle too
+    def check(f):
+        back = reconstruct(spectrum(f))
+        checked = BoolFn(back.n, back.table)
+        assert back == f == checked and hash(back) == hash(checked)
+        assert repr(back) == repr(checked)
+        assert pickle.loads(pickle.dumps(back)) == checked
+
     for n in (0, 1, 2, 3, 4):
         for f in all_tables(n):
-            assert reconstruct(spectrum(f)) == f
+            check(f)
     rng = random.Random(1810)
-    for n in RANDOM_ARITIES:
+    for n in RANDOM_ARITIES + (17,):
         for table in (rng.getrandbits(1 << n), 0, (1 << (1 << n)) - 1):
-            f = BoolFn(n, table)
-            assert reconstruct(spectrum(f)) == f
+            check(BoolFn(n, table))
 
 
 def test_reconstruct_matches_one_int_kernel():
