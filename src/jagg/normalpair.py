@@ -261,9 +261,11 @@ def check_normal_pair(g: BoolFn, f: BoolFn, *, config: Config = DEFAULT) -> Norm
     its cost grows with f's minterms as well as with the matrices.  A
     parity f has 2**(n-1) of each, and costs far more than its charge at
     large n: (xor:2, xor:12) is charged 2**24 units, within the default
-    budget, and took 7.4 s in process, against 0.05-0.06 s for (xor:2,
-    xor:10).  ROADMAP item 5 is to re-derive the charge from the work,
-    once item 3 has changed what ``compose`` costs.
+    budget, and took 11.5-13.1 s and 81 MB max RSS from the CLI (three
+    fresh processes, Python 3.11.7, shared 2-core machine), against
+    0.05-0.06 s in process for (xor:2, xor:10).  ROADMAP item 5 is to
+    re-derive the charge from the work, once item 3 has changed what
+    ``compose`` costs.
     """
     m, n = g.n, f.n
     if m < 1 or n < 1:

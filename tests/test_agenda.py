@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
+import jagg.agenda
 from jagg.agenda import (AgendaError, DegenerateProposition,
                          DuplicateProposition, NegationDuplicate, RationalSet,
-                         _split, build_agenda, closure, cons, is_determined_by,
+                         _CHUNK_POINTS, _split, _split_bytes, _split_cells,
+                         build_agenda, closure, cons, is_determined_by,
                          is_symbol_closed, load_agenda, rational_judgments)
-from jagg.boolfn import _bools
+from jagg.boolfn import _bools, variable_mask
 from jagg.config import BudgetError, Config
 from jagg.formula import And, Atom, Not, Or, Xor, parse
 
@@ -145,6 +147,24 @@ def loop_rational_judgments(agenda):
     return RationalSet(agenda, tuple(ordered), tuple(seen[j] for j in ordered))
 
 
+def text_rational_judgments(agenda):
+    """Reference for many assignments: each table's binary string, read one
+    character per assignment, assignment 0 first."""
+    k = len(agenda.symbols)
+    columns = [format(t.table, f"0{1 << k}b")[::-1] for t in agenda.tables]
+    seen = {}
+    for mask, row in enumerate(zip(*columns)):
+        seen.setdefault(row, mask)
+    ordered = sorted((tuple(c == "1" for c in row), mask) for row, mask in seen.items())
+    return RationalSet(agenda, tuple(j for j, _ in ordered),
+                       tuple(tuple(bool(mask >> i & 1) for i in range(k)) for _, mask in ordered))
+
+
+def test_text_reference_matches_the_loop():
+    for agenda in data_agendas() + [build_agenda(["a ^ b | c", "!b & d", "a", "c | e"])]:
+        assert text_rational_judgments(agenda) == loop_rational_judgments(agenda)
+
+
 def random_formula(rng, names, depth):
     if depth == 0 or rng.random() < 0.25:
         atom = Atom(rng.choice(names))
@@ -231,7 +251,20 @@ def check_projections(agenda, judgments):
                             == loop_is_determined_by(judgments, target, pos))
 
 
-def test_rational_judgments_match_loop_across_chunks():
+def count_byte_reads(monkeypatch):
+    """A list that grows by one on each call of the byte read."""
+    calls = []
+
+    def counted(tables, k):
+        calls.append(k)
+        return _split_bytes(tables, k)
+
+    monkeypatch.setattr(jagg.agenda, "_split_bytes", counted)
+    return calls
+
+
+def test_rational_judgments_match_loop_across_chunks(monkeypatch):
+    byte_reads = count_byte_reads(monkeypatch)
     rng = random.Random(20261019)
     agendas = [build_agenda([f"s{i:02d}" for i in range(10)])]   # |U| = 2**10
     for k in (16, 17):
@@ -243,14 +276,83 @@ def test_rational_judgments_match_loop_across_chunks():
                  Xor(Atom(names[0]), Atom(names[-1])),
                  random_formula(rng, names, 3)]
         agendas.append(build_agenda(basis))
-    late = agendas[-1]
-    assert len(late.symbols) == 17
-    assert any(w[16] for w in rational_judgments(late).witnesses)
+        # 6, 7 and 8 entries: the first two as above, the rest over one to
+        # three symbols each
+        for size in (6, 7, 8):
+            while True:
+                basis = agendas[-1].basis[:2] + tuple(
+                    random_formula(rng, rng.sample(names, rng.randint(1, 3)), 2)
+                    for _ in range(size - 2))
+                try:
+                    agendas.append(build_agenda(basis))
+                    break
+                except AgendaError:
+                    continue
+    late = [a for a in agendas if len(a.symbols) == 17]
+    assert len(late) == 4 and {len(a) for a in late} == {4, 6, 7, 8}
+    for agenda in late:
+        assert any(w[16] for w in rational_judgments(agenda).witnesses)
     for agenda in agendas:
-        reference = loop_rational_judgments(agenda)
+        if len(agenda) <= 4:
+            reference = loop_rational_judgments(agenda)
+            if agenda.has_compound():
+                check_projections(agenda, reference.judgments)
+        else:
+            reference = text_rational_judgments(agenda)
         assert rational_judgments(agenda) == reference
-        if agenda.has_compound():
-            check_projections(agenda, reference.judgments)
+    assert byte_reads
+
+
+def test_projections_take_the_byte_read(monkeypatch):
+    byte_reads = count_byte_reads(monkeypatch)
+    rng = random.Random(37)
+    names = [f"s{i:02d}" for i in range(11)]
+    while True:
+        basis = [Or(*map(Atom, names[:6])), Xor(*map(Atom, names[5:]))]
+        basis += [random_formula(rng, rng.sample(names, 3), 2) for _ in range(6)]
+        try:
+            agenda = build_agenda(basis)
+            break
+        except AgendaError:
+            continue
+    assert (len(agenda), len(agenda.symbols)) == (8, 11)
+    check_projections(agenda, loop_rational_judgments(agenda).judgments)
+    assert byte_reads
+
+
+def few_symbol_table(rng, k):
+    """A table over 2**k points that reads one to four of the k symbols."""
+    full = (1 << (1 << k)) - 1
+    symbols = rng.sample(range(k), rng.randint(1, min(k, 4)))
+    table = variable_mask(symbols[0], k)
+    for i in symbols[1:]:
+        column = variable_mask(i, k) ^ (full if rng.random() < 0.3 else 0)
+        op = rng.randrange(3)
+        table = table & column if op == 0 else table | column if op == 1 else table ^ column
+    return table
+
+
+def test_byte_read_matches_the_cell_split():
+    # the cell split is the reference; k = 17 and 18 cross the 2**16 chunk,
+    # and the byte read takes at most 8 tables
+    rng = random.Random(37)
+    for k in range(3, 19):
+        full = (1 << (1 << k)) - 1
+        for s in range(1, 10):
+            dense = [rng.getrandbits(1 << k) for _ in range(s)]
+            few = [few_symbol_table(rng, k) for _ in range(s)]
+            # cons takes repeated positions: repeats and complements
+            repeated = [few[0], few[0] ^ full, *few[:s - 2]][:s]
+            # the first table's T points need the last symbol: past k = 16
+            # they are induced only after the first chunk
+            late = [variable_mask(k - 1, k), *few[:s - 1]]
+            for tables in (dense, few, repeated, late):
+                want = _split_cells(tables, k)
+                if tables is late and k > 16:
+                    assert max(want.values()) >= _CHUNK_POINTS
+                assert _split(tables, k) == want, (k, s)
+                if s <= 8:
+                    assert _split_bytes(tables, k) == want, (k, s)
 
 
 def test_cons_and_is_determined_by_match_projection():
